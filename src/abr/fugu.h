@@ -48,7 +48,7 @@ struct FuguConfig {
   // merging quantum — 0 (default) merges only bit-identical states,
   // guaranteeing decisions identical to the exhaustive planner; > 0 enables
   // Puffer-style lossy bucketing (unit_buf_length). kVi: the value-table
-  // bucket width — <= 0 selects kDefaultViBufferQuantumS (0.25 s).
+  // bucket width — <= 0 selects kDefaultViBufferQuantumS (2.0 s).
   double dp_buffer_quantum_s = 0.0;
 };
 

@@ -25,6 +25,13 @@ inline uint64_t splitmix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// Whether the larger of two prefix values reaching one state wins for every
+// shared continuation: they are exactly equal (the rank decides), or they
+// differ by more than any rounding of the continuation sum can close.
+inline bool separable(double a, double b) {
+  return a == b || std::abs(a - b) > kBoundSlack;
+}
+
 inline uint64_t bits_of(double v) {
   uint64_t u;
   std::memcpy(&u, &v, sizeof(u));
@@ -311,9 +318,9 @@ size_t DpPlanner::arena_bytes() const {
   }
   b += (dl_.capacity() + vq_.capacity() + qn_.capacity() + eqn_.capacity() +
         w_.capacity() + root_qn_.capacity() + root_eqn_.capacity() + h_.capacity() +
-        child_buf_.capacity() + rollout_[0].capacity() + rollout_[1].capacity()) *
+        child_buf_.capacity()) *
        sizeof(double);
-  b += child_key_.capacity() * sizeof(uint64_t) + path_.capacity() * sizeof(uint32_t);
+  b += child_key_.capacity() * sizeof(uint64_t);
   b += stamp_.capacity() * sizeof(uint64_t) + slot_.capacity() * sizeof(uint32_t);
   return b;
 }
@@ -490,69 +497,62 @@ PlanResult DpPlanner::plan(const PlanQuery& q) {
     }
   };
 
-  // Evaluates one concrete level path (first action uses rebuffer option 0)
-  // through the true dynamics and folds it as an exact incumbent leaf. The
-  // stronger the incumbent, the harder the bound prunes.
-  const auto fold_rollout = [&](const uint32_t* path) {
-    rollout_[0].assign(S, q.obs->buffer_s);
-    rollout_[1].resize(S);
-    double val = 0.0;
-    uint64_t rank = 0;
-    for (size_t d = 0; d < D; ++d) {
-      const size_t level = path[d];
-      const size_t stall_count = d == 0 ? q.num_rebuffer_options : 1;
-      const double sched = d == 0 ? q.rebuffer_options[0] : 0.0;
-      const size_t prev = d == 0 ? 0 : path[d - 1];
-      const double prev_vq_val =
-          d == 0 ? q.prev_visual_quality : vq_[(d - 1) * L + prev];
-      const double qn = d == 0 ? root_qn_[level] : qn_[(d * L + level) * L + prev];
-      const double eqn = d == 0 ? root_eqn_[level] : eqn_[(d * L + level) * L + prev];
-      double expected_q = step_expected_q(d, level, prev_vq_val, qn, sched,
-                                          rollout_[d % 2].data(), rollout_[1 - d % 2].data());
-      val = val + weighted_step_quality(w_[d], expected_q, eqn);
-      rank = rank * static_cast<uint64_t>(L * stall_count) +
-             static_cast<uint64_t>(level * stall_count);
+  // Seed incumbents with one stall-aware greedy dive per first level (first
+  // action uses rebuffer option 0): every deeper step evaluates each level
+  // through the true per-scenario dynamics and follows the argmax of its
+  // contribution plus the stall-free bound of the rest. On links that stall
+  // this lands near the optimum, where the bound's own argmax path does not,
+  // so the bound prunes harder. Dive leaves are real leaves and pruning and
+  // merging keep ties, so the answer does not depend on the incumbents. The
+  // dive runs in the state arenas, idle until the root is seeded: bufs_[0]
+  // holds the root buffers and the dive's current buffers, bufs_[1] one
+  // post-step row per level.
+  bufs_[0].assign(2 * S, q.obs->buffer_s);
+  bufs_[1].resize(L * S);
+  double* const root_b = bufs_[0].data();
+  double* const dive_b = root_b + S;
+  for (size_t l0 = 0; l0 < L; ++l0) {
+    double val = weighted_step_quality(
+        w_[0],
+        step_expected_q(0, l0, q.prev_visual_quality, root_qn_[l0], q.rebuffer_options[0],
+                        root_b, dive_b),
+        root_eqn_[l0]);
+    uint64_t rank = static_cast<uint64_t>(l0 * q.num_rebuffer_options);
+    size_t prev = l0;
+    for (size_t d = 1; d < D; ++d) {
+      const double prev_vq = vq_[(d - 1) * L + prev];
+      double best = -1e18, best_c = 0.0;
+      size_t arg = 0;
+      for (size_t l = 0; l < L; ++l) {
+        const size_t t = (d * L + l) * L + prev;
+        const double c = weighted_step_quality(
+            w_[d], step_expected_q(d, l, prev_vq, qn_[t], 0.0, dive_b, &bufs_[1][l * S]),
+            eqn_[t]);
+        const double score = c + h_[(d + 1) * L + l];
+        if (score > best) {
+          best = score;
+          best_c = c;
+          arg = l;
+        }
+      }
+      std::copy_n(&bufs_[1][arg * S], S, dive_b);
+      val = val + best_c;
+      rank = rank * L + arg;
+      prev = arg;
     }
     StateRec leaf;
     leaf.value = val;
     leaf.rank = rank;
-    leaf.first_level = path[0];
+    leaf.first_level = static_cast<uint32_t>(l0);
     leaf.first_sched = 0;
     if (q.rebuffer_options[0] == 0.0) {
       leaf.ns_value = val;
       leaf.ns_rank = rank;
-      leaf.ns_level = path[0];
+      leaf.ns_level = static_cast<uint32_t>(l0);
     } else {
       leaf.ns_rank = kNoRank;
     }
     fold_leaf(leaf);
-  };
-
-  // Seed incumbents: for every first level, greedily follow the argmax path
-  // of the stall-free bound; plus the all-lowest-level path, which is close
-  // to optimal exactly where the stall-free relaxation is loose (tight
-  // links). All are real leaves, so folding them is always sound.
-  if (q.num_rebuffer_options > 0) {
-    path_.resize(D);
-    for (size_t l0 = 0; l0 < L; ++l0) {
-      path_[0] = static_cast<uint32_t>(l0);
-      for (size_t d = 1; d < D; ++d) {
-        const size_t prev = path_[d - 1];
-        double best = -1e18;
-        size_t arg = 0;
-        for (size_t l = 0; l < L; ++l) {
-          double v = w_[d] * eqn_[(d * L + l) * L + prev] + h_[(d + 1) * L + l];
-          if (v > best) {
-            best = v;
-            arg = l;
-          }
-        }
-        path_[d] = static_cast<uint32_t>(arg);
-      }
-      fold_rollout(path_.data());
-    }
-    std::fill(path_.begin(), path_.end(), 0u);
-    fold_rollout(path_.data());
   }
 
   // Root: one state, all scenarios at the observed buffer level.
@@ -602,9 +602,16 @@ PlanResult DpPlanner::plan(const PlanQuery& q) {
             }
           }
         }
+        // Identical continuation: keep the better prefix. Two prefixes within
+        // kBoundSlack of each other (but not equal) may round to the same
+        // leaf value once the shared continuation is added, and the reference
+        // then picks the lower rank, so such near-ties stay separate states.
+        same = same && separable(cand.value, ex.value) &&
+               (cand.ns_rank == kNoRank || ex.ns_rank == kNoRank ||
+                separable(cand.ns_value, ex.ns_value));
         if (same) {
-          // Identical continuation: keep the better prefix. Ranks encode the
-          // exhaustive walk's leaf visit order, so ties break identically.
+          // Ranks encode the exhaustive walk's leaf visit order, so exact
+          // ties break identically.
           if (cand.value > ex.value || (cand.value == ex.value && cand.rank < ex.rank)) {
             ex.value = cand.value;
             ex.rank = cand.rank;

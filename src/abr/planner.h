@@ -19,13 +19,21 @@
 //    precomputed once per decision instead of at every tree node. States
 //    that coincide (exactly, or within `buffer_quantum_s` buckets when > 0)
 //    are merged, which collapses the tree wherever the buffer saturates at
-//    its floor or cap. On top of the merge, an admissible bound prunes the
-//    fan-out: the stall-free relaxation H(d, level) — a tiny L x horizon
-//    value iteration over the precomputed quality tables — upper-bounds any
-//    continuation, and a greedy rollout of its argmax path seeds an exact
-//    incumbent; a state is dropped when value + H cannot *strictly* beat
-//    the incumbent (ties are kept, so the depth-first tie-break of the
-//    reference planner is preserved bit-for-bit).
+//    its floor or cap. Two prefixes reaching one state merge only when
+//    their values are exactly equal (the rank decides) or differ by more
+//    than the bound slack: prefixes a few ulps apart can round to the same
+//    leaf value once the shared continuation is added, and the reference
+//    then picks the lower rank, so such near-ties stay separate states. On
+//    top of the merge, an admissible bound prunes the fan-out: the
+//    stall-free relaxation H(d, level) — a tiny L x horizon value iteration
+//    over the precomputed quality tables — upper-bounds any continuation.
+//    Incumbents come from one stall-aware greedy dive per first level: each
+//    deeper step evaluates every level through the true per-scenario
+//    dynamics and follows the argmax of step value + H, so on links that
+//    stall the incumbent lands near the optimum instead of on the loose
+//    stall-free path. A state is dropped when value + H cannot *strictly*
+//    beat the incumbent (ties are kept, so the depth-first tie-break of the
+//    reference planner is preserved bit-for-bit whatever the incumbent).
 //
 // With buffer_quantum_s == 0 (the default) merging only unifies bitwise-
 // identical states, and every arithmetic expression mirrors the exhaustive
@@ -354,8 +362,6 @@ class DpPlanner : public Planner {
   std::vector<StateRec> recs_[2];
   std::vector<double> child_buf_;     // scratch for one candidate child
   std::vector<uint64_t> child_key_;   // quantized/bit keys of child_buf_
-  std::vector<uint32_t> path_;        // argmax path of the bound (incumbent)
-  std::vector<double> rollout_[2];    // incumbent rollout buffers
 
   // Round-stamped open-addressing hash over next-depth states: a slot is
   // live iff stamp_[i] == round_, so no clearing between depths/decisions.

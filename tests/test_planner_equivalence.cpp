@@ -34,13 +34,22 @@ struct GridCase {
   size_t horizon = 5;
 };
 
+// What a seeded grid draws from: horizons, the observed buffer range, and
+// the range of forecast centers. The defaults span the whole ladder.
+struct GridRanges {
+  std::vector<size_t> horizons = {1, 2, 3, 4, 5};
+  double max_buffer_s = 28.0;
+  double min_kbps = 250.0;
+  double max_kbps = 6500.0;
+};
+
 // Seeded grid spanning buffers, positions (incl. end-of-video), levels,
 // scenario counts/spreads, weights, and both rebuffer-action sets.
 std::vector<GridCase> seeded_grid(const media::EncodedVideo& video, uint64_t seed,
-                                  size_t cases_per_combo) {
+                                  size_t cases_per_combo, const GridRanges& ranges = {}) {
   util::Rng rng(seed);
   std::vector<GridCase> grid;
-  for (size_t horizon : {1, 2, 3, 4, 5}) {
+  for (size_t horizon : ranges.horizons) {
     for (bool use_weights : {false, true}) {
       for (bool stall_actions : {false, true}) {
         for (size_t i = 0; i < cases_per_combo; ++i) {
@@ -57,12 +66,12 @@ std::vector<GridCase> seeded_grid(const media::EncodedVideo& video, uint64_t see
                                        rng.uniform_int(0, 2))
                                  : static_cast<size_t>(rng.uniform_int(
                                        0, static_cast<int>(video.num_chunks()) - 1));
-          c.obs.buffer_s = rng.uniform(0.0, 28.0);
+          c.obs.buffer_s = rng.uniform(0.0, ranges.max_buffer_s);
           c.obs.last_level = static_cast<size_t>(
               rng.uniform_int(0, static_cast<int>(video.ladder().level_count()) - 1));
           size_t num_scen = rng.chance(0.5) ? 3 : 8;
-          c.scenarios = net::triangular_scenarios(num_scen, rng.uniform(250.0, 6500.0),
-                                       rng.uniform(0.05, 0.8));
+          c.scenarios = net::triangular_scenarios(
+              num_scen, rng.uniform(ranges.min_kbps, ranges.max_kbps), rng.uniform(0.05, 0.8));
           if (use_weights) {
             for (size_t d = 0; d < horizon; ++d)
               c.obs.future_weights.push_back(rng.uniform(0.5, 2.8));
@@ -92,11 +101,11 @@ PlanQuery make_query(const GridCase& c) {
   return q;
 }
 
-TEST_F(PlannerEquivalence, DpMatchesExhaustiveBitIdenticalOnSeededGrid) {
+// The exact DP must return the reference's decision and value bit for bit
+// on every case of `grid`.
+void expect_dp_matches_exhaustive(const std::vector<GridCase>& grid) {
   ExhaustivePlanner reference;
   DpPlanner dp;  // exact merging (quantum 0)
-  auto grid = seeded_grid(video_, 0xfeed5eed, 6);
-  ASSERT_FALSE(grid.empty());
   for (size_t i = 0; i < grid.size(); ++i) {
     PlanQuery q = make_query(grid[i]);
     PlanResult a = reference.plan(q);
@@ -104,11 +113,33 @@ TEST_F(PlannerEquivalence, DpMatchesExhaustiveBitIdenticalOnSeededGrid) {
     SCOPED_TRACE("case " + std::to_string(i) + " horizon " +
                  std::to_string(grid[i].horizon));
     EXPECT_EQ(a.best_level, b.best_level);
-    EXPECT_DOUBLE_EQ(a.best_rebuffer_s, b.best_rebuffer_s);
-    EXPECT_DOUBLE_EQ(a.best_value, b.best_value);
+    EXPECT_EQ(a.best_rebuffer_s, b.best_rebuffer_s);
+    EXPECT_EQ(a.best_value, b.best_value);
     EXPECT_EQ(a.nostall_level, b.nostall_level);
-    EXPECT_DOUBLE_EQ(a.nostall_value, b.nostall_value);
+    EXPECT_EQ(a.nostall_value, b.nostall_value);
   }
+}
+
+TEST_F(PlannerEquivalence, DpMatchesExhaustiveBitIdenticalOnSeededGrid) {
+  auto grid = seeded_grid(video_, 0xfeed5eed, 6);
+  ASSERT_FALSE(grid.empty());
+  expect_dp_matches_exhaustive(grid);
+}
+
+// Tight links: forecasts centered at or below the lowest rung (300 kbps)
+// with near-empty buffers, so nearly every plan stalls. There chunk quality
+// sits at its floor, and two prefixes reaching one state can differ by an
+// ulp yet round to the same leaf value: a merge that keeps only the larger
+// prefix loses the reference's lowest-rank tie-break.
+TEST_F(PlannerEquivalence, DpMatchesExhaustiveBitIdenticalOnTightLinks) {
+  GridRanges tight;
+  tight.horizons = {3, 4, 5};
+  tight.max_buffer_s = 6.0;
+  tight.min_kbps = 60.0;
+  tight.max_kbps = 400.0;
+  auto grid = seeded_grid(video_, 0x71647411, 200, tight);
+  ASSERT_EQ(grid.size(), 2400u);
+  expect_dp_matches_exhaustive(grid);
 }
 
 TEST_F(PlannerEquivalence, QuantizedDpKeepsDecisionsWithinTolerance) {
@@ -189,6 +220,8 @@ TEST_F(PlannerEquivalence, FullSessionsIdenticalAcrossPlanners) {
   auto traces = std::vector<net::ThroughputTrace>{
       net::TraceGenerator::cellular("cell", 1200, 600.0, 5),
       net::TraceGenerator::broadband("bb", 2600, 600.0, 9),
+      // The Fig. 12b sweep's tightest ratio: stalls on most chunks.
+      net::TraceGenerator::cellular("cell_0.2x", 1200, 600.0, 5).scaled(0.2),
   };
   std::vector<double> weights(video_.num_chunks(), 0.8);
   for (size_t i = 10; i < 16 && i < weights.size(); ++i) weights[i] = 2.4;
