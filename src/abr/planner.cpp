@@ -38,6 +38,27 @@ inline uint64_t bits_of(double v) {
   return u;
 }
 
+inline double double_of(uint64_t u) {
+  double v;
+  std::memcpy(&v, &u, sizeof(v));
+  return v;
+}
+
+inline bool same_params(const qoe::ChunkQualityParams& a, const qoe::ChunkQualityParams& b) {
+  return a.beta_rebuf == b.beta_rebuf && a.rebuf_saturation == b.rebuf_saturation &&
+         a.beta_switch == b.beta_switch && a.floor == b.floor;
+}
+
+// Whether shared table `t` was built for exactly this discretized context.
+inline bool same_vi_context(const PlanBatch::ViValueTable& t, const media::EncodedVideo& video,
+                            const qoe::ChunkQualityParams& params, size_t next_chunk,
+                            size_t depth_count, size_t levels, double quantum,
+                            const double* key, size_t key_len) {
+  return t.video == &video && t.next_chunk == next_chunk && t.depth_count == depth_count &&
+         t.levels == levels && t.quantum == quantum && same_params(t.params, params) &&
+         t.key.size() == key_len && std::equal(t.key.begin(), t.key.end(), key);
+}
+
 }  // namespace
 
 bool degenerate_plan(const PlanQuery& q, PlanResult* out) {
@@ -62,12 +83,9 @@ bool degenerate_plan(const PlanQuery& q, PlanResult* out) {
 
 const PlanBatch::VideoTables& PlanBatch::tables(const media::EncodedVideo& video,
                                                 const qoe::ChunkQualityParams& params) {
+  std::lock_guard<std::mutex> lock(mu_);
   for (const auto& t : tables_) {
-    if (t->video == &video && t->params.beta_rebuf == params.beta_rebuf &&
-        t->params.rebuf_saturation == params.rebuf_saturation &&
-        t->params.beta_switch == params.beta_switch && t->params.floor == params.floor) {
-      return *t;
-    }
+    if (t->video == &video && same_params(t->params, params)) return *t;
   }
   auto t = std::make_unique<VideoTables>();
   t->video = &video;
@@ -105,7 +123,7 @@ PlanBatch::ViValueTable& PlanBatch::vi_table(const media::EncodedVideo& video,
                                              size_t next_chunk, size_t depth_count,
                                              size_t levels, double quantum,
                                              const double* key, size_t key_len,
-                                             size_t cell_count, bool* created) {
+                                             size_t cell_count) {
   // FNV-1a folded a machine word at a time: every keyed field is naturally
   // 8 bytes (pointers, counts, double bit patterns), and the hash only
   // steers the probe — the full compare below decides identity — so the
@@ -131,6 +149,7 @@ PlanBatch::ViValueTable& PlanBatch::vi_table(const media::EncodedVideo& video,
   mix_f64(params.floor);
   for (size_t k = 0; k < key_len; ++k) mix_f64(key[k]);
 
+  std::lock_guard<std::mutex> lock(mu_);
   // Grow before probing so the insert below always finds an empty slot and
   // the load factor stays under ~0.7.
   if (vi_ht_slot_.empty()) {
@@ -144,13 +163,8 @@ PlanBatch::ViValueTable& PlanBatch::vi_table(const media::EncodedVideo& video,
   while (vi_ht_slot_[i] != 0) {
     if (vi_ht_hash_[i] == h) {
       ViValueTable& t = *vi_list_[vi_ht_slot_[i] - 1];
-      if (t.video == &video && t.next_chunk == next_chunk &&
-          t.depth_count == depth_count && t.levels == levels && t.quantum == quantum &&
-          t.params.beta_rebuf == params.beta_rebuf &&
-          t.params.rebuf_saturation == params.rebuf_saturation &&
-          t.params.beta_switch == params.beta_switch && t.params.floor == params.floor &&
-          t.key.size() == key_len && std::equal(t.key.begin(), t.key.end(), key)) {
-        *created = false;
+      if (same_vi_context(t, video, params, next_chunk, depth_count, levels, quantum, key,
+                          key_len)) {
         return t;
       }
     }
@@ -167,10 +181,9 @@ PlanBatch::ViValueTable& PlanBatch::vi_table(const media::EncodedVideo& video,
   t.levels = levels;
   t.quantum = quantum;
   t.key.assign(key, key + key_len);
-  t.v.reset(new double[cell_count]);  // uninitialized on purpose, see header
+  t.v.reset(new std::atomic<uint64_t>[cell_count]);
+  for (size_t c = 0; c < cell_count; ++c) t.v[c].store(kUnfilled, std::memory_order_relaxed);
   t.cell_count = cell_count;
-  t.filled.assign(cell_count, 0);
-  *created = true;
   return t;
 }
 
@@ -189,14 +202,24 @@ void PlanBatch::vi_rehash(size_t new_cap) {
   }
 }
 
+size_t PlanBatch::num_videos() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return tables_.size();
+}
+
+size_t PlanBatch::num_vi_tables() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return vi_list_.size();
+}
+
 size_t PlanBatch::table_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
   size_t b = 0;
   for (const auto& t : tables_) {
     b += (t->bits_kb.capacity() + t->vq.capacity() + t->qn.capacity()) * sizeof(double);
   }
   for (const auto& t : vi_list_) {
-    b += (t->key.capacity() + t->cell_count + t->dl.capacity()) * sizeof(double) +
-         t->filled.capacity();
+    b += t->key.capacity() * sizeof(double) + t->cell_count * sizeof(uint64_t);
   }
   b += vi_ht_hash_.capacity() * sizeof(uint64_t) +
        vi_ht_slot_.capacity() * sizeof(uint32_t);
@@ -750,10 +773,10 @@ size_t ViPlanner::arena_bytes() const {
   return (local_bits_.capacity() + local_vq_.capacity() + local_qn_.capacity() +
           local_dl_.capacity() + prob_.capacity() + w_.capacity() + root_qn_.capacity() +
           root_dl_.capacity() + exact_kbps_.capacity() + qkbps_.capacity() +
-          key_.capacity() + width_.capacity() + v_.capacity() + row_b_.capacity() +
-          row_stall_.capacity() + row_qv_.capacity()) *
+          key_.capacity() + width_.capacity() + row_b_.capacity() + row_stall_.capacity() +
+          row_qv_.capacity()) *
              sizeof(double) +
-         (vstamp_.capacity() + bcount_.capacity() + off_.capacity()) * sizeof(uint64_t);
+         (local_v_cap_ + bcount_.capacity() + off_.capacity()) * sizeof(uint64_t);
 }
 
 void ViPlanner::precompute(const PlanQuery& q, size_t depth_count) {
@@ -763,10 +786,13 @@ void ViPlanner::precompute(const PlanQuery& q, size_t depth_count) {
   const size_t base = q.obs->next_chunk;
 
   if (batch_ != nullptr) {
-    const PlanBatch::VideoTables& vt = batch_->tables(video, q.chunk);
-    bits_tab_ = &vt.bits_kb[base * L];
-    vq_tab_ = &vt.vq[base * L];
-    qn_tab_ = &vt.qn[base * L * L];
+    if (video_tables_ == nullptr || video_tables_->video != &video ||
+        !same_params(video_tables_->params, q.chunk)) {
+      video_tables_ = &batch_->tables(video, q.chunk);
+    }
+    bits_tab_ = &video_tables_->bits_kb[base * L];
+    vq_tab_ = &video_tables_->vq[base * L];
+    qn_tab_ = &video_tables_->qn[base * L * L];
   } else {
     local_bits_.resize(depth_count * L);
     local_vq_.resize(depth_count * L);
@@ -840,13 +866,14 @@ void ViPlanner::precompute(const PlanQuery& q, size_t depth_count) {
   }
 }
 
-void ViPlanner::fill_dl(double* dl) const {
+void ViPlanner::fill_dl() {
   for (size_t d = 0; d < D_; ++d) {
     for (size_t l = 0; l < L_; ++l) {
       util::kernels::div_add_row(bits_tab_[d * L_ + l], qkbps_.data(), S_, 1.0, 0.08,
-                                 &dl[(d * L_ + l) * S_]);
+                                 &local_dl_[(d * L_ + l) * S_]);
     }
   }
+  dl_ready_ = true;
 }
 
 // Continuation value of depths [depth, D) when the buffer sits at
@@ -862,12 +889,11 @@ double ViPlanner::value_of(size_t depth, double buffer_s, size_t prev_level) {
   const double width = width_[depth];
   const size_t bucket = static_cast<size_t>(buffer_bucket(buffer_s, width));
   const size_t idx = off_[depth] + bucket * L_ + prev_level;
-  if (filled_ != nullptr) {
-    if (filled_[idx]) return v_cells_[idx];
-  } else if (vstamp_[idx] == round_) {
-    return v_cells_[idx];
-  }
+  const uint64_t cell = v_cells_[idx].load(std::memory_order_relaxed);
+  if (cell != PlanBatch::kUnfilled) return double_of(cell);
+  if (!dl_ready_) fill_dl();
 
+  const double* dl_tab = local_dl_.data();
   const double b0 = static_cast<double>(bucket) * width;
   const double prev_vq = vq_tab_[(depth - 1) * L_ + prev_level];
   const double w = w_[depth];
@@ -882,7 +908,7 @@ double ViPlanner::value_of(size_t depth, double buffer_s, size_t prev_level) {
     for (size_t l = 0; l < L_; ++l) {
       const double vqv = vq_tab_[depth * L_ + l];
       const double qn = qn_tab_[(depth * L_ + l) * L_ + prev_level];
-      const double* dl_row = &dl_tab_[(depth * L_ + l) * S_];
+      const double* dl_row = &dl_tab[(depth * L_ + l) * S_];
       double acc = 0.0;
       for (size_t s = 0; s < S_; ++s) {
         double b = b0;
@@ -910,7 +936,7 @@ double ViPlanner::value_of(size_t depth, double buffer_s, size_t prev_level) {
     double* row_qv = &row_qv_[depth * S_];
     for (size_t l = 0; l < L_; ++l) {
       const double qn = qn_tab_[(depth * L_ + l) * L_ + prev_level];
-      util::kernels::step_buffer_stall_row(b0, &dl_tab_[(depth * L_ + l) * S_], S_, 0.0,
+      util::kernels::step_buffer_stall_row(b0, &dl_tab[(depth * L_ + l) * S_], S_, 0.0,
                                            tau_, kMaxBufferS, row_b, row_stall);
       util::kernels::chunk_quality_stall_row(vq_tab_[depth * L_ + l], prev_vq, qn,
                                              row_stall, S_, br_, sat_, bsw_, floor_,
@@ -923,12 +949,9 @@ double ViPlanner::value_of(size_t depth, double buffer_s, size_t prev_level) {
       if (acc > best) best = acc;
     }
   }
-  if (filled_ != nullptr) {
-    filled_[idx] = 1;
-  } else {
-    vstamp_[idx] = round_;
-  }
-  v_cells_[idx] = best;
+  // A racing thread may have stored the same cell meanwhile: same key, same
+  // bits, so overwriting it is harmless.
+  v_cells_[idx].store(bits_of(best), std::memory_order_relaxed);
   return best;
 }
 
@@ -971,10 +994,12 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
 
   precompute(q, D_);
 
+  local_dl_.resize(D_ * L_ * S_);
+  dl_ready_ = false;
   if (batch_ != nullptr) {
-    // Shared mode: the whole value table (and the dl rows it was built
-    // from) lives in the batch, keyed by the discretized decision context.
-    // Any session that lands on the same key reuses every filled cell.
+    // Shared mode: the whole value table lives in the batch, keyed by the
+    // discretized decision context. Any session that lands on the same key
+    // reuses every filled cell.
     key_.clear();
     for (size_t s = 0; s < S_; ++s) {
       key_.push_back(qkbps_[s]);
@@ -987,46 +1012,32 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
     // hint — trust it only after re-verifying the complete identity the
     // hash-table compare would have checked.
     PlanBatch::ViValueTable* vt = nullptr;
-    if (last_vt_ != nullptr && last_vt_->succ != nullptr) {
-      PlanBatch::ViValueTable* c = last_vt_->succ;
-      if (c->video == &video && c->next_chunk == q.obs->next_chunk &&
-          c->depth_count == D_ && c->levels == L_ && c->quantum == quantum_ &&
-          c->params.beta_rebuf == q.chunk.beta_rebuf &&
-          c->params.rebuf_saturation == q.chunk.rebuf_saturation &&
-          c->params.beta_switch == q.chunk.beta_switch &&
-          c->params.floor == q.chunk.floor && c->key.size() == key_.size() &&
-          std::equal(c->key.begin(), c->key.end(), key_.begin())) {
+    if (last_vt_ != nullptr) {
+      PlanBatch::ViValueTable* c = last_vt_->succ.load(std::memory_order_acquire);
+      if (c != nullptr && same_vi_context(*c, video, q.chunk, q.obs->next_chunk, D_, L_,
+                                          quantum_, key_.data(), key_.size())) {
         vt = c;
       }
     }
     if (vt == nullptr) {
-      bool created = false;
       vt = &batch_->vi_table(video, q.chunk, q.obs->next_chunk, D_, L_, quantum_,
-                             key_.data(), key_.size(), cells_, &created);
-      if (created) {
-        vt->dl.resize(D_ * L_ * S_);
-        fill_dl(vt->dl.data());
-      }
+                             key_.data(), key_.size(), cells_);
       if (last_vt_ != nullptr && last_vt_->video == &video &&
           last_vt_->next_chunk + 1 == q.obs->next_chunk) {
-        last_vt_->succ = vt;
+        last_vt_->succ.store(vt, std::memory_order_release);
       }
     }
     last_vt_ = vt;
-    dl_tab_ = vt->dl.data();
     v_cells_ = vt->v.get();
-    filled_ = vt->filled.data();
   } else {
-    local_dl_.resize(D_ * L_ * S_);
-    fill_dl(local_dl_.data());
-    dl_tab_ = local_dl_.data();
-    if (v_.size() < cells_) {
-      v_.resize(cells_);
-      vstamp_.resize(cells_, 0);
+    if (local_v_cap_ < cells_) {
+      local_v_.reset(new std::atomic<uint64_t>[cells_]);
+      local_v_cap_ = cells_;
     }
-    ++round_;  // no cell carries this stamp yet: the table is logically clear
-    v_cells_ = v_.data();
-    filled_ = nullptr;
+    for (size_t c = 0; c < cells_; ++c) {
+      local_v_[c].store(PlanBatch::kUnfilled, std::memory_order_relaxed);
+    }
+    v_cells_ = local_v_.get();
   }
 
   const double w0 = w_[0];
@@ -1043,11 +1054,8 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
     if (D_ <= 1) return 0.0;
     const size_t idx =
         base1 + static_cast<size_t>(buffer_bucket(b, width1)) * L_ + level;
-    if (filled_ != nullptr) {
-      if (filled_[idx]) return v_cells_[idx];
-    } else if (vstamp_[idx] == round_) {
-      return v_cells_[idx];
-    }
+    const uint64_t cell = v_cells_[idx].load(std::memory_order_relaxed);
+    if (cell != PlanBatch::kUnfilled) return double_of(cell);
     return value_of(1, b, level);
   };
   // Root rows live in the depth-0 scratch slice (value_of starts at 1).
@@ -1116,9 +1124,7 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
   // Drop the borrowed pointers: a detached batch must not leave the planner
   // dangling into freed tables at the next (unbatched) decide().
   q_ = nullptr;
-  dl_tab_ = nullptr;
   v_cells_ = nullptr;
-  filled_ = nullptr;
   return result;
 }
 

@@ -56,11 +56,11 @@
 //    the root step is always evaluated on the exact forecasts, so the
 //    immediate stall/no-stall tradeoff is never misjudged by a bin that
 //    rounded the throughput up. (3) Values are memoized lazily
-//    from the root — round-stamped, no hashing, zero steady-state
-//    allocation — and, when a PlanBatch is attached, the whole value table
-//    is shared across sessions keyed by (video, chunk, horizon, discretized
-//    scenarios, weights): concurrent viewers with similar forecasts at the
-//    same chunk reuse each other's lookahead instead of re-iterating it.
+//    from the root — no hashing, zero steady-state allocation — and, when
+//    a PlanBatch is attached, the whole value table is shared across
+//    sessions (and threads) keyed by (video, chunk, horizon, discretized
+//    scenarios, weights): viewers with similar forecasts at the same chunk
+//    reuse each other's lookahead instead of re-iterating it.
 //    The relaxation is closed-loop: deeper decisions may adapt to the
 //    throughput scenario realized so far (the exact planners commit to one
 //    open-loop level sequence shared by every scenario), so its values and
@@ -72,9 +72,11 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "net/predictor.h"
@@ -182,17 +184,36 @@ inline double weighted_step_quality(double w, double expected_q, double expected
 // Cross-session pool of the per-video planning tables that do not depend on
 // a session's predictor state: chunk sizes pre-scaled to the download-time
 // units the planners use, visual qualities, and the no-stall chunk quality
-// for every (chunk, level, previous level) triple. One sim::Simulator run
-// owns one PlanBatch and attaches it to every session's policy
-// (AbrPolicy::attach_plan_batch), so N concurrent Fugu sessions streaming
-// the same ladder build these tables once instead of N times per decision.
-// Tables are built lazily per (video, chunk-quality params) pair and the
-// planners read them through the exact expressions they would otherwise
-// compute locally, so batched and per-session decide() are bit-identical
-// (tests/test_planner_accuracy.cpp pins this). Not thread-safe: a batch
-// belongs to one event loop, never to concurrent ExperimentRunner cells.
+// for every (chunk, level, previous level) triple, plus ViPlanner's shared
+// value tables. A sim::Simulator run owns one PlanBatch; a
+// sim::FleetSimulator run owns one for all of its cells and worker threads.
+// Either attaches it to every session's policy (AbrPolicy::
+// attach_plan_batch), so sessions streaming the same ladder build these
+// tables once instead of once per session and decision. Tables are built
+// lazily per (video, chunk-quality params) pair and the planners read them
+// through the exact expressions they would otherwise compute locally, so
+// batched and per-session decide() are bit-identical
+// (tests/test_planner_accuracy.cpp pins this).
+//
+// Thread safety. Planners on different threads may share one batch:
+//  - tables() and vi_table() serialize lookups and inserts on one mutex. A
+//    table is fully built (identity, key, every cell unfilled) before it is
+//    published, and it never moves or changes identity afterwards, so the
+//    returned reference may be read without the lock for the batch's life.
+//  - ViValueTable cells are atomics read and written with relaxed order
+//    (plain moves on x86-64). A cell is a pure function of its table's key,
+//    so two threads that race to fill one cell store identical bits; a
+//    reader sees either kUnfilled (and computes the cell itself) or the
+//    final value, never a torn or different one.
+//  - The successor hint is published with release and read with acquire,
+//    and it is re-verified field by field before use.
 class PlanBatch {
  public:
+  // Bit pattern of an unfilled value cell: a signalling NaN. Floating-point
+  // arithmetic only ever produces quiet NaNs, so no value a planner
+  // computes can carry this pattern.
+  static constexpr uint64_t kUnfilled = 0x7FF0'0000'0000'0001ull;
+
   struct VideoTables {
     const media::EncodedVideo* video = nullptr;
     qoe::ChunkQualityParams params;
@@ -206,7 +227,8 @@ class PlanBatch {
   };
 
   // Returns (building on first use) the tables for `video` under `params`.
-  // The reference stays valid for the batch's lifetime.
+  // The reference stays valid, and the tables immutable, for the batch's
+  // lifetime.
   const VideoTables& tables(const media::EncodedVideo& video,
                             const qoe::ChunkQualityParams& params);
 
@@ -214,9 +236,10 @@ class PlanBatch {
   // table is root-independent — it depends only on the discretized decision
   // context (video window, horizon, quantized scenarios, weights, params),
   // never on the querying session's observed buffer — so once filled a cell
-  // is immutable and any session planning the same context reuses it.
+  // never changes and any session planning the same context reuses it.
   struct ViValueTable {
     // Identity, verified field-for-field on lookup (the hash only routes).
+    // Immutable once the table is published.
     const media::EncodedVideo* video = nullptr;
     qoe::ChunkQualityParams params;
     size_t next_chunk = 0;
@@ -227,41 +250,36 @@ class PlanBatch {
     // weights when the query uses them.
     std::vector<double> key;
     // Lazily filled value cells (multi-resolution [depth][bucket][level]
-    // layout, see ViPlanner) and the expected download-time rows
-    // [(d * L + l) * S + s] derived from the quantized scenarios. The value
-    // array is deliberately *uninitialized* at creation: every read is
-    // guarded by `filled`, and zeroing (plus first-touching) ~20KB of cells
-    // the lazy recursion may never reach dominated the table-create path.
-    std::unique_ptr<double[]> v;
+    // layout, see ViPlanner), each holding a double's bit pattern or
+    // kUnfilled. Relaxed loads and stores only (see the class comment).
+    std::unique_ptr<std::atomic<uint64_t>[]> v;
     size_t cell_count = 0;
-    std::vector<uint8_t> filled;
-    std::vector<double> dl;
     // Intrusive successor hint: the table a planner moved to for this
     // video's next chunk right after using this one. Steady sessions walk
     // chunk n -> n+1 with an unchanged discretized context, so following
     // the link (and re-verifying the full identity — it is a hint, never a
-    // key) skips the hash + probe. Entries are append-only unique_ptrs, so
-    // the pointer stays valid for the batch's lifetime.
-    ViValueTable* succ = nullptr;
+    // key) skips the locked hash probe. Entries are append-only
+    // unique_ptrs, so the pointer stays valid for the batch's lifetime.
+    std::atomic<ViValueTable*> succ{nullptr};
   };
 
   // Returns the shared VI table for the given discretized context, creating
-  // it (v/filled sized to `cell_count`, zeroed) on first use; `*created`
-  // tells the caller to finish initialization (the dl rows). The reference
+  // it on first use with `cell_count` cells, all kUnfilled. The reference
   // stays valid for the batch's lifetime.
   ViValueTable& vi_table(const media::EncodedVideo& video,
                          const qoe::ChunkQualityParams& params, size_t next_chunk,
                          size_t depth_count, size_t levels, double quantum,
-                         const double* key, size_t key_len, size_t cell_count,
-                         bool* created);
+                         const double* key, size_t key_len, size_t cell_count);
 
-  size_t num_videos() const { return tables_.size(); }
-  size_t num_vi_tables() const { return vi_list_.size(); }
+  size_t num_videos() const;
+  size_t num_vi_tables() const;
   size_t table_bytes() const;
 
  private:
   void vi_rehash(size_t new_cap);
 
+  // Guards every container below (not the tables' cells: see above).
+  mutable std::mutex mu_;
   std::vector<std::unique_ptr<VideoTables>> tables_;
   // Open-addressed (linear-probe, power-of-2) hash routing into vi_list_:
   // a slot holds entry index + 1 (0 = empty) beside the entry's full hash.
@@ -375,12 +393,12 @@ class DpPlanner : public Planner {
 // in a flat multi-resolution table — the bucket width starts at quantum_s
 // and doubles with each deeper step. Values are computed lazily from the
 // root, so only buckets actually reachable from the observed buffer are
-// evaluated. Unbatched, the table lives in a local round-stamped arena (a
-// slot is live iff its stamp equals the current decide()'s round — nothing
-// is cleared between decisions, zero steady-state allocation). With a
-// PlanBatch attached, the table is the shared per-context ViValueTable and
-// survives across sessions and decisions: a cache hit reduces decide() to
-// the root evaluation.
+// evaluated. Unbatched, the table lives in a local arena reset to
+// PlanBatch::kUnfilled at every decide() (zero steady-state allocation).
+// With a PlanBatch attached, the table is the shared per-context
+// ViValueTable and survives across sessions, decisions and threads: a cache
+// hit reduces decide() to the root evaluation. Both modes read and fill
+// cells through one code path.
 class ViPlanner : public Planner {
  public:
   // quantum_s <= 0 selects the default bucket width.
@@ -390,7 +408,9 @@ class ViPlanner : public Planner {
   PlanResult plan(const PlanQuery& query) override;
   void set_batch(PlanBatch* batch) override {
     batch_ = batch;
-    last_vt_ = nullptr;  // table pointers are only valid within one batch
+    // Table pointers are only valid within one batch.
+    video_tables_ = nullptr;
+    last_vt_ = nullptr;
   }
 
   double quantum_s() const { return quantum_; }
@@ -398,13 +418,17 @@ class ViPlanner : public Planner {
 
  private:
   void precompute(const PlanQuery& q, size_t depth_count);
-  void fill_dl(double* dl) const;
+  void fill_dl();
   double value_of(size_t depth, double buffer_s, size_t prev_level);
 
   double quantum_;
   PlanBatch* batch_ = nullptr;
+  // The batch's static tables for the video/params of the previous plan(),
+  // so a decide() that follows the successor hint takes no lock.
+  const PlanBatch::VideoTables* video_tables_ = nullptr;
   // The shared table the previous batched plan() used — seed of the
-  // ViValueTable::succ successor shortcut. Cleared on every batch change.
+  // ViValueTable::succ successor shortcut. Both are cleared on every batch
+  // change.
   PlanBatch::ViValueTable* last_vt_ = nullptr;
 
   // Per-decide context (set by plan(), read by value_of).
@@ -439,10 +463,12 @@ class ViPlanner : public Planner {
   std::vector<double> local_qn_;
 
   // Per-decide scenario state, SoA so the inner scenario loops stream over
-  // contiguous rows: expected download times per (depth, level) — shared
-  // table rows on a batch hit, else the local arena — and probabilities.
-  const double* dl_tab_ = nullptr;  // [(d * L + l) * S + s]
-  std::vector<double> local_dl_;
+  // contiguous rows: expected download times per (depth, level) on the
+  // quantized scenarios — filled at most once per decide(), and only when a
+  // cell miss needs them, so a decide that hits every cell skips them — and
+  // probabilities.
+  std::vector<double> local_dl_;  // [(d * L + l) * S + s]
+  bool dl_ready_ = false;
   std::vector<double> prob_;  // [s]
   std::vector<double> w_;     // per-depth sensitivity weight
   std::vector<double> root_qn_;
@@ -460,13 +486,11 @@ class ViPlanner : public Planner {
   // Chunk-quality params cached as scalars for the kernel calls.
   double br_ = 0.0, sat_ = 0.0, bsw_ = 0.0, floor_ = 0.0;
 
-  // Value cells for this decide(): either the shared ViValueTable (filled_
-  // non-null, filled-flag liveness) or the local round-stamped arena.
-  double* v_cells_ = nullptr;
-  uint8_t* filled_ = nullptr;
-  std::vector<double> v_;
-  std::vector<uint64_t> vstamp_;
-  uint64_t round_ = 0;
+  // Value cells for this decide(): the shared ViValueTable's, or the local
+  // arena's. Either way a cell holds a double's bits or kUnfilled.
+  std::atomic<uint64_t>* v_cells_ = nullptr;
+  std::unique_ptr<std::atomic<uint64_t>[]> local_v_;
+  size_t local_v_cap_ = 0;
 };
 
 std::unique_ptr<Planner> make_planner(PlannerKind kind, double dp_buffer_quantum_s = 0.0);

@@ -118,11 +118,15 @@ FleetAggregates FleetSimulator::run(const std::vector<const media::EncodedVideo*
   // Per-cell aggregates land at their cell index; shards are contiguous
   // blocks. Neither the thread count nor the shard count can change what
   // any cell computes or the serial fold below — the bit-identity contract.
+  // One planning-table batch serves every cell on every worker: each table
+  // cell is a pure function of its key, so which cell or thread fills it
+  // first never changes a value (abr::PlanBatch's thread-safety rules).
+  abr::PlanBatch batch;
   std::vector<FleetAggregates> per_cell(cells);
   runner.for_each(num_shards, [&](size_t shard) {
     size_t begin = shard * cells / num_shards;
     size_t end = (shard + 1) * cells / num_shards;
-    for (size_t c = begin; c < end; ++c) per_cell[c] = run_cell(c, videos);
+    for (size_t c = begin; c < end; ++c) per_cell[c] = run_cell(c, videos, batch);
   });
 
   FleetAggregates total;
@@ -130,8 +134,9 @@ FleetAggregates FleetSimulator::run(const std::vector<const media::EncodedVideo*
   return total;
 }
 
-FleetAggregates FleetSimulator::run_cell(
-    size_t cell, const std::vector<const media::EncodedVideo*>& videos) const {
+FleetAggregates FleetSimulator::run_cell(size_t cell,
+                                         const std::vector<const media::EncodedVideo*>& videos,
+                                         abr::PlanBatch& batch) const {
   WorkloadConfig workload = config_.workload;
   workload.num_videos = videos.size();
   const uint64_t cell_seed = core::ExperimentRunner::task_seed(config_.seed, cell);
@@ -211,7 +216,6 @@ FleetAggregates FleetSimulator::run_cell(
   std::vector<double> rec_vq, rec_stall, rec_prev, rec_q;
   // One policy pool per unique canonical spec (pool_specs_ order).
   std::vector<std::vector<std::unique_ptr<AbrPolicy>>> policy_pool(pool_specs_.size());
-  abr::PlanBatch batch;
   EventQueue events;
   std::vector<size_t> transfer_owner;  // transfer id -> slot (ids recycled)
 
@@ -242,8 +246,8 @@ FleetAggregates FleetSimulator::run_cell(
       pool.pop_back();
     } else {
       policies[idx] = abr::make_policy(pool_specs_[pool_idx]);
+      if (config_.player.share_plan_tables) policies[idx]->attach_plan_batch(&batch);
     }
-    if (config_.player.share_plan_tables) policies[idx]->attach_plan_batch(&batch);
     const media::EncodedVideo& video = *videos[a.video_index];
     if (engines[idx] == nullptr) {
       engines[idx] = std::make_unique<SessionEngine>(config_.player, video, *live,
@@ -434,11 +438,6 @@ FleetAggregates FleetSimulator::run_cell(
     }
     prev_was_noop = processed == 0;
     prev_t = t;
-  }
-
-  // Detach the shared planning tables before the batch dies with the cell.
-  for (auto& pool : policy_pool) {
-    for (auto& policy : pool) policy->attach_plan_batch(nullptr);
   }
   return agg;
 }

@@ -20,6 +20,12 @@
 //    share one pool);
 //  - the link recycles transfer ids (SharedLink recycle_ids), so all
 //    per-cell state is bounded by *peak concurrency*, not session count;
+//  - planning tables are shared run-wide: run() owns one abr::PlanBatch
+//    that every cell on every worker thread attaches to its policies
+//    (when PlayerConfig::share_plan_tables is on), so a vi value table is
+//    built once per discretized context for the whole run, not once per
+//    cell. Its size is bounded by the distinct contexts (video, chunk,
+//    forecast bins), not by the session or cell count;
 //  - no per-session results are retained: each finished session folds into
 //    streaming aggregates (util::stats MergeableAccumulator/QuantileSketch)
 //    and is gone.
@@ -43,6 +49,10 @@
 #include "sim/player.h"
 #include "sim/workload.h"
 #include "util/stats.h"
+
+namespace sensei::abr {
+class PlanBatch;
+}
 
 namespace sensei::core {
 class ExperimentRunner;
@@ -167,8 +177,8 @@ class FleetSimulator {
                       const core::ExperimentRunner& runner, size_t num_shards = 0) const;
 
  private:
-  FleetAggregates run_cell(size_t cell,
-                           const std::vector<const media::EncodedVideo*>& videos) const;
+  FleetAggregates run_cell(size_t cell, const std::vector<const media::EncodedVideo*>& videos,
+                           abr::PlanBatch& batch) const;
 
   FleetConfig config_;
   // Policy pooling tables, precomputed from the workload mix via the

@@ -126,9 +126,10 @@ struct PlayerConfig {
   // Sensitivity look-ahead horizon handed to the ABR (paper picks h = 5).
   size_t weight_horizon = 5;
   TimingEngine engine = TimingEngine::kTimeline;
-  // Multi-session runs only (sim::Simulator): share one abr::PlanBatch of
-  // static planning tables across all sessions' policies for the duration
-  // of the run. Bit-identical output either way; off exists for A/B tests.
+  // Multi-session runs only (sim::Simulator, and sim::FleetSimulator across
+  // all of its cells and worker threads): share one abr::PlanBatch of
+  // planning tables across all sessions' policies for the duration of the
+  // run. Bit-identical output either way; off exists for A/B tests.
   bool share_plan_tables = true;
   // Record the per-chunk SessionTimeline trajectory. Decisions and the
   // emitted ChunkRecords are byte-identical either way (no shipped policy

@@ -1,7 +1,8 @@
 // Fleet simulator gates (sim/fleet.h, sim/workload.h):
 //  - the workload generator's statistical and determinism properties;
 //  - fleet aggregates bit-identical across ExperimentRunner thread counts
-//    and shard counts (the headline contract);
+//    and shard counts (the headline contract), including a vi-planner fleet
+//    whose cells all share one run-wide PlanBatch across threads;
 //  - a single-cell fleet reproducing, session for session, what the plain
 //    sim::Simulator computes over the identical arrival list — proving the
 //    pooled-engine event loop is a recycling of the reference loop, not a
@@ -15,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "abr/registry.h"
@@ -214,6 +216,26 @@ TEST_F(FleetTest, AggregatesAreConsistent) {
   EXPECT_GE(agg.qoe_sketch.quantile(0.9), agg.qoe_sketch.quantile(0.1));
 }
 
+// EXPECT_EQ on doubles: bit-identity, not tolerance, is the contract.
+void expect_same_aggregates(const FleetAggregates& agg, const FleetAggregates& reference,
+                            const std::string& label) {
+  SCOPED_TRACE(label);
+  EXPECT_EQ(agg.sessions, reference.sessions);
+  EXPECT_EQ(agg.chunks, reference.chunks);
+  EXPECT_EQ(agg.outages, reference.outages);
+  EXPECT_EQ(agg.abandoned, reference.abandoned);
+  EXPECT_EQ(agg.sessions_by_policy, reference.sessions_by_policy);
+  EXPECT_EQ(agg.peak_concurrent, reference.peak_concurrent);
+  EXPECT_EQ(agg.session_qoe.mean(), reference.session_qoe.mean());
+  EXPECT_EQ(agg.session_qoe.variance(), reference.session_qoe.variance());
+  EXPECT_EQ(agg.session_bitrate_kbps.mean(), reference.session_bitrate_kbps.mean());
+  EXPECT_EQ(agg.session_rebuffer_s.mean(), reference.session_rebuffer_s.mean());
+  EXPECT_EQ(agg.startup_delay_s.mean(), reference.startup_delay_s.mean());
+  for (double q : {0.5, 0.9, 0.99}) {
+    EXPECT_EQ(agg.qoe_sketch.quantile(q), reference.qoe_sketch.quantile(q)) << "q=" << q;
+  }
+}
+
 TEST_F(FleetTest, AggregatesBitIdenticalAcrossThreadsAndShards) {
   FleetConfig config = small_config();
   FleetSimulator fleet(config);
@@ -223,25 +245,36 @@ TEST_F(FleetTest, AggregatesBitIdenticalAcrossThreadsAndShards) {
 
   core::ExperimentRunner parallel(4);
   for (size_t shards : {1u, 2u, 3u, 6u, 99u}) {
-    FleetAggregates agg = fleet.run(video_ptrs_, parallel, shards);
-    // EXPECT_EQ on doubles: bit-identity, not tolerance, is the contract.
-    EXPECT_EQ(agg.sessions, reference.sessions) << "shards=" << shards;
-    EXPECT_EQ(agg.chunks, reference.chunks) << "shards=" << shards;
-    EXPECT_EQ(agg.outages, reference.outages) << "shards=" << shards;
-    EXPECT_EQ(agg.abandoned, reference.abandoned) << "shards=" << shards;
-    EXPECT_EQ(agg.peak_concurrent, reference.peak_concurrent) << "shards=" << shards;
-    EXPECT_EQ(agg.session_qoe.mean(), reference.session_qoe.mean()) << "shards=" << shards;
-    EXPECT_EQ(agg.session_qoe.variance(), reference.session_qoe.variance())
-        << "shards=" << shards;
-    EXPECT_EQ(agg.session_bitrate_kbps.mean(), reference.session_bitrate_kbps.mean())
-        << "shards=" << shards;
-    EXPECT_EQ(agg.session_rebuffer_s.mean(), reference.session_rebuffer_s.mean())
-        << "shards=" << shards;
-    EXPECT_EQ(agg.startup_delay_s.mean(), reference.startup_delay_s.mean())
-        << "shards=" << shards;
-    for (double q : {0.5, 0.9, 0.99}) {
-      EXPECT_EQ(agg.qoe_sketch.quantile(q), reference.qoe_sketch.quantile(q))
-          << "shards=" << shards << " q=" << q;
+    expect_same_aggregates(fleet.run(video_ptrs_, parallel, shards), reference,
+                           "shards=" + std::to_string(shards));
+  }
+}
+
+// A vi-only fleet: every session plans through the run-wide PlanBatch that
+// all cells and worker threads share. Which thread creates a table or fills
+// a cell first depends on scheduling, so this pins that it never shows:
+// aggregates match across threads and shards, and match a run in which
+// every planner keeps private tables.
+TEST_F(FleetTest, SharedPlanBatchBitIdenticalAcrossThreadsShardsAndUnshared) {
+  FleetConfig config = small_config();
+  config.num_cells = 24;
+  config.workload.arrival_rate_per_s = 0.2;
+  config.workload.arrival_window_s = 60.0;
+  config.workload.policy_mix = {{"fugu:planner=vi", 1.0}};
+
+  FleetConfig unshared_config = config;
+  unshared_config.player.share_plan_tables = false;
+  core::ExperimentRunner serial(1);
+  FleetAggregates reference = FleetSimulator(unshared_config).run(video_ptrs_, serial);
+  ASSERT_GT(reference.sessions, 100u);
+
+  FleetSimulator fleet(config);
+  for (size_t threads : {1u, 4u}) {
+    core::ExperimentRunner runner(threads);
+    for (size_t shards : {0u, 1u, 5u}) {
+      expect_same_aggregates(fleet.run(video_ptrs_, runner, shards), reference,
+                             "threads=" + std::to_string(threads) +
+                                 " shards=" + std::to_string(shards));
     }
   }
 }

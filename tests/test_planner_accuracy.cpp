@@ -8,6 +8,8 @@
 //    produces the speedup — must be bit-invisible: batched and unbatched
 //    decide() agree field-for-field, for vi and dp alike, per query and
 //    across whole multi-session event loops and thread counts;
+//  - one PlanBatch shared by planners on concurrent threads (the fleet's
+//    run-wide batch) must stay bit-invisible whatever the interleaving;
 //  - the unbatched hot path must stop allocating at steady state, like the
 //    DP it sits beside.
 #include "abr/planner.h"
@@ -16,6 +18,8 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "abr/fugu.h"
@@ -214,6 +218,78 @@ TEST_F(PlannerAccuracy, BatchedDecideBitIdenticalToUnbatched) {
       }
     }
   }
+  EXPECT_GT(batch.num_vi_tables(), 0u);
+}
+
+// Planners on four threads share one PlanBatch, as the fleet's cells do, and
+// plan one query grid in four different orders, so threads race to create
+// the same tables, fill the same cells and follow successor hints into
+// tables another thread is still filling. Every result must match an
+// unbatched planner bit for bit, and the batch must end up holding exactly
+// the tables a serial run creates: one per distinct discretized context.
+TEST_F(PlannerAccuracy, SharedBatchAcrossThreadsBitIdenticalToUnbatched) {
+  std::vector<GridCase> grid = seeded_grid(video_, 0x7417ead, 3);
+  // Steady sessions: consecutive chunks under one forecast, the pattern the
+  // successor hint serves.
+  for (double kbps : {900.0, 2400.0, 5200.0}) {
+    for (size_t chunk = 0; chunk < video_.num_chunks(); ++chunk) {
+      GridCase c;
+      c.rebuffer_options = {0.0};
+      c.obs.video = &video_;
+      c.obs.num_chunks = video_.num_chunks();
+      c.obs.next_chunk = chunk;
+      c.obs.buffer_s = static_cast<double>(chunk % 15) * 1.7;
+      c.obs.last_level = chunk % video_.ladder().level_count();
+      c.scenarios = net::triangular_scenarios(3, kbps, 0.3);
+      grid.push_back(std::move(c));
+    }
+  }
+  const size_t n = grid.size();
+
+  std::vector<PlanResult> expected(n);
+  ViPlanner plain;
+  for (size_t i = 0; i < n; ++i) expected[i] = plain.plan(make_query(grid[i]));
+
+  PlanBatch serial_batch;
+  ViPlanner serial;
+  serial.set_batch(&serial_batch);
+  for (size_t i = 0; i < n; ++i) serial.plan(make_query(grid[i]));
+
+  // Forward, reversed, rotated by half, and a seeded shuffle.
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<size_t>> orders(kThreads, std::vector<size_t>(n));
+  for (size_t i = 0; i < n; ++i) {
+    orders[0][i] = i;
+    orders[1][i] = n - 1 - i;
+    orders[2][i] = (i + n / 2) % n;
+    orders[3][i] = i;
+  }
+  util::Rng rng(0x5eed);
+  rng.shuffle(orders[3]);
+
+  PlanBatch batch;
+  std::vector<std::vector<PlanResult>> got(kThreads, std::vector<PlanResult>(n));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ViPlanner vi;
+      vi.set_batch(&batch);
+      for (size_t i : orders[t]) got[t][i] = vi.plan(make_query(grid[i]));
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < n; ++i) {
+      SCOPED_TRACE("thread " + std::to_string(t) + " case " + std::to_string(i));
+      EXPECT_EQ(got[t][i].best_level, expected[i].best_level);
+      EXPECT_EQ(got[t][i].best_rebuffer_s, expected[i].best_rebuffer_s);
+      EXPECT_EQ(got[t][i].best_value, expected[i].best_value);
+      EXPECT_EQ(got[t][i].nostall_level, expected[i].nostall_level);
+      EXPECT_EQ(got[t][i].nostall_value, expected[i].nostall_value);
+    }
+  }
+  EXPECT_EQ(batch.num_vi_tables(), serial_batch.num_vi_tables());
   EXPECT_GT(batch.num_vi_tables(), 0u);
 }
 
