@@ -340,10 +340,11 @@ size_t DpPlanner::arena_bytes() const {
     b += recs_[i].capacity() * sizeof(StateRec);
   }
   b += (dl_.capacity() + vq_.capacity() + qn_.capacity() + eqn_.capacity() +
-        w_.capacity() + root_qn_.capacity() + root_eqn_.capacity() + h_.capacity() +
+        w_.capacity() + root_qn_.capacity() + root_eqn_.capacity() + bmax_.capacity() +
+        rq_.capacity() + cub_.capacity() + root_cub_.capacity() + h_.capacity() +
         child_buf_.capacity()) *
        sizeof(double);
-  b += child_key_.capacity() * sizeof(uint64_t);
+  b += child_key_.capacity() * sizeof(uint64_t) + warm_path_.capacity() * sizeof(uint32_t);
   b += stamp_.capacity() * sizeof(uint64_t) + slot_.capacity() * sizeof(uint32_t);
   return b;
 }
@@ -433,17 +434,87 @@ void DpPlanner::precompute(const PlanQuery& q, size_t depth_count) {
     }
   }
 
-  // Stall-free relaxation bound, computed backwards. A step's contribution
-  // is w * E[q_nostall] + max(w, 1) * (E[q] - E[q_nostall]) with the second
-  // term <= 0, so w * eqn upper-bounds it; maximizing over levels bounds
-  // any continuation from (depth, prev level).
+  precompute_bound(q, depth_count);
+}
+
+// Fills the stall-aware bound tables. Every real buffer is at most bmax:
+// the dynamics are monotone in the buffer, the download time and the
+// scheduled stall, so bmax follows the cheapest level, the largest scheduled
+// stall at the root, and the buffer floor and cap. Any level therefore
+// stalls at least dl - bmax in its scenario, and since the stall penalty is
+// nondecreasing, E[q] at those forced stalls (capped by the no-stall E[q])
+// bounds the true E[q]. Where no scenario is forced to stall this is w * eqn,
+// the stall-free bound.
+void DpPlanner::precompute_bound(const PlanQuery& q, size_t depth_count) {
+  const size_t L = q.obs->video->ladder().level_count();
+  const size_t S = q.num_scenarios;
+  const double tau = q.obs->video->chunk_duration_s();
+  const qoe::ChunkQualityParams& cp = q.chunk;
+
+  double max_sched = 0.0;
+  for (size_t i = 0; i < q.num_rebuffer_options; ++i) {
+    max_sched = std::max(max_sched, q.rebuffer_options[i]);
+  }
+  bmax_.resize(depth_count * S);
+  std::fill_n(bmax_.begin(), S, q.obs->buffer_s);
+  for (size_t d = 0; d + 1 < depth_count; ++d) {
+    for (size_t s = 0; s < S; ++s) {
+      double dl_min = dl_[(d * L) * S + s];
+      for (size_t l = 1; l < L; ++l) dl_min = std::min(dl_min, dl_[(d * L + l) * S + s]);
+      const double b = bmax_[d * S + s];
+      double next = dl_min > b ? 0.0 : b - dl_min;
+      if (d == 0) next += max_sched;
+      bmax_[(d + 1) * S + s] = std::min(next + tau, kMaxBufferS);
+    }
+  }
+
+  // rq = vq - beta_rebuf * pen(forced stall): the first subtraction of
+  // chunk_quality, so q at the forced stall is max(floor, rq - switch term).
+  rq_.resize(depth_count * L * S);
+  for (size_t d = 0; d < depth_count; ++d) {
+    for (size_t l = 0; l < L; ++l) {
+      const double vq = vq_[d * L + l];
+      for (size_t s = 0; s < S; ++s) {
+        const double dl = dl_[(d * L + l) * S + s];
+        const double b = bmax_[d * S + s];
+        rq_[(d * L + l) * S + s] =
+            dl > b ? vq - cp.beta_rebuf * qoe::stall_penalty(dl - b, cp) : vq;
+      }
+    }
+  }
+
+  // Contribution bound of level l at depth d after a level of quality prev.
+  const auto bound = [&](size_t d, size_t l, double prev_vq, double eqn) {
+    const double* rq = &rq_[(d * L + l) * S];
+    const double vq = vq_[d * L + l];
+    const double sw = cp.beta_switch * std::abs(vq - prev_vq);
+    double e = 0.0;
+    for (size_t s = 0; s < S; ++s) {
+      e += q.scenarios[s].probability * std::max(cp.floor, rq[s] - sw);
+    }
+    return weighted_step_quality(w_[d], std::min(e, eqn), eqn);
+  };
+  root_cub_.resize(L);
+  for (size_t l = 0; l < L; ++l) root_cub_[l] = bound(0, l, q.prev_visual_quality, root_eqn_[l]);
+  cub_.resize(depth_count * L * L);
+  for (size_t d = 1; d < depth_count; ++d) {
+    for (size_t l = 0; l < L; ++l) {
+      for (size_t p = 0; p < L; ++p) {
+        const size_t t = (d * L + l) * L + p;
+        cub_[t] = bound(d, l, vq_[(d - 1) * L + p], eqn_[t]);
+      }
+    }
+  }
+
+  // Continuation bound, computed backwards: maximizing cub over levels
+  // bounds any continuation from (depth, prev level).
   h_.resize((depth_count + 1) * L);
   for (size_t p = 0; p < L; ++p) h_[depth_count * L + p] = 0.0;
   for (size_t d = depth_count; d-- > 1;) {
     for (size_t p = 0; p < L; ++p) {
       double best = -1e18;
       for (size_t l = 0; l < L; ++l) {
-        double v = w_[d] * eqn_[(d * L + l) * L + p] + h_[(d + 1) * L + l];
+        double v = cub_[(d * L + l) * L + p] + h_[(d + 1) * L + l];
         if (v > best) best = v;
       }
       h_[d * L + p] = best;
@@ -520,21 +591,21 @@ PlanResult DpPlanner::plan(const PlanQuery& q) {
     }
   };
 
-  // Seed incumbents with one stall-aware greedy dive per first level (first
-  // action uses rebuffer option 0): every deeper step evaluates each level
-  // through the true per-scenario dynamics and follows the argmax of its
-  // contribution plus the stall-free bound of the rest. On links that stall
-  // this lands near the optimum, where the bound's own argmax path does not,
-  // so the bound prunes harder. Dive leaves are real leaves and pruning and
-  // merging keep ties, so the answer does not depend on the incumbents. The
-  // dive runs in the state arenas, idle until the root is seeded: bufs_[0]
-  // holds the root buffers and the dive's current buffers, bufs_[1] one
-  // post-step row per level.
+  // Incumbent leaves, evaluated through the true per-scenario dynamics
+  // before the breadth-first pass: a dive follows `path` (levels for depths
+  // [0, fixed), rebuffer option 0 at the root), then greedily takes, at each
+  // deeper step, the argmax of the step's contribution plus the bound of the
+  // rest. Dive leaves are real leaves carrying their true rank, and pruning
+  // and merging keep ties, so the answer does not depend on the incumbents;
+  // a better incumbent only prunes harder. The dives run in the state
+  // arenas, idle until the root is seeded: bufs_[0] holds the root buffers
+  // and the dive's current buffers, bufs_[1] one post-step row per level.
   bufs_[0].assign(2 * S, q.obs->buffer_s);
   bufs_[1].resize(L * S);
   double* const root_b = bufs_[0].data();
   double* const dive_b = root_b + S;
-  for (size_t l0 = 0; l0 < L; ++l0) {
+  const auto dive = [&](const uint32_t* path, size_t fixed) {
+    const size_t l0 = path[0];
     double val = weighted_step_quality(
         w_[0],
         step_expected_q(0, l0, q.prev_visual_quality, root_qn_[l0], q.rebuffer_options[0],
@@ -544,21 +615,29 @@ PlanResult DpPlanner::plan(const PlanQuery& q) {
     size_t prev = l0;
     for (size_t d = 1; d < D; ++d) {
       const double prev_vq = vq_[(d - 1) * L + prev];
-      double best = -1e18, best_c = 0.0;
       size_t arg = 0;
-      for (size_t l = 0; l < L; ++l) {
-        const size_t t = (d * L + l) * L + prev;
-        const double c = weighted_step_quality(
-            w_[d], step_expected_q(d, l, prev_vq, qn_[t], 0.0, dive_b, &bufs_[1][l * S]),
-            eqn_[t]);
-        const double score = c + h_[(d + 1) * L + l];
-        if (score > best) {
-          best = score;
-          best_c = c;
-          arg = l;
+      double best_c = 0.0;
+      if (d < fixed) {
+        arg = path[d];
+        const size_t t = (d * L + arg) * L + prev;
+        best_c = weighted_step_quality(
+            w_[d], step_expected_q(d, arg, prev_vq, qn_[t], 0.0, dive_b, dive_b), eqn_[t]);
+      } else {
+        double best = -1e18;
+        for (size_t l = 0; l < L; ++l) {
+          const size_t t = (d * L + l) * L + prev;
+          const double c = weighted_step_quality(
+              w_[d], step_expected_q(d, l, prev_vq, qn_[t], 0.0, dive_b, &bufs_[1][l * S]),
+              eqn_[t]);
+          const double score = c + h_[(d + 1) * L + l];
+          if (score > best) {
+            best = score;
+            best_c = c;
+            arg = l;
+          }
         }
+        std::copy_n(&bufs_[1][arg * S], S, dive_b);
       }
-      std::copy_n(&bufs_[1][arg * S], S, dive_b);
       val = val + best_c;
       rank = rank * L + arg;
       prev = arg;
@@ -576,7 +655,22 @@ PlanResult DpPlanner::plan(const PlanQuery& q) {
       leaf.ns_rank = kNoRank;
     }
     fold_leaf(leaf);
+  };
+
+  // Warm start: consecutive decisions of one session overlap in all but one
+  // lookahead chunk, so the previous best path, shifted by one chunk (with a
+  // greedy step for the new last depth), is usually close to the new
+  // optimum. Only exact merging gets it: with a positive quantum the merged
+  // states carry approximate values, and the answer would then depend on
+  // the planner's history.
+  if (quantum_ == 0.0 && warm_video_ == &video && warm_chunk_ + 1 == q.obs->next_chunk &&
+      warm_path_.size() >= 2) {
+    const size_t fixed = std::min(D, warm_path_.size() - 1);
+    bool valid = true;
+    for (size_t d = 0; d < fixed; ++d) valid = valid && warm_path_[d + 1] < L;
+    if (valid) dive(&warm_path_[1], fixed);
   }
+  for (uint32_t l0 = 0; l0 < L; ++l0) dive(&l0, 1);
 
   // Root: one state, all scenarios at the observed buffer level.
   size_t cur = 0;
@@ -684,16 +778,16 @@ PlanResult DpPlanner::plan(const PlanQuery& q) {
           d == 0 ? q.prev_visual_quality : vq_[(d - 1) * L + parent.last_level];
 
       for (size_t level = 0; level < L; ++level) {
-        const double qn =
-            d == 0 ? root_qn_[level] : qn_[(d * L + level) * L + parent.last_level];
-        const double eqn =
-            d == 0 ? root_eqn_[level] : eqn_[(d * L + level) * L + parent.last_level];
+        const size_t t = (d * L + level) * L + parent.last_level;
+        const double qn = d == 0 ? root_qn_[level] : qn_[t];
+        const double eqn = d == 0 ? root_eqn_[level] : eqn_[t];
+        const double cub = d == 0 ? root_cub_[level] : cub_[t];
         const double hb =
             (leaf_depth ? 0.0 : h_[(d + 1) * L + level]) + kBoundSlack;
-        // Pre-dynamics prune: w * eqn upper-bounds the step contribution,
-        // so a hopeless action is rejected before its scenario loop runs.
-        const double ub = parent.value + w_[d] * eqn + hb;
-        const double ns_ub = parent.ns_value + w_[d] * eqn + hb;
+        // Pre-dynamics prune: cub upper-bounds the step contribution, so a
+        // hopeless action is rejected before its scenario loop runs.
+        const double ub = parent.value + cub + hb;
+        const double ns_ub = parent.ns_value + cub + hb;
 
         for (size_t si = 0; si < stall_count; ++si) {
           const double scheduled = d == 0 ? q.rebuffer_options[si] : 0.0;
@@ -759,6 +853,19 @@ PlanResult DpPlanner::plan(const PlanQuery& q) {
     }
     if (!leaf_depth) cur = nxt;
   }
+
+  // Remember the best path for the next decision's warm start. Ranks are
+  // mixed-radix: the root digit is level * num_rebuffer_options + option,
+  // then one base-L digit per deeper depth.
+  warm_video_ = &video;
+  warm_chunk_ = q.obs->next_chunk;
+  warm_path_.resize(D);
+  uint64_t rank = best_rank;
+  for (size_t d = D; d-- > 1;) {
+    warm_path_[d] = static_cast<uint32_t>(rank % L);
+    rank /= L;
+  }
+  warm_path_[0] = static_cast<uint32_t>(rank / q.num_rebuffer_options);
   return result;
 }
 

@@ -24,16 +24,25 @@
 //    than the bound slack: prefixes a few ulps apart can round to the same
 //    leaf value once the shared continuation is added, and the reference
 //    then picks the lower rank, so such near-ties stay separate states. On
-//    top of the merge, an admissible bound prunes the fan-out: the
-//    stall-free relaxation H(d, level) — a tiny L x horizon value iteration
-//    over the precomputed quality tables — upper-bounds any continuation.
-//    Incumbents come from one stall-aware greedy dive per first level: each
-//    deeper step evaluates every level through the true per-scenario
-//    dynamics and follows the argmax of step value + H, so on links that
-//    stall the incumbent lands near the optimum instead of on the loose
-//    stall-free path. A state is dropped when value + H cannot *strictly*
-//    beat the incumbent (ties are kept, so the depth-first tie-break of the
-//    reference planner is preserved bit-for-bit whatever the incumbent).
+//    top of the merge, an admissible bound prunes the fan-out. It is
+//    stall-aware: once per decision, a per-scenario upper bound on every
+//    reachable buffer is propagated down the horizon (the cheapest level,
+//    the largest scheduled stall, the buffer cap), so each (depth, level,
+//    scenario) has a stall no plan avoids. Its penalty caps the step's
+//    expected quality, giving a per-(depth, level, previous level) step
+//    bound; a tiny L x horizon value iteration over those yields H(d,
+//    level), which upper-bounds any continuation. On the stall-heavy links
+//    of the paper's bandwidth sweep this is much tighter than assuming no
+//    scenario ever stalls. Incumbents are real leaves evaluated through
+//    the true per-scenario dynamics before the breadth-first pass: a warm
+//    start — the previous decision's best path shifted by one chunk, plus
+//    a greedy step for the new last depth, when the query is for the same
+//    video one chunk later — and one greedy dive per first level, whose
+//    deeper steps follow the argmax of step value + H. A state is dropped
+//    when value + H cannot *strictly* beat the incumbent (ties are kept,
+//    and every incumbent carries its true rank, so the depth-first
+//    tie-break of the reference planner is preserved bit-for-bit whatever
+//    the incumbent, and the answer never depends on the planner's history).
 //
 // With buffer_quantum_s == 0 (the default) merging only unifies bitwise-
 // identical states, and every arithmetic expression mirrors the exhaustive
@@ -357,6 +366,7 @@ class DpPlanner : public Planner {
   static constexpr uint64_t kNoRank = ~0ull;
 
   void precompute(const PlanQuery& q, size_t depth_count);
+  void precompute_bound(const PlanQuery& q, size_t depth_count);
   void ensure_hash_capacity(size_t min_slots);
 
   double quantum_;
@@ -370,10 +380,26 @@ class DpPlanner : public Planner {
   std::vector<double> w_;        // per-depth sensitivity weight
   std::vector<double> root_qn_;  // depth-0 no-stall quality per level
   std::vector<double> root_eqn_;
-  // Stall-free relaxation bound: h_[d * L + p] is the best possible
-  // contribution of depths [d, D) given the previous level is p, assuming
-  // no scenario ever stalls. Admissible (stalls only lower quality).
+  // Stall-aware step bound. bmax_[d * S + s] upper-bounds every buffer
+  // reachable at depth d in scenario s, so dl - bmax is a stall no plan
+  // avoids; rq_[(d * L + l) * S + s] is vq minus that forced stall's
+  // penalty. cub_[(d * L + l) * L + p] (root_cub_[l] at depth 0) bounds the
+  // weighted contribution of level l after previous level p.
+  std::vector<double> bmax_;
+  std::vector<double> rq_;
+  std::vector<double> cub_;
+  std::vector<double> root_cub_;
+  // Admissible continuation bound: h_[d * L + p] is the best possible
+  // contribution of depths [d, D) given the previous level is p, summing
+  // cub_ along the best level path.
   std::vector<double> h_;
+
+  // Warm start: the levels of the previous plan's best path and the
+  // (video, next_chunk) it was planned for. A query for the same video one
+  // chunk later evaluates this path shifted by one chunk as an incumbent.
+  const media::EncodedVideo* warm_video_ = nullptr;
+  size_t warm_chunk_ = 0;
+  std::vector<uint32_t> warm_path_;
 
   // Double-buffered state arenas: buffers are [state][scenario] flat.
   std::vector<double> bufs_[2];

@@ -36,6 +36,15 @@ constexpr auto kCreditAfter = [](const auto& a, const auto& b) { return b < a; }
 void SharedLink::pop_min_credit() {
   std::pop_heap(credits_.begin(), credits_.end(), kCreditAfter);
   credits_.pop_back();
+  next_completion_valid_ = false;
+}
+
+double SharedLink::cumulative_bits_now() {
+  if (!cum_now_valid_) {
+    cum_now_bits_ = cumulative_bits(now_s_);
+    cum_now_valid_ = true;
+  }
+  return cum_now_bits_;
 }
 
 double SharedLink::cumulative_bits(double t) const {
@@ -87,19 +96,28 @@ size_t SharedLink::begin(double bytes, double start_s) {
   }
   credits_.push_back({transfer.finish_credit, id});
   std::push_heap(credits_.begin(), credits_.end(), kCreditAfter);
+  next_completion_valid_ = false;
   return id;
 }
 
 double SharedLink::next_completion_s() const {
-  if (credits_.empty()) return kInf;
-  double min_remaining = min_credit().finish_credit - drained_bits_;
-  if (min_remaining <= kFinishEpsBits) return now_s_;
-  // Equal split: everyone drains at capacity / n, so the next finisher needs
-  // the link to deliver its remaining bits times the active count.
-  double bits_needed = min_remaining * static_cast<double>(credits_.size());
-  TransferResult r = trace_->advance(bits_needed / 8.0, now_s_);
-  if (!r.completed) return kInf;
-  return now_s_ + r.elapsed_s;
+  if (next_completion_valid_) return next_completion_memo_;
+  double next = kInf;
+  if (!credits_.empty()) {
+    double min_remaining = min_credit().finish_credit - drained_bits_;
+    if (min_remaining <= kFinishEpsBits) {
+      next = now_s_;
+    } else {
+      // Equal split: everyone drains at capacity / n, so the next finisher
+      // needs the link to deliver its remaining bits times the active count.
+      double bits_needed = min_remaining * static_cast<double>(credits_.size());
+      TransferResult r = trace_->advance(bits_needed / 8.0, now_s_);
+      if (r.completed) next = now_s_ + r.elapsed_s;
+    }
+  }
+  next_completion_memo_ = next;
+  next_completion_valid_ = true;
+  return next;
 }
 
 void SharedLink::advance_to(double t) {
@@ -122,9 +140,11 @@ void SharedLink::advance_to(double t) {
     double finish_s = next_completion_s();
     if (!(finish_s < t)) break;
     if (finish_s > now_s_) {
-      double delta_bits = cumulative_bits(finish_s) - cumulative_bits(now_s_);
-      drained_bits_ += delta_bits / static_cast<double>(credits_.size());
+      const double cum = cumulative_bits(finish_s);
+      drained_bits_ += (cum - cumulative_bits_now()) / static_cast<double>(credits_.size());
       now_s_ = finish_s;
+      cum_now_bits_ = cum;
+      next_completion_valid_ = false;
     }
     bool popped = false;
     while (!credits_.empty() &&
@@ -149,10 +169,14 @@ void SharedLink::advance_to(double t) {
   }
   if (t > now_s_) {
     if (!credits_.empty()) {
-      double delta_bits = cumulative_bits(t) - cumulative_bits(now_s_);
-      drained_bits_ += delta_bits / static_cast<double>(credits_.size());
+      const double cum = cumulative_bits(t);
+      drained_bits_ += (cum - cumulative_bits_now()) / static_cast<double>(credits_.size());
+      cum_now_bits_ = cum;
+    } else {
+      cum_now_valid_ = false;  // idle: computed on the next drain, if any
     }
     now_s_ = t;
+    next_completion_valid_ = false;
   }
   while (!credits_.empty() && min_credit().finish_credit - drained_bits_ <= kFinishEpsBits) {
     size_t id = min_credit().id;
@@ -182,6 +206,7 @@ void SharedLink::abort(size_t id) {
   // Rebuilding the heap is O(active); aborts only happen on timeouts and
   // failovers, so this never touches the steady-state join/complete path.
   std::make_heap(credits_.begin(), credits_.end(), kCreditAfter);
+  next_completion_valid_ = false;
   transfer.aborted = true;
   transfer.aborted_granted_bits = std::min(
       transfer.total_bits, std::max(0.0, drained_bits_ - transfer.joined_drained_bits));

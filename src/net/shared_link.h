@@ -63,7 +63,9 @@ class SharedLink {
   // Earliest absolute time at which an active transfer completes if the
   // active set stays fixed; +infinity when there is no active transfer or
   // the link can never deliver the remaining bits (dead link — all-zero
-  // looping trace or exhausted finite trace).
+  // looping trace or exhausted finite trace). The answer is memoized until
+  // the link changes, so even this const call must not race another call
+  // on the same link.
   double next_completion_s() const;
 
   // Drains shared capacity up to absolute time `t` (>= now, and not past
@@ -142,6 +144,8 @@ class SharedLink {
 
   const Credit& min_credit() const { return credits_.front(); }
   void pop_min_credit();
+  // cumulative_bits(now_s_), served from the memo while now_s_ is unchanged.
+  double cumulative_bits_now();
 
   const ThroughputTrace* trace_ = nullptr;
   bool recycle_ids_ = false;
@@ -152,6 +156,14 @@ class SharedLink {
   std::vector<Transfer> transfers_;  // indexed by id (bounded when recycling)
   std::vector<size_t> free_ids_;     // drained ids awaiting reuse (recycle_ids_)
   std::vector<Completion> completions_;
+  // Memos of two pure functions of the link state. A driver asks for
+  // next_completion_s() and then advances to it, which asks again, and
+  // every drain needs cumulative_bits(now_s_), so both are kept until
+  // begin, abort or advance_to changes the state they read.
+  mutable double next_completion_memo_ = 0.0;
+  mutable bool next_completion_valid_ = false;
+  double cum_now_bits_ = 0.0;
+  bool cum_now_valid_ = true;  // cumulative_bits(0) == 0
 };
 
 }  // namespace sensei::net

@@ -43,6 +43,30 @@ struct GridRanges {
   double max_kbps = 6500.0;
 };
 
+// One case at `next_chunk`: buffer, last level, forecast and weights drawn
+// from `ranges`.
+GridCase draw_case(util::Rng& rng, const media::EncodedVideo& video, const GridRanges& ranges,
+                   size_t horizon, bool use_weights, bool stall_actions, size_t next_chunk) {
+  GridCase c;
+  c.horizon = horizon;
+  c.use_weights = use_weights;
+  c.rebuffer_options =
+      stall_actions ? std::vector<double>{0.0, 1.0, 2.0} : std::vector<double>{0.0};
+  c.obs.video = &video;
+  c.obs.num_chunks = video.num_chunks();
+  c.obs.next_chunk = next_chunk;
+  c.obs.buffer_s = rng.uniform(0.0, ranges.max_buffer_s);
+  c.obs.last_level = static_cast<size_t>(
+      rng.uniform_int(0, static_cast<int>(video.ladder().level_count()) - 1));
+  size_t num_scen = rng.chance(0.5) ? 3 : 8;
+  c.scenarios = net::triangular_scenarios(
+      num_scen, rng.uniform(ranges.min_kbps, ranges.max_kbps), rng.uniform(0.05, 0.8));
+  if (use_weights) {
+    for (size_t d = 0; d < horizon; ++d) c.obs.future_weights.push_back(rng.uniform(0.5, 2.8));
+  }
+  return c;
+}
+
 // Seeded grid spanning buffers, positions (incl. end-of-video), levels,
 // scenario counts/spreads, weights, and both rebuffer-action sets.
 std::vector<GridCase> seeded_grid(const media::EncodedVideo& video, uint64_t seed,
@@ -53,30 +77,14 @@ std::vector<GridCase> seeded_grid(const media::EncodedVideo& video, uint64_t see
     for (bool use_weights : {false, true}) {
       for (bool stall_actions : {false, true}) {
         for (size_t i = 0; i < cases_per_combo; ++i) {
-          GridCase c;
-          c.horizon = horizon;
-          c.use_weights = use_weights;
-          c.rebuffer_options =
-              stall_actions ? std::vector<double>{0.0, 1.0, 2.0} : std::vector<double>{0.0};
-          c.obs.video = &video;
-          c.obs.num_chunks = video.num_chunks();
           // Bias a few cases to the tail so the chunk-exhaustion leaf fires.
-          c.obs.next_chunk = rng.chance(0.25)
-                                 ? video.num_chunks() - 1 - static_cast<size_t>(
-                                       rng.uniform_int(0, 2))
-                                 : static_cast<size_t>(rng.uniform_int(
-                                       0, static_cast<int>(video.num_chunks()) - 1));
-          c.obs.buffer_s = rng.uniform(0.0, ranges.max_buffer_s);
-          c.obs.last_level = static_cast<size_t>(
-              rng.uniform_int(0, static_cast<int>(video.ladder().level_count()) - 1));
-          size_t num_scen = rng.chance(0.5) ? 3 : 8;
-          c.scenarios = net::triangular_scenarios(
-              num_scen, rng.uniform(ranges.min_kbps, ranges.max_kbps), rng.uniform(0.05, 0.8));
-          if (use_weights) {
-            for (size_t d = 0; d < horizon; ++d)
-              c.obs.future_weights.push_back(rng.uniform(0.5, 2.8));
-          }
-          grid.push_back(std::move(c));
+          const size_t next_chunk =
+              rng.chance(0.25)
+                  ? video.num_chunks() - 1 - static_cast<size_t>(rng.uniform_int(0, 2))
+                  : static_cast<size_t>(
+                        rng.uniform_int(0, static_cast<int>(video.num_chunks()) - 1));
+          grid.push_back(draw_case(rng, video, ranges, horizon, use_weights, stall_actions,
+                                   next_chunk));
         }
       }
     }
@@ -101,6 +109,15 @@ PlanQuery make_query(const GridCase& c) {
   return q;
 }
 
+// Every PlanResult field, bit for bit.
+void expect_same_plan(const PlanResult& a, const PlanResult& b) {
+  EXPECT_EQ(a.best_level, b.best_level);
+  EXPECT_EQ(a.best_rebuffer_s, b.best_rebuffer_s);
+  EXPECT_EQ(a.best_value, b.best_value);
+  EXPECT_EQ(a.nostall_level, b.nostall_level);
+  EXPECT_EQ(a.nostall_value, b.nostall_value);
+}
+
 // The exact DP must return the reference's decision and value bit for bit
 // on every case of `grid`.
 void expect_dp_matches_exhaustive(const std::vector<GridCase>& grid) {
@@ -112,11 +129,7 @@ void expect_dp_matches_exhaustive(const std::vector<GridCase>& grid) {
     PlanResult b = dp.plan(q);
     SCOPED_TRACE("case " + std::to_string(i) + " horizon " +
                  std::to_string(grid[i].horizon));
-    EXPECT_EQ(a.best_level, b.best_level);
-    EXPECT_EQ(a.best_rebuffer_s, b.best_rebuffer_s);
-    EXPECT_EQ(a.best_value, b.best_value);
-    EXPECT_EQ(a.nostall_level, b.nostall_level);
-    EXPECT_EQ(a.nostall_value, b.nostall_value);
+    expect_same_plan(a, b);
   }
 }
 
@@ -140,6 +153,78 @@ TEST_F(PlannerEquivalence, DpMatchesExhaustiveBitIdenticalOnTightLinks) {
   auto grid = seeded_grid(video_, 0x71647411, 200, tight);
   ASSERT_EQ(grid.size(), 2400u);
   expect_dp_matches_exhaustive(grid);
+}
+
+// Consecutive chunks of one seeded session-like walk per combination of
+// weights and rebuffer set: the buffer, last level and forecast change at
+// every step, the horizon only between walks, and every walk runs into the
+// end of the video so the lookahead shrinks.
+std::vector<GridCase> seeded_walks(const media::EncodedVideo& video, uint64_t seed,
+                                   size_t walks_per_combo, const GridRanges& ranges) {
+  util::Rng rng(seed);
+  std::vector<GridCase> walks;
+  const size_t chunks = video.num_chunks();
+  for (bool use_weights : {false, true}) {
+    for (bool stall_actions : {false, true}) {
+      for (size_t w = 0; w < walks_per_combo; ++w) {
+        const size_t horizon = ranges.horizons[static_cast<size_t>(
+            rng.uniform_int(0, static_cast<int>(ranges.horizons.size()) - 1))];
+        const size_t start = chunks - 12 - static_cast<size_t>(rng.uniform_int(0, 8));
+        for (size_t chunk = start; chunk < chunks; ++chunk) {
+          walks.push_back(
+              draw_case(rng, video, ranges, horizon, use_weights, stall_actions, chunk));
+        }
+      }
+    }
+  }
+  return walks;
+}
+
+// A DpPlanner warm-starts each decision from its previous best path, so its
+// answer must not depend on what it planned before: one planner walked over
+// consecutive chunks, and planners whose previous query was a different
+// plan for chunk n - 1, must each match a fresh planner bit for bit.
+TEST_F(PlannerEquivalence, DpAnswerIndependentOfPlanHistory) {
+  GridRanges tight;
+  tight.horizons = {3, 4, 5};
+  tight.max_buffer_s = 6.0;
+  tight.min_kbps = 60.0;
+  tight.max_kbps = 400.0;
+  GridRanges wide;
+  size_t checked = 0;
+  for (const GridRanges* ranges : {&tight, &wide}) {
+    const auto walks = seeded_walks(video_, ranges == &tight ? 0x3a1c0 : 0x3a1c1, 6, *ranges);
+    DpPlanner walker;
+    for (size_t i = 0; i < walks.size(); ++i) {
+      const PlanQuery q = make_query(walks[i]);
+      DpPlanner fresh;
+      const PlanResult expected = fresh.plan(q);
+      SCOPED_TRACE("walk case " + std::to_string(i) + (ranges == &tight ? " tight" : " wide"));
+      expect_same_plan(expected, walker.plan(q));
+      ++checked;
+      if (walks[i].obs.next_chunk == 0) continue;
+
+      // Poison the warm path: plan chunk n - 1 with another forecast, buffer
+      // or rebuffer set first.
+      for (int poison = 0; poison < 3; ++poison) {
+        GridCase prior = walks[i];
+        prior.obs.next_chunk -= 1;
+        if (poison == 0) prior.scenarios = net::triangular_scenarios(5, 4000.0, 0.2);
+        if (poison == 1) prior.obs.buffer_s = 25.0 - prior.obs.buffer_s;
+        if (poison == 2) {
+          prior.rebuffer_options = prior.rebuffer_options.size() == 1
+                                       ? std::vector<double>{0.0, 1.0, 2.0}
+                                       : std::vector<double>{0.0};
+        }
+        DpPlanner poisoned;
+        poisoned.plan(make_query(prior));
+        SCOPED_TRACE("poison " + std::to_string(poison));
+        expect_same_plan(expected, poisoned.plan(q));
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 1500u);
 }
 
 TEST_F(PlannerEquivalence, QuantizedDpKeepsDecisionsWithinTolerance) {

@@ -201,6 +201,104 @@ TEST(SharedLink, DeadLinkReportsNoCompletion) {
   EXPECT_TRUE(std::isinf(link.next_completion_s()));
 }
 
+// next_completion_s() and the drain's cumulative_bits(now) are memoized
+// until begin, abort or advance_to changes the link. Two links replay one
+// seeded operation sequence; only the second is also asked for its next
+// completion before and after every operation (so its memo is warm at the
+// instant of each begin and abort). A stale completion memo would show up as
+// different completions or grants, and a stale cumulative_bits(now) after an
+// idle span as grants that no longer add up to the capacity of the busy
+// spans. Sub-bit transfers are due the instant they join.
+TEST(SharedLink, MemoizedCompletionMatchesAcrossExtraQueries) {
+  const std::vector<net::ThroughputTrace> traces = {
+      net::ThroughputTrace("vary", {1000.0, 2500.0, 400.0, 3000.0, 1200.0, 700.0}, 1.0),
+      net::ThroughputTrace("cliff", {900.0, 0.0, 1800.0, 600.0, 2200.0, 300.0}, 0.5)
+          .as_finite(),
+  };
+  for (const auto& trace : traces) {
+    SCOPED_TRACE(trace.name());
+    net::SharedLink plain(trace);
+    net::SharedLink asked(trace);
+    util::Rng rng(0x3e3011);
+    size_t joined = 0;
+    size_t finished = 0;
+    double busy_bits = 0.0;  // trace capacity over the spans with an active transfer
+    for (size_t op = 0; op < 600; ++op) {
+      SCOPED_TRACE("op " + std::to_string(op));
+      // Instants come from the asked link only, so the plain link never
+      // computes a completion outside advance_to.
+      const double now = asked.now_s();
+      const double next = asked.next_completion_s();
+      const size_t active = asked.active_count();
+      const double pick = rng.uniform(0.0, 1.0);
+      if (active < 6 && pick < (active == 0 ? 0.5 : 0.3)) {
+        const double bytes = rng.chance(0.05) ? 0.1 : rng.uniform(2e3, 6e4);
+        plain.begin(bytes, now);
+        asked.begin(bytes, now);
+        ++joined;
+      } else if (active > 0 && pick < 0.38) {
+        std::vector<size_t> live;
+        for (size_t id = 0; id < joined; ++id) {
+          const auto v = asked.view(id);
+          if (!v.finished && !v.aborted) live.push_back(id);
+        }
+        const size_t id =
+            live[static_cast<size_t>(rng.uniform_int(0, static_cast<int>(live.size()) - 1))];
+        plain.abort(id);
+        asked.abort(id);
+      } else {
+        double t = now + rng.uniform(0.0, 2.0);  // idle link or dead link
+        if (std::isfinite(next)) {
+          switch (rng.uniform_int(0, 5)) {
+            case 0: t = next; break;
+            case 1: t = std::nextafter(next, 0.0); break;
+            case 2: t = std::nextafter(next, 2.0 * next + 1.0); break;
+            case 3: t = next + rng.uniform(0.01, 4.0); break;  // several completions
+            case 4: t = now + (next - now) * rng.uniform(0.1, 0.9); break;
+            default: t = std::nextafter(now, -1.0); break;  // an ulp back: clamps
+          }
+        }
+        plain.advance_to(t);
+        asked.advance_to(t);
+        if (active > 0) {
+          double end = asked.now_s();
+          if (asked.active_count() == 0) {
+            end = now;
+            for (const auto& c : asked.completions_sorted()) end = std::max(end, c.finish_s);
+          }
+          busy_bits += asked.cumulative_bits(end) - asked.cumulative_bits(now);
+        }
+      }
+      asked.next_completion_s();
+
+      ASSERT_EQ(plain.now_s(), asked.now_s());
+      ASSERT_EQ(plain.active_count(), asked.active_count());
+      const auto a = plain.take_completions();
+      const auto b = asked.take_completions();
+      ASSERT_EQ(a.size(), b.size());
+      finished += a.size();
+      for (size_t k = 0; k < a.size(); ++k) {
+        EXPECT_EQ(a[k].id, b[k].id);
+        EXPECT_EQ(a[k].finish_s, b[k].finish_s);
+      }
+      double granted = 0.0;
+      for (size_t id = 0; id < joined; ++id) {
+        const auto va = plain.view(id);
+        const auto vb = asked.view(id);
+        EXPECT_EQ(va.total_bits, vb.total_bits);
+        EXPECT_EQ(va.granted_bits, vb.granted_bits);
+        EXPECT_EQ(va.finished, vb.finished);
+        EXPECT_EQ(va.aborted, vb.aborted);
+        EXPECT_EQ(va.finish_s, vb.finish_s);
+        granted += vb.granted_bits;
+      }
+      // A finisher is credited its last sub-bit early.
+      ASSERT_NEAR(granted, busy_bits, 1e-9 * busy_bits + 1.0 * static_cast<double>(finished) + 1e-3);
+    }
+    EXPECT_GT(joined, 100u);
+  }
+}
+
 // --- SessionEngine as a stepwise state machine ------------------------------
 
 TEST(SessionEngine, WalksTheDeclaredStates) {
