@@ -31,6 +31,7 @@
 #include "core/runner.h"
 #include "media/dataset.h"
 #include "sim/fleet.h"
+#include "util/kernels.h"
 
 using namespace sensei;
 
@@ -85,12 +86,10 @@ struct Row {
 
 int main(int argc, char** argv) {
   bench::check_flags(argc, argv,
-                     {"--out", "--threads", "--shards", "--cells", "--baseline", "--policy",
-                      "--backend"},
+                     {"--out", "--threads", "--shards", "--cells", "--baseline", "--policy"},
                      {"--smoke"},
                      "bench_fleet [--smoke] [--out FILE] [--threads N] [--shards N] "
-                     "[--cells N] [--baseline FILE] [--policy SPEC]... "
-                     "[--backend scalar|simd|auto]");
+                     "[--cells N] [--baseline FILE] [--policy SPEC]...");
   const bool smoke = bench::smoke_arg(argc, argv);
   const std::string out_path = bench::out_arg(argc, argv, "BENCH_fleet.json");
   const std::string baseline_path = bench::baseline_arg(argc, argv);
@@ -110,7 +109,6 @@ int main(int argc, char** argv) {
   for (const std::string& spec : bench::policy_specs_arg(argc, argv)) {
     mix_override.push_back({spec, 1.0});
   }
-  const char* backend = bench::backend_arg(argc, argv);
   const size_t num_shards = count_arg(argc, argv, "--shards", 0);
   const size_t cells_override = count_arg(argc, argv, "--cells", 0);
   core::ExperimentRunner runner(bench::threads_arg(argc, argv));
@@ -224,7 +222,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"schema_version\": 4,\n");
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(f, "  \"config\": {\"threads\": %zu, \"shards\": %zu, \"backend\": \"%s\"},\n",
-               runner.num_threads(), num_shards, backend);
+               runner.num_threads(), num_shards, util::kernel_backend_name());
   std::fprintf(f, "  \"scenarios\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];

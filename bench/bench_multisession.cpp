@@ -44,6 +44,7 @@
 #include "net/trace_gen.h"
 #include "sim/player.h"
 #include "sim/simulator.h"
+#include "util/kernels.h"
 
 using namespace sensei;
 
@@ -116,12 +117,11 @@ size_t peak_concurrency(const std::vector<sim::MultiSessionResult>& results) {
 
 int main(int argc, char** argv) {
   bench::check_flags(argc, argv,
-                     {"--out", "--threads", "--trace-integration", "--baseline", "--policy",
-                      "--backend"},
+                     {"--out", "--threads", "--trace-integration", "--baseline", "--policy"},
                      {"--smoke"},
                      "bench_multisession [--smoke] [--out FILE] [--threads N] "
                      "[--trace-integration indexed|walker] [--baseline FILE] "
-                     "[--policy SPEC]... [--backend scalar|simd|auto]");
+                     "[--policy SPEC]...");
   const bool smoke = bench::smoke_arg(argc, argv);
   const std::string out_path = bench::out_arg(argc, argv, "BENCH_multisession.json");
   const std::string baseline_path = bench::baseline_arg(argc, argv);
@@ -135,7 +135,6 @@ int main(int argc, char** argv) {
                                   "\"spec\"", "\"whittle\"", "\"backend\""});
   }
   const net::TraceIntegration integration = bench::trace_integration_arg(argc, argv);
-  const char* backend = bench::backend_arg(argc, argv);
   core::ExperimentRunner runner(bench::threads_arg(argc, argv));
 
   // ---- 1. identity: Simulator (dedicated, single session) vs Player ------
@@ -333,7 +332,8 @@ int main(int argc, char** argv) {
                "  \"config\": {\"threads\": %zu, \"trace_integration\": \"%s\", "
                "\"backend\": \"%s\"},\n",
                runner.num_threads(),
-               integration == net::TraceIntegration::kWalker ? "walker" : "indexed", backend);
+               integration == net::TraceIntegration::kWalker ? "walker" : "indexed",
+               util::kernel_backend_name());
   std::fprintf(f, "  \"identity\": {\"cells\": %zu, \"diffs\": %zu},\n", identity_cells,
                identity_diffs);
   std::fprintf(f, "  \"grid\": [\n");

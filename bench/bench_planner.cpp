@@ -26,6 +26,7 @@
 #include "abr/planner.h"
 #include "bench_util.h"
 #include "media/dataset.h"
+#include "util/kernels.h"
 #include "util/rng.h"
 
 using namespace sensei;
@@ -97,10 +98,8 @@ double time_plans_ns(abr::Planner& planner, const std::vector<abr::PlanQuery>& q
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::check_flags(argc, argv, {"--out", "--quantum", "--baseline", "--backend"},
-                     {"--smoke"},
-                     "bench_planner [--smoke] [--out FILE] [--quantum S] [--baseline FILE] "
-                     "[--backend scalar|simd|auto]");
+  bench::check_flags(argc, argv, {"--out", "--quantum", "--baseline"}, {"--smoke"},
+                     "bench_planner [--smoke] [--out FILE] [--quantum S] [--baseline FILE]");
   const bool smoke = bench::smoke_arg(argc, argv);
   const std::string out_path = bench::out_arg(argc, argv, "BENCH_planner.json");
   const std::string baseline_path = bench::baseline_arg(argc, argv);
@@ -110,7 +109,6 @@ int main(int argc, char** argv) {
                                  {"\"vi\"", "\"vi_decision_divergence\"",
                                   "\"vi_quantum_s\""});
   }
-  const char* backend = bench::backend_arg(argc, argv);
   double quantum = abr::kDefaultDpBufferQuantumS;
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--quantum") == 0) quantum = std::atof(argv[i + 1]);
@@ -204,7 +202,8 @@ int main(int argc, char** argv) {
                "\"buffer_quantum_s\": %g, \"vi_quantum_s\": %g, \"seed\": %llu, "
                "\"backend\": \"%s\"},\n",
                video.ladder().level_count(), num_scenarios, num_obs, quantum,
-               vi.quantum_s(), static_cast<unsigned long long>(seed), backend);
+               vi.quantum_s(), static_cast<unsigned long long>(seed),
+               util::kernel_backend_name());
   std::fprintf(f, "  \"horizons\": [\n");
   double speedup_h5 = 0.0;
   double vi_speedup_h5 = 0.0;

@@ -18,7 +18,6 @@
 #include "sim/render.h"
 #include "sim/session.h"
 #include "sim/timeline.h"
-#include "util/kernels.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -123,25 +122,6 @@ inline net::TraceIntegration trace_integration_arg(int argc, char** argv) {
     }
   }
   return net::TraceIntegration::kIndexed;
-}
-
-// Parses `--backend scalar|simd|auto` and applies it process-wide via
-// util::set_kernel_backend. The backends are bit-identical by contract
-// (tests/test_kernels.cpp), so bench output must not change with this flag —
-// only wall time does. Returns the *resolved* backend name ("scalar",
-// "sse2", "avx2") so the JSON-emitting benches can record which kernel
-// implementation actually produced the pinned numbers.
-inline const char* backend_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc) {
-      if (!util::set_kernel_backend(argv[i + 1])) {
-        std::fprintf(stderr, "error: --backend expects scalar, simd, or auto\n");
-        std::exit(2);
-      }
-      return util::kernel_backend_name();
-    }
-  }
-  return util::kernel_backend_name();
 }
 
 // Parses `--threads N` for the grid benches. 0 (the default) lets

@@ -18,6 +18,12 @@ constexpr double kMaxBufferS = 30.0;
 // reference tie-break is preserved.
 constexpr double kBoundSlack = 1e-9;
 
+// ViPlanner steps scenario rows narrower than this (the Fugu default is 3) in
+// one fused loop that keeps each scenario's buffer, stall and quality in
+// registers; wider rows go through the two row kernels, whose stores the
+// probability fold reloads. Same expressions in the same order, same bits.
+constexpr size_t kFusedScenarioCutoff = 8;
+
 inline uint64_t splitmix(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -1006,7 +1012,7 @@ double ViPlanner::value_of(size_t depth, double buffer_s, size_t prev_level) {
   const double w = w_[depth];
   const double wstall = std::max(w, 1.0);
   double best = -1e18;
-  if (S_ < util::kernels::kInlineRowCutoff) {
+  if (S_ < kFusedScenarioCutoff) {
     // Narrow forecasts (the Fugu default is 3 scenarios) keep everything in
     // registers: this fused loop is the exact composition of the two row
     // kernels below — same step/penalty/select expressions in the same
@@ -1149,7 +1155,7 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
 
   const double w0 = w_[0];
   const double wstall0 = std::max(w0, 1.0);
-  const bool fused_root = S_ < util::kernels::kInlineRowCutoff;
+  const bool fused_root = S_ < kFusedScenarioCutoff;
   // Depth-1 memo read with the hit path inlined: the root fold makes L*S of
   // these, and funneling every one through the recursive value_of call kept
   // the loads serialized behind call/return; inline, the out-of-order core

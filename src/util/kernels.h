@@ -1,52 +1,22 @@
-// Runtime-dispatched SIMD kernel layer for the hot inner rows.
+// Batched row kernels for the hot inner loops.
 //
 // The planners, the Whittle index, the scenario generators, and the fleet
-// aggregate fold all spend their time in the same half-dozen elementwise
-// rows: download times (a divide per scenario), post-step buffer/stall
-// dynamics (two selects and a clamp), the saturating chunk-quality
-// expression, and the per-rung index map. This header exposes each of
-// those rows as a batched kernel with a scalar reference implementation
-// and SSE2/AVX2 variants selected at runtime (`__builtin_cpu_supports`),
-// behind the SENSEI_ENABLE_SIMD build option.
+// aggregate fold all spend their time in the same half-dozen rows:
+// download times (a divide per scenario), post-step buffer/stall dynamics
+// (two selects and a clamp), the saturating chunk-quality expression, and
+// the per-rung index map. This header exposes each of those rows as one
+// inline scalar loop over structure-of-arrays inputs: the win is the
+// layout and one call per row instead of one call per element.
 //
-// Bit-identity discipline
-// -----------------------
-// Every backend must produce bit-identical output for identical input —
-// the repo's determinism gates (fig14 grid, fleet rows, the pinned PR 8
-// resilience literals) all double as correctness gates for this layer, and
-// tests/test_kernels.cpp pins randomized scalar-vs-SIMD equivalence
-// including NaN / signed-zero / denormal edges. The rules that make this
-// hold:
-//
-//  * Only *elementwise* maps are vectorized. Lane i of the SIMD path
-//    evaluates exactly the scalar expression for element i: IEEE-exact
-//    add/sub/mul/div, |x| as a sign-bit mask (bitwise std::abs), and
-//    std::min/std::max emulated with an explicit compare+select that
-//    reproduces their exact NaN and +/-0 semantics ((a < b) ? b : a —
-//    never the asymmetric minpd/maxpd instruction forms).
-//  * No FP contraction: multiply-then-add sequences stay two rounded
-//    operations in every backend (explicit mul/add intrinsics, never FMA).
-//  * Order-sensitive reductions (sequential sums, first-strict-max argmax)
-//    and transcendental maps (the log2/exp2 kbps quantizer, llround bucket
-//    maps) intentionally share ONE implementation across backends: a
-//    lane-parallel reduction tree or a polynomial log2 could not match the
-//    scalar fold bit-for-bit, so these primitives gain their speed from
-//    batching (one call per row instead of one call per element), not from
-//    lanes.
-//
-// Small rows bypass dispatch entirely: below kInlineRowCutoff the public
-// wrappers run the inline reference loop in place. A 3-scenario planner row
-// costs less than the indirect call that would fetch it, and the vector
-// kernels fall through to their scalar tails at those lengths anyway, so
-// the fast path changes no bits — the reference implementations below ARE
-// the scalar backend (the dispatch table points at them).
-//
-// Backend selection: `auto` (default) resolves to AVX2 when compiled in
-// and supported by the CPU, else SSE2 on x86-64, else scalar; `scalar`
-// forces the reference path (what a SENSEI_ENABLE_SIMD=OFF build always
-// runs); `simd` forces the best vector path and falls back to scalar when
-// none exists. set_kernel_backend is meant for test/bench setup, not for
-// concurrent use while kernels are executing.
+// Each row is the exact scalar expression of the helper it batches
+// (qoe::chunk_quality, abr::quantize_kbps, WhittleIndexAbr::level_index,
+// the planners' buffer dynamics, net::triangular_scenarios), so swapping a
+// per-element loop for a row changes no bits; tests/test_kernels.cpp pins
+// every row against its helper. Ternary min/max spells out the exact
+// std::min/std::max operand order (and with it their NaN and +/-0
+// semantics). Multiply-then-add stays two rounded operations. Reductions
+// (sums, argmax) fold strictly left to right, the order every aggregate
+// and determinism row is pinned to.
 #pragma once
 
 #include <cmath>
@@ -55,49 +25,16 @@
 
 namespace sensei::util {
 
-enum class KernelBackend {
-  kScalar,
-  kSimd,
-  kAuto,
-};
-
-// Selects the backend. The string form accepts "scalar" | "simd" | "auto"
-// (returns false and leaves the selection unchanged on anything else).
-void set_kernel_backend(KernelBackend backend);
-bool set_kernel_backend(const char* name);
-
-// The requested selection (default kAuto).
-KernelBackend requested_kernel_backend();
-
-// The *resolved* backend the vectorized kernels currently run on:
-// "scalar", "sse2", or "avx2".
-const char* kernel_backend_name();
-
-// True when the build compiled the SIMD translation units
-// (SENSEI_ENABLE_SIMD, x86-64 target).
-bool kernel_simd_compiled();
-
-// True when the running CPU supports the best compiled vector path.
-bool kernel_simd_supported();
+// The kernel implementation the rows run on, recorded in bench JSON config
+// and host blocks. There is one: the scalar rows below.
+inline const char* kernel_backend_name() { return "scalar"; }
 
 namespace kernels {
 
-// Rows shorter than this run the inline reference loop instead of the
-// dispatched kernel: one AVX2 vector width of work does not amortize an
-// atomic load plus an indirect call, and the vector kernels would execute
-// their scalar tails there anyway, so the bits are identical either way.
-inline constexpr size_t kInlineRowCutoff = 8;
-
-// ---------------------------------------------------------------------------
-// Reference implementations. These are the semantics: every SIMD lane must
-// reproduce these expressions bit-for-bit (see kernels_simd.inc). Ternary
-// min/max spells out the exact std::min/std::max operand order so the
-// select-based vector forms have an unambiguous contract to match. The
-// dispatch table's scalar backend points at these same functions.
-// ---------------------------------------------------------------------------
-namespace ref {
+// --- elementwise rows ----------------------------------------------------
 
 // out[i] = num / max(den_floor, den[i]) + add
+// The planner download-time row: bits_kb / clamped-kbps + RTT.
 inline void div_add_row(double num, const double* den, size_t n, double den_floor,
                         double add, double* out) {
   for (size_t i = 0; i < n; ++i) {
@@ -107,15 +44,25 @@ inline void div_add_row(double num, const double* den, size_t n, double den_floo
 }
 
 // out[i] = (x[i] * scale) / den
+// The Whittle download-time row: (size_bytes * 8) / (budget_kbps * 1000).
 inline void mul_div_row(const double* x, size_t n, double scale, double den, double* out) {
   for (size_t i = 0; i < n; ++i) out[i] = (x[i] * scale) / den;
 }
 
-// out[i] = x[i] / den
+// out[i] = x[i] / den  (probability normalization; `out` may alias `x`)
 inline void div_scalar_row(const double* x, size_t n, double den, double* out) {
   for (size_t i = 0; i < n; ++i) out[i] = x[i] / den;
 }
 
+// Post-step buffer dynamics across scenarios, branchless:
+//   over      = dl[i] > buffer_s
+//   stall     = (over ? dl[i] - buffer_s : 0) + extra_s
+//   b         = (over ? 0 : buffer_s - dl[i]) + extra_s
+//   buf_out   = min(b + tau_s, cap_s)
+//   stall_out = stall
+// `extra_s` folds the planners' scheduled-rebuffer branch: callers pass the
+// scheduled stall when it is > 0, else 0.0 (adding 0.0 is exact here —
+// both addends are guaranteed non-negative).
 inline void step_buffer_stall_row(double buffer_s, const double* dl, size_t n,
                                   double extra_s, double tau_s, double cap_s,
                                   double* buf_out, double* stall_out) {
@@ -130,6 +77,12 @@ inline void step_buffer_stall_row(double buffer_s, const double* dl, size_t n,
   }
 }
 
+// The planner's per-scenario chunk-quality select:
+//   out[i] = stall[i] > 0
+//              ? max(floor, vq - br * (stall[i] / (1 + sat * stall[i]))
+//                            - bsw * |vq - prev_vq|)
+//              : nostall_q
+// (the `stall > 0 ? chunk_quality(...) : qn` fold of ViPlanner/DpPlanner).
 inline void chunk_quality_stall_row(double vq, double prev_vq, double nostall_q,
                                     const double* stall, size_t n, double br, double sat,
                                     double bsw, double floor, double* out) {
@@ -143,6 +96,11 @@ inline void chunk_quality_stall_row(double vq, double prev_vq, double nostall_q,
   }
 }
 
+// General elementwise qoe::chunk_quality over parallel arrays:
+//   pen    = stall[i] <= 0 ? 0 : stall[i] / (1 + sat * stall[i])
+//   out[i] = max(floor, vq[i] - br * pen - bsw * |vq[i] - prev_vq[i]|)
+// The fleet retire() per-record fold uses this with prev_vq = vq shifted
+// by one record.
 inline void chunk_quality_row(const double* vq, const double* stall,
                               const double* prev_vq, size_t n, double br, double sat,
                               double bsw, double floor, double* out) {
@@ -154,6 +112,8 @@ inline void chunk_quality_row(const double* vq, const double* stall,
   }
 }
 
+// No-stall chunk quality, visual quality varying (root_qn_ rows):
+//   out[i] = max(floor, vq[i] - bsw * |vq[i] - prev_vq|)
 inline void chunk_quality_nostall_row(const double* vq, size_t n, double prev_vq,
                                       double bsw, double floor, double* out) {
   for (size_t i = 0; i < n; ++i) {
@@ -162,6 +122,8 @@ inline void chunk_quality_nostall_row(const double* vq, size_t n, double prev_vq
   }
 }
 
+// No-stall chunk quality, previous level varying (the PlanBatch qn table's
+// contiguous axis): out[i] = max(floor, vq - bsw * |vq - prev_vq[i]|)
 inline void chunk_quality_nostall_prev_row(double vq, const double* prev_vq, size_t n,
                                            double bsw, double floor, double* out) {
   for (size_t i = 0; i < n; ++i) {
@@ -170,6 +132,12 @@ inline void chunk_quality_nostall_prev_row(double vq, const double* prev_vq, siz
   }
 }
 
+// The DAS-IP Whittle index of every rung in one call (abr/whittle.h):
+//   dl     = (size_bytes[i] * 8) / den        (den = budget_kbps * 1000)
+//   unc    = max(0, dl - buffer_s)
+//   pen    = unc <= 0 ? 0 : unc / (1 + sat * unc)
+//   short  = max(0, headroom * dl - (buffer_s - dl))
+//   out[i] = vq[i] - bsw * |vq[i] - prev_vq[i]| - br * pen - drain * short
 inline void whittle_index_row(const double* size_bytes, const double* vq,
                               const double* prev_vq, size_t n, double den,
                               double buffer_s, double headroom, double drain, double br,
@@ -186,6 +154,11 @@ inline void whittle_index_row(const double* size_bytes, const double* vq,
   }
 }
 
+// The triangular scenario fan (net::triangular_scenarios), probabilities
+// unnormalized (callers fold with sum_row + div_scalar_row):
+//   pos     = count == 1 ? 0 : -1 + 2 * i / (count - 1)
+//   prob[i] = 1 + (1 - |pos|)
+//   kbps[i] = max(floor_kbps, center * (1 + cv * pos))
 inline void triangular_fan(size_t count, double center, double cv, double floor_kbps,
                            double* kbps, double* prob) {
   const double span = count > 1 ? static_cast<double>(count - 1) : 1.0;
@@ -198,164 +171,7 @@ inline void triangular_fan(size_t count, double center, double cv, double floor_
   }
 }
 
-}  // namespace ref
-
-// Out-of-line dispatched forms (kernels.cpp): resolve the active backend
-// table and forward. The public wrappers below call these only for rows at
-// or above kInlineRowCutoff.
-namespace dispatch {
-void div_add_row(double num, const double* den, size_t n, double den_floor, double add,
-                 double* out);
-void mul_div_row(const double* x, size_t n, double scale, double den, double* out);
-void div_scalar_row(const double* x, size_t n, double den, double* out);
-void step_buffer_stall_row(double buffer_s, const double* dl, size_t n, double extra_s,
-                           double tau_s, double cap_s, double* buf_out, double* stall_out);
-void chunk_quality_stall_row(double vq, double prev_vq, double nostall_q,
-                             const double* stall, size_t n, double br, double sat,
-                             double bsw, double floor, double* out);
-void chunk_quality_row(const double* vq, const double* stall, const double* prev_vq,
-                       size_t n, double br, double sat, double bsw, double floor,
-                       double* out);
-void chunk_quality_nostall_row(const double* vq, size_t n, double prev_vq, double bsw,
-                               double floor, double* out);
-void chunk_quality_nostall_prev_row(double vq, const double* prev_vq, size_t n,
-                                    double bsw, double floor, double* out);
-void whittle_index_row(const double* size_bytes, const double* vq, const double* prev_vq,
-                       size_t n, double den, double buffer_s, double headroom,
-                       double drain, double br, double sat, double bsw, double* out);
-void triangular_fan(size_t count, double center, double cv, double floor_kbps,
-                    double* kbps, double* prob);
-}  // namespace dispatch
-
-// --- vectorized elementwise rows (scalar / sse2 / avx2 dispatch) --------
-
-// out[i] = num / max(den_floor, den[i]) + add
-// The planner download-time row: bits_kb / clamped-kbps + RTT.
-inline void div_add_row(double num, const double* den, size_t n, double den_floor,
-                        double add, double* out) {
-  if (n < kInlineRowCutoff) return ref::div_add_row(num, den, n, den_floor, add, out);
-  dispatch::div_add_row(num, den, n, den_floor, add, out);
-}
-
-// out[i] = (x[i] * scale) / den
-// The Whittle download-time row: (size_bytes * 8) / (budget_kbps * 1000).
-inline void mul_div_row(const double* x, size_t n, double scale, double den, double* out) {
-  if (n < kInlineRowCutoff) return ref::mul_div_row(x, n, scale, den, out);
-  dispatch::mul_div_row(x, n, scale, den, out);
-}
-
-// out[i] = x[i] / den  (probability normalization)
-inline void div_scalar_row(const double* x, size_t n, double den, double* out) {
-  if (n < kInlineRowCutoff) return ref::div_scalar_row(x, n, den, out);
-  dispatch::div_scalar_row(x, n, den, out);
-}
-
-// Post-step buffer dynamics across scenarios, branchless:
-//   over      = dl[i] > buffer_s
-//   stall     = (over ? dl[i] - buffer_s : 0) + extra_s
-//   b         = (over ? 0 : buffer_s - dl[i]) + extra_s
-//   buf_out   = min(b + tau_s, cap_s)
-//   stall_out = stall
-// `extra_s` folds the planners' scheduled-rebuffer branch: callers pass the
-// scheduled stall when it is > 0, else 0.0 (adding 0.0 is exact here —
-// both addends are guaranteed non-negative).
-inline void step_buffer_stall_row(double buffer_s, const double* dl, size_t n,
-                                  double extra_s, double tau_s, double cap_s,
-                                  double* buf_out, double* stall_out) {
-  if (n < kInlineRowCutoff) {
-    return ref::step_buffer_stall_row(buffer_s, dl, n, extra_s, tau_s, cap_s, buf_out,
-                                      stall_out);
-  }
-  dispatch::step_buffer_stall_row(buffer_s, dl, n, extra_s, tau_s, cap_s, buf_out,
-                                  stall_out);
-}
-
-// The planner's per-scenario chunk-quality select:
-//   out[i] = stall[i] > 0
-//              ? max(floor, vq - br * (stall[i] / (1 + sat * stall[i]))
-//                            - bsw * |vq - prev_vq|)
-//              : nostall_q
-// (the `stall > 0 ? chunk_quality(...) : qn` fold of ViPlanner/DpPlanner).
-inline void chunk_quality_stall_row(double vq, double prev_vq, double nostall_q,
-                                    const double* stall, size_t n, double br, double sat,
-                                    double bsw, double floor, double* out) {
-  if (n < kInlineRowCutoff) {
-    return ref::chunk_quality_stall_row(vq, prev_vq, nostall_q, stall, n, br, sat, bsw,
-                                        floor, out);
-  }
-  dispatch::chunk_quality_stall_row(vq, prev_vq, nostall_q, stall, n, br, sat, bsw,
-                                    floor, out);
-}
-
-// General elementwise qoe::chunk_quality over parallel arrays:
-//   pen    = stall[i] <= 0 ? 0 : stall[i] / (1 + sat * stall[i])
-//   out[i] = max(floor, vq[i] - br * pen - bsw * |vq[i] - prev_vq[i]|)
-// The fleet retire() per-record fold uses this with prev_vq = vq shifted
-// by one record.
-inline void chunk_quality_row(const double* vq, const double* stall,
-                              const double* prev_vq, size_t n, double br, double sat,
-                              double bsw, double floor, double* out) {
-  if (n < kInlineRowCutoff) {
-    return ref::chunk_quality_row(vq, stall, prev_vq, n, br, sat, bsw, floor, out);
-  }
-  dispatch::chunk_quality_row(vq, stall, prev_vq, n, br, sat, bsw, floor, out);
-}
-
-// No-stall chunk quality, visual quality varying (root_qn_ rows):
-//   out[i] = max(floor, vq[i] - bsw * |vq[i] - prev_vq|)
-inline void chunk_quality_nostall_row(const double* vq, size_t n, double prev_vq,
-                                      double bsw, double floor, double* out) {
-  if (n < kInlineRowCutoff) {
-    return ref::chunk_quality_nostall_row(vq, n, prev_vq, bsw, floor, out);
-  }
-  dispatch::chunk_quality_nostall_row(vq, n, prev_vq, bsw, floor, out);
-}
-
-// No-stall chunk quality, previous level varying (the PlanBatch qn table's
-// contiguous axis): out[i] = max(floor, vq - bsw * |vq - prev_vq[i]|)
-inline void chunk_quality_nostall_prev_row(double vq, const double* prev_vq, size_t n,
-                                           double bsw, double floor, double* out) {
-  if (n < kInlineRowCutoff) {
-    return ref::chunk_quality_nostall_prev_row(vq, prev_vq, n, bsw, floor, out);
-  }
-  dispatch::chunk_quality_nostall_prev_row(vq, prev_vq, n, bsw, floor, out);
-}
-
-// The DAS-IP Whittle index of every rung in one call (abr/whittle.h):
-//   dl     = (size_bytes[i] * 8) / den        (den = budget_kbps * 1000)
-//   unc    = max(0, dl - buffer_s)
-//   pen    = unc <= 0 ? 0 : unc / (1 + sat * unc)
-//   short  = max(0, headroom * dl - (buffer_s - dl))
-//   out[i] = vq[i] - bsw * |vq[i] - prev_vq[i]| - br * pen - drain * short
-inline void whittle_index_row(const double* size_bytes, const double* vq,
-                              const double* prev_vq, size_t n, double den,
-                              double buffer_s, double headroom, double drain, double br,
-                              double sat, double bsw, double* out) {
-  if (n < kInlineRowCutoff) {
-    return ref::whittle_index_row(size_bytes, vq, prev_vq, n, den, buffer_s, headroom,
-                                  drain, br, sat, bsw, out);
-  }
-  dispatch::whittle_index_row(size_bytes, vq, prev_vq, n, den, buffer_s, headroom, drain,
-                              br, sat, bsw, out);
-}
-
-// The triangular scenario fan (net::triangular_scenarios), probabilities
-// unnormalized (callers fold with sum_row + div_scalar_row):
-//   pos     = count == 1 ? 0 : -1 + 2 * i / (count - 1)
-//   prob[i] = 1 + (1 - |pos|)
-//   kbps[i] = max(floor_kbps, center * (1 + cv * pos))
-inline void triangular_fan(size_t count, double center, double cv, double floor_kbps,
-                           double* kbps, double* prob) {
-  if (count < kInlineRowCutoff) {
-    return ref::triangular_fan(count, center, cv, floor_kbps, kbps, prob);
-  }
-  dispatch::triangular_fan(count, center, cv, floor_kbps, kbps, prob);
-}
-
-// --- order-pinned / transcendental primitives (one shared path) ---------
-// A lane-parallel fold or polynomial transcendental could not match the
-// sequential scalar result bit-for-bit, so these gain speed from batching
-// (one call per row), never from lanes — inline, no dispatch at all.
+// --- order-pinned reductions and transcendental maps ---------------------
 
 // Sequential left-to-right sum (the aggregate folds' pinned order).
 inline double sum_row(const double* x, size_t n) {
@@ -373,9 +189,11 @@ inline double weighted_sum_row(const double* w, const double* x, size_t n) {
   return acc;
 }
 
-// First index attaining the strict maximum (ties keep the lowest index,
-// NaNs never win) — the planners' and the Whittle policy's argmax
-// semantics, evaluated branchlessly.
+// First index attaining the strict maximum, scanning from index 0 — the
+// planners' and the Whittle policy's argmax semantics, evaluated
+// branchlessly. Ties keep the lowest index. A NaN after index 0 never wins
+// (no comparison with it is true), but a NaN at index 0 is returned: no
+// x[i] > NaN holds, so nothing ever replaces it. n == 0 returns 0.
 inline size_t argmax_strict_row(const double* x, size_t n) {
   if (n == 0) return 0;
   size_t best = 0;

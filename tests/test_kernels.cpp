@@ -1,53 +1,41 @@
-// Kernel-layer gates (util/kernels.h):
-//  - scalar-vs-SIMD bitwise identity for every dispatched row kernel, on
-//    randomized inputs salted with the FP edge cases (NaN, +/-0, denormals,
-//    infinities) and lengths that exercise every lane-count tail;
-//  - kernels cross-checked bit-for-bit against the scalar helpers they
-//    batch (qoe::chunk_quality, stall_penalty, abr::quantize_kbps,
-//    abr::buffer_bucket, WhittleIndexAbr::level_index, the planners' buffer
-//    dynamics, net::triangular_scenarios);
-//  - end-to-end: a shared-bottleneck multi-session run and a multi-cell
-//    fleet run produce byte-identical results under the scalar and SIMD
-//    backends — the backend choice is invisible to every consumer.
-// When no SIMD backend is compiled/supported the identity tests skip; the
-// cross-checks still run against the scalar reference.
+// Kernel-row gates (util/kernels.h): every row cross-checked bit-for-bit
+// against the scalar helper or production statement it batches
+// (qoe::chunk_quality, abr::quantize_kbps, abr::buffer_bucket,
+// WhittleIndexAbr::level_index, the planners' download-time and buffer
+// dynamics, net::triangular_scenarios), plus the order-pinned reductions.
+// The download-time, normalization and no-stall rows run at every length
+// 0..19 on inputs salted with FP edge values.
 #include "util/kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <limits>
-#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
-#include "abr/fugu.h"
 #include "abr/planner.h"
 #include "abr/whittle.h"
-#include "core/runner.h"
 #include "media/dataset.h"
 #include "media/encoder.h"
 #include "net/predictor.h"
-#include "net/trace_gen.h"
 #include "qoe/chunk_quality.h"
-#include "sim/fleet.h"
-#include "sim/simulator.h"
 
 namespace sensei::util {
 namespace {
 
-constexpr size_t kMaxLen = 19;  // covers 1..19: every SSE2/AVX2 tail shape
+constexpr size_t kMaxLen = 19;  // rows of length 0..19 straddle the planner's cutoff of 8
 constexpr int kTrials = 16;
 
 bool bits_equal(const double* a, const double* b, size_t n) {
   return std::memcmp(a, b, n * sizeof(double)) == 0;
 }
 
-// Random doubles over several magnitudes, salted with the edge values the
-// bit-identity contract explicitly covers.
+// Random doubles over several magnitudes, salted with the FP edge values
+// (NaN, +/-0, denormals, infinities) the bit-identity contract covers.
 class ValueGen {
  public:
   explicit ValueGen(uint64_t seed) : rng_(seed) {}
@@ -86,27 +74,9 @@ class ValueGen {
   // operand order, which IEEE leaves open and compilers freely commute. Row
   // data still carries NaNs — one-NaN propagation is order-independent.
   double param() {
-    switch (rng_() % 10) {
-      case 0: {
-        static const double edges[] = {
-            0.0,
-            -0.0,
-            std::numeric_limits<double>::denorm_min(),
-            -std::numeric_limits<double>::denorm_min(),
-            std::numeric_limits<double>::infinity(),
-            -std::numeric_limits<double>::infinity(),
-            std::numeric_limits<double>::min(),
-            -std::numeric_limits<double>::min(),
-        };
-        return edges[rng_() % (sizeof(edges) / sizeof(edges[0]))];
-      }
-      case 1:
-        return uniform(-1e-6, 1e-6);
-      case 2:
-        return uniform(-1e9, 1e9);
-      default:
-        return uniform(-60.0, 60.0);
-    }
+    double v = next();
+    while (std::isnan(v)) v = next();
+    return v;
   }
 
   void fill(std::vector<double>& v, size_t n) {
@@ -121,202 +91,27 @@ class ValueGen {
   std::mt19937_64 rng_;
 };
 
-// Runs `fn` once per backend and asserts the outputs are bitwise equal.
-// Restores the auto backend on scope exit so test order cannot leak state.
-class KernelIdentity : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!kernel_simd_supported()) GTEST_SKIP() << "no SIMD backend on this host";
-  }
-  void TearDown() override { set_kernel_backend(KernelBackend::kAuto); }
-};
-
-TEST(KernelBackend, DispatchNamesAndSetters) {
-  EXPECT_TRUE(set_kernel_backend("scalar"));
-  EXPECT_STREQ(kernel_backend_name(), "scalar");
-  EXPECT_EQ(requested_kernel_backend(), KernelBackend::kScalar);
-  EXPECT_FALSE(set_kernel_backend("bogus"));
-  EXPECT_FALSE(set_kernel_backend(nullptr));
-  EXPECT_EQ(requested_kernel_backend(), KernelBackend::kScalar);  // unchanged
-  EXPECT_TRUE(set_kernel_backend("simd"));
-  if (kernel_simd_supported()) {
-    const std::string name = kernel_backend_name();
-    EXPECT_TRUE(name == "avx2" || name == "sse2") << name;
-  } else {
-    EXPECT_STREQ(kernel_backend_name(), "scalar");
-  }
-  EXPECT_TRUE(set_kernel_backend("auto"));
-  EXPECT_EQ(requested_kernel_backend(), KernelBackend::kAuto);
-}
-
-TEST_F(KernelIdentity, DivAddRow) {
-  ValueGen gen(11);
-  std::vector<double> den, a, b;
-  for (size_t n = 1; n <= kMaxLen; ++n) {
-    for (int t = 0; t < kTrials; ++t) {
-      gen.fill(den, n);
-      const double num = gen.param(), floor = gen.param(), add = gen.param();
-      a.assign(n, 0.0);
-      b.assign(n, 0.0);
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::div_add_row(num, den.data(), n, floor, add, a.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::div_add_row(num, den.data(), n, floor, add, b.data());
-      ASSERT_TRUE(bits_equal(a.data(), b.data(), n)) << "n=" << n << " t=" << t;
-    }
-  }
-}
-
-TEST_F(KernelIdentity, MulDivAndDivScalarRows) {
-  ValueGen gen(12);
-  std::vector<double> x, a, b;
-  for (size_t n = 1; n <= kMaxLen; ++n) {
-    for (int t = 0; t < kTrials; ++t) {
-      gen.fill(x, n);
-      const double scale = gen.param(), den = gen.param();
-      a.assign(n, 0.0);
-      b.assign(n, 0.0);
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::mul_div_row(x.data(), n, scale, den, a.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::mul_div_row(x.data(), n, scale, den, b.data());
-      ASSERT_TRUE(bits_equal(a.data(), b.data(), n)) << "mul_div n=" << n;
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::div_scalar_row(x.data(), n, den, a.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::div_scalar_row(x.data(), n, den, b.data());
-      ASSERT_TRUE(bits_equal(a.data(), b.data(), n)) << "div_scalar n=" << n;
-    }
-  }
-}
-
-TEST_F(KernelIdentity, StepBufferStallRow) {
-  ValueGen gen(13);
-  std::vector<double> dl, b1, s1, b2, s2;
-  for (size_t n = 1; n <= kMaxLen; ++n) {
-    for (int t = 0; t < kTrials; ++t) {
-      gen.fill(dl, n);
-      const double buf = gen.param(), extra = gen.param(), tau = gen.param(),
-                   cap = gen.param();
-      b1.assign(n, 0.0);
-      s1.assign(n, 0.0);
-      b2.assign(n, 0.0);
-      s2.assign(n, 0.0);
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::step_buffer_stall_row(buf, dl.data(), n, extra, tau, cap, b1.data(),
-                                     s1.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::step_buffer_stall_row(buf, dl.data(), n, extra, tau, cap, b2.data(),
-                                     s2.data());
-      ASSERT_TRUE(bits_equal(b1.data(), b2.data(), n)) << "buf n=" << n << " t=" << t;
-      ASSERT_TRUE(bits_equal(s1.data(), s2.data(), n)) << "stall n=" << n << " t=" << t;
-    }
-  }
-}
-
-TEST_F(KernelIdentity, ChunkQualityRows) {
-  ValueGen gen(14);
-  std::vector<double> vq, stall, prev, a, b;
-  for (size_t n = 1; n <= kMaxLen; ++n) {
-    for (int t = 0; t < kTrials; ++t) {
-      gen.fill(vq, n);
-      gen.fill(stall, n);
-      gen.fill(prev, n);
-      const double br = gen.param(), sat = gen.param(), bsw = gen.param(),
-                   floor = gen.param();
-      const double cvq = gen.param(), cprev = gen.param(), qn = gen.param();
-      a.assign(n, 0.0);
-      b.assign(n, 0.0);
-
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::chunk_quality_row(vq.data(), stall.data(), prev.data(), n, br, sat, bsw,
-                                 floor, a.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::chunk_quality_row(vq.data(), stall.data(), prev.data(), n, br, sat, bsw,
-                                 floor, b.data());
-      ASSERT_TRUE(bits_equal(a.data(), b.data(), n)) << "general n=" << n << " t=" << t;
-
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::chunk_quality_stall_row(cvq, cprev, qn, stall.data(), n, br, sat, bsw,
-                                       floor, a.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::chunk_quality_stall_row(cvq, cprev, qn, stall.data(), n, br, sat, bsw,
-                                       floor, b.data());
-      ASSERT_TRUE(bits_equal(a.data(), b.data(), n)) << "stall n=" << n << " t=" << t;
-
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::chunk_quality_nostall_row(vq.data(), n, cprev, bsw, floor, a.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::chunk_quality_nostall_row(vq.data(), n, cprev, bsw, floor, b.data());
-      ASSERT_TRUE(bits_equal(a.data(), b.data(), n)) << "nostall n=" << n << " t=" << t;
-
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::chunk_quality_nostall_prev_row(cvq, prev.data(), n, bsw, floor, a.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::chunk_quality_nostall_prev_row(cvq, prev.data(), n, bsw, floor, b.data());
-      ASSERT_TRUE(bits_equal(a.data(), b.data(), n))
-          << "nostall_prev n=" << n << " t=" << t;
-    }
-  }
-}
-
-TEST_F(KernelIdentity, WhittleIndexRow) {
-  ValueGen gen(15);
-  std::vector<double> bytes, vq, prev, a, b;
-  for (size_t n = 1; n <= kMaxLen; ++n) {
-    for (int t = 0; t < kTrials; ++t) {
-      gen.fill(bytes, n);
-      gen.fill(vq, n);
-      gen.fill(prev, n);
-      const double den = gen.param(), buf = gen.param(), hr = gen.param(),
-                   drain = gen.param(), br = gen.param(), sat = gen.param(),
-                   bsw = gen.param();
-      a.assign(n, 0.0);
-      b.assign(n, 0.0);
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::whittle_index_row(bytes.data(), vq.data(), prev.data(), n, den, buf, hr,
-                                 drain, br, sat, bsw, a.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::whittle_index_row(bytes.data(), vq.data(), prev.data(), n, den, buf, hr,
-                                 drain, br, sat, bsw, b.data());
-      ASSERT_TRUE(bits_equal(a.data(), b.data(), n)) << "n=" << n << " t=" << t;
-    }
-  }
-}
-
-TEST_F(KernelIdentity, TriangularFan) {
-  ValueGen gen(16);
-  std::vector<double> k1, p1, k2, p2;
+// Runs `row(n, out)` at every length 0..kMaxLen and checks out[0, n) bit for
+// bit against `expect(n, i)`, and that nothing at or past n was written.
+template <typename Row, typename Expect>
+void check_every_length(const Row& row, const Expect& expect) {
+  constexpr double kUntouched = -12345.678;
+  std::vector<double> out(kMaxLen + 1);
   for (size_t n = 0; n <= kMaxLen; ++n) {
-    for (int t = 0; t < kTrials; ++t) {
-      const double center = gen.param(), cv = gen.param(), floor = gen.param();
-      k1.assign(n + 1, 0.0);
-      p1.assign(n + 1, 0.0);
-      k2.assign(n + 1, 0.0);
-      p2.assign(n + 1, 0.0);
-      set_kernel_backend(KernelBackend::kScalar);
-      kernels::triangular_fan(n, center, cv, floor, k1.data(), p1.data());
-      set_kernel_backend(KernelBackend::kSimd);
-      kernels::triangular_fan(n, center, cv, floor, k2.data(), p2.data());
-      ASSERT_TRUE(bits_equal(k1.data(), k2.data(), n)) << "kbps n=" << n << " t=" << t;
-      ASSERT_TRUE(bits_equal(p1.data(), p2.data(), n)) << "prob n=" << n << " t=" << t;
+    std::fill(out.begin(), out.end(), kUntouched);
+    row(n, out.data());
+    for (size_t i = 0; i < n; ++i) {
+      const double want = expect(n, i);
+      ASSERT_TRUE(bits_equal(&out[i], &want, 1))
+          << "n=" << n << " i=" << i << " got=" << out[i] << " want=" << want;
+    }
+    for (size_t i = n; i <= kMaxLen; ++i) {
+      ASSERT_EQ(out[i], kUntouched) << "n=" << n << " wrote past the row at i=" << i;
     }
   }
 }
 
 // ---- cross-checks against the scalar helpers the kernels batch -------------
-
-// Each cross-check runs under every available backend: the kernel must
-// reproduce the reference expression bit-for-bit no matter who executes it.
-void for_each_backend(const std::function<void(const char*)>& body) {
-  set_kernel_backend(KernelBackend::kScalar);
-  body("scalar");
-  if (kernel_simd_supported()) {
-    set_kernel_backend(KernelBackend::kSimd);
-    body("simd");
-  }
-  set_kernel_backend(KernelBackend::kAuto);
-}
 
 TEST(KernelCrossCheck, ChunkQualityMatchesQoeHelper) {
   qoe::ChunkQualityParams params;  // the production defaults
@@ -327,26 +122,24 @@ TEST(KernelCrossCheck, ChunkQualityMatchesQoeHelper) {
     stall[i] = i % 3 == 0 ? 0.0 : gen.positive(-2.0, 10.0);
     prev[i] = gen.positive(0.0, 5.0);
   }
-  for_each_backend([&](const char* backend) {
-    kernels::chunk_quality_row(vq.data(), stall.data(), prev.data(), kMaxLen,
-                               params.beta_rebuf, params.rebuf_saturation,
-                               params.beta_switch, params.floor, out.data());
-    for (size_t i = 0; i < kMaxLen; ++i) {
-      const double ref = qoe::chunk_quality(vq[i], stall[i], prev[i], params);
-      EXPECT_EQ(out[i], ref) << backend << " i=" << i;
-    }
-    // The fixed-(vq, prev) variant against the same helper, per stall row.
-    kernels::chunk_quality_stall_row(
-        vq[0], prev[0], qoe::chunk_quality(vq[0], 0.0, prev[0], params), stall.data(),
-        kMaxLen, params.beta_rebuf, params.rebuf_saturation, params.beta_switch,
-        params.floor, out.data());
-    for (size_t i = 0; i < kMaxLen; ++i) {
-      const double expect = stall[i] > 0.0
-                                ? qoe::chunk_quality(vq[0], stall[i], prev[0], params)
-                                : qoe::chunk_quality(vq[0], 0.0, prev[0], params);
-      EXPECT_EQ(out[i], expect) << backend << " i=" << i;
-    }
-  });
+  kernels::chunk_quality_row(vq.data(), stall.data(), prev.data(), kMaxLen,
+                             params.beta_rebuf, params.rebuf_saturation,
+                             params.beta_switch, params.floor, out.data());
+  for (size_t i = 0; i < kMaxLen; ++i) {
+    const double ref = qoe::chunk_quality(vq[i], stall[i], prev[i], params);
+    EXPECT_EQ(out[i], ref) << "i=" << i;
+  }
+  // The fixed-(vq, prev) variant against the same helper, per stall row.
+  kernels::chunk_quality_stall_row(
+      vq[0], prev[0], qoe::chunk_quality(vq[0], 0.0, prev[0], params), stall.data(),
+      kMaxLen, params.beta_rebuf, params.rebuf_saturation, params.beta_switch,
+      params.floor, out.data());
+  for (size_t i = 0; i < kMaxLen; ++i) {
+    const double expect = stall[i] > 0.0
+                              ? qoe::chunk_quality(vq[0], stall[i], prev[0], params)
+                              : qoe::chunk_quality(vq[0], 0.0, prev[0], params);
+    EXPECT_EQ(out[i], expect) << "i=" << i;
+  }
 }
 
 TEST(KernelCrossCheck, StepBufferMatchesPlannerDynamics) {
@@ -354,30 +147,28 @@ TEST(KernelCrossCheck, StepBufferMatchesPlannerDynamics) {
   ValueGen gen(22);
   std::vector<double> dl(kMaxLen), buf(kMaxLen), stall(kMaxLen);
   for (size_t i = 0; i < kMaxLen; ++i) dl[i] = gen.positive(0.0, 40.0);
-  for_each_backend([&](const char* backend) {
-    for (double extra : {0.0, 1.5}) {
-      const double b0 = 7.25, tau = 2.0;
-      kernels::step_buffer_stall_row(b0, dl.data(), kMaxLen, extra, tau, kMaxBufferS,
-                                     buf.data(), stall.data());
-      for (size_t i = 0; i < kMaxLen; ++i) {
-        // The ViPlanner recursion's exact statements.
-        double b = b0, s = 0.0;
-        if (dl[i] > b) {
-          s = dl[i] - b;
-          b = 0.0;
-        } else {
-          b -= dl[i];
-        }
-        if (extra > 0.0) {
-          b += extra;
-          s += extra;
-        }
-        b = std::min(b + tau, kMaxBufferS);
-        EXPECT_EQ(buf[i], b) << backend << " i=" << i << " extra=" << extra;
-        EXPECT_EQ(stall[i], s) << backend << " i=" << i << " extra=" << extra;
+  for (double extra : {0.0, 1.5}) {
+    const double b0 = 7.25, tau = 2.0;
+    kernels::step_buffer_stall_row(b0, dl.data(), kMaxLen, extra, tau, kMaxBufferS,
+                                   buf.data(), stall.data());
+    for (size_t i = 0; i < kMaxLen; ++i) {
+      // The ViPlanner recursion's exact statements.
+      double b = b0, s = 0.0;
+      if (dl[i] > b) {
+        s = dl[i] - b;
+        b = 0.0;
+      } else {
+        b -= dl[i];
       }
+      if (extra > 0.0) {
+        b += extra;
+        s += extra;
+      }
+      b = std::min(b + tau, kMaxBufferS);
+      EXPECT_EQ(buf[i], b) << "i=" << i << " extra=" << extra;
+      EXPECT_EQ(stall[i], s) << "i=" << i << " extra=" << extra;
     }
-  });
+  }
 }
 
 TEST(KernelCrossCheck, QuantizeAndBucketMatchPlannerHelpers) {
@@ -390,17 +181,15 @@ TEST(KernelCrossCheck, QuantizeAndBucketMatchPlannerHelpers) {
   }
   buf[0] = -0.0;  // must land in bucket 0 with +0.0
   buf[1] = 0.0;
-  for_each_backend([&](const char* backend) {
-    kernels::quantize_kbps_row(kbps.data(), kMaxLen, abr::kViKbpsBinsPerOctave,
-                               qout.data());
-    kernels::buffer_bucket_row(buf.data(), kMaxLen, abr::kDefaultViBufferQuantumS,
-                               bout.data());
-    for (size_t i = 0; i < kMaxLen; ++i) {
-      EXPECT_EQ(qout[i], abr::quantize_kbps(kbps[i])) << backend << " i=" << i;
-      EXPECT_EQ(bout[i], abr::buffer_bucket(buf[i], abr::kDefaultViBufferQuantumS))
-          << backend << " i=" << i;
-    }
-  });
+  kernels::quantize_kbps_row(kbps.data(), kMaxLen, abr::kViKbpsBinsPerOctave,
+                             qout.data());
+  kernels::buffer_bucket_row(buf.data(), kMaxLen, abr::kDefaultViBufferQuantumS,
+                             bout.data());
+  for (size_t i = 0; i < kMaxLen; ++i) {
+    EXPECT_EQ(qout[i], abr::quantize_kbps(kbps[i])) << "i=" << i;
+    EXPECT_EQ(bout[i], abr::buffer_bucket(buf[i], abr::kDefaultViBufferQuantumS))
+        << "i=" << i;
+  }
 }
 
 TEST(KernelCrossCheck, WhittleRowMatchesLevelIndex) {
@@ -422,34 +211,30 @@ TEST(KernelCrossCheck, WhittleRowMatchesLevelIndex) {
     vq[l] = video.visual_quality(obs.next_chunk, l);
     prev[l] = video.visual_quality(obs.next_chunk - 1, obs.last_level);
   }
-  for_each_backend([&](const char* backend) {
-    kernels::whittle_index_row(bytes.data(), vq.data(), prev.data(), L,
-                               budget_kbps * 1000.0, obs.buffer_s, cfg.headroom,
-                               cfg.drain_penalty, cfg.chunk.beta_rebuf,
-                               cfg.chunk.rebuf_saturation, cfg.chunk.beta_switch,
-                               idx.data());
-    for (size_t l = 0; l < L; ++l) {
-      EXPECT_EQ(idx[l], wh.level_index(obs, l, obs.buffer_s, budget_kbps))
-          << backend << " level=" << l;
-    }
-  });
+  kernels::whittle_index_row(bytes.data(), vq.data(), prev.data(), L,
+                             budget_kbps * 1000.0, obs.buffer_s, cfg.headroom,
+                             cfg.drain_penalty, cfg.chunk.beta_rebuf,
+                             cfg.chunk.rebuf_saturation, cfg.chunk.beta_switch,
+                             idx.data());
+  for (size_t l = 0; l < L; ++l) {
+    EXPECT_EQ(idx[l], wh.level_index(obs, l, obs.buffer_s, budget_kbps))
+        << "level=" << l;
+  }
 }
 
 TEST(KernelCrossCheck, TriangularFanMatchesScenarioFan) {
-  for_each_backend([&](const char* backend) {
-    for (size_t count : {1u, 2u, 5u, 16u}) {
-      const auto fan = net::triangular_scenarios(count, 3100.0, 0.4);
-      ASSERT_EQ(fan.size(), count);
-      std::vector<double> kbps(count), prob(count);
-      kernels::triangular_fan(count, 3100.0, 0.4, 30.0, kbps.data(), prob.data());
-      const double total = kernels::sum_row(prob.data(), count);
-      for (size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(fan[i].kbps, kbps[i]) << backend << " count=" << count << " i=" << i;
-        EXPECT_EQ(fan[i].probability, prob[i] / total)
-            << backend << " count=" << count << " i=" << i;
-      }
+  for (size_t count : {1u, 2u, 5u, 16u}) {
+    const auto fan = net::triangular_scenarios(count, 3100.0, 0.4);
+    ASSERT_EQ(fan.size(), count);
+    std::vector<double> kbps(count), prob(count);
+    kernels::triangular_fan(count, 3100.0, 0.4, 30.0, kbps.data(), prob.data());
+    const double total = kernels::sum_row(prob.data(), count);
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(fan[i].kbps, kbps[i]) << "count=" << count << " i=" << i;
+      EXPECT_EQ(fan[i].probability, prob[i] / total)
+          << "count=" << count << " i=" << i;
     }
-  });
+  }
 }
 
 TEST(KernelCrossCheck, OrderPinnedPrimitives) {
@@ -467,111 +252,99 @@ TEST(KernelCrossCheck, OrderPinnedPrimitives) {
     wsum += w[i] * x[i];
     if (x[i] > x[best]) best = i;
   }
-  for_each_backend([&](const char* backend) {
-    EXPECT_EQ(kernels::sum_row(x.data(), kMaxLen), sum) << backend;
-    EXPECT_EQ(kernels::weighted_sum_row(w.data(), x.data(), kMaxLen), wsum) << backend;
-    EXPECT_EQ(kernels::argmax_strict_row(x.data(), kMaxLen), best) << backend;
-    EXPECT_EQ(kernels::argmax_strict_row(x.data(), 0), 0u) << backend;
-  });
+  EXPECT_EQ(kernels::sum_row(x.data(), kMaxLen), sum);
+  EXPECT_EQ(kernels::weighted_sum_row(w.data(), x.data(), kMaxLen), wsum);
+  EXPECT_EQ(kernels::argmax_strict_row(x.data(), kMaxLen), best);
+  EXPECT_EQ(kernels::argmax_strict_row(x.data(), 0), 0u);
+  // No x[i] > NaN holds, so a NaN at index 0 is returned; a later NaN never wins.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double nan_first[] = {nan, 1.0, 2.0};
+  EXPECT_EQ(kernels::argmax_strict_row(nan_first, 3), 0u);
+  const double nan_later[] = {1.0, nan, 2.0, nan};
+  EXPECT_EQ(kernels::argmax_strict_row(nan_later, 4), 2u);
 }
 
-// ---- end-to-end backend invariance ------------------------------------------
-
-class KernelEndToEnd : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!kernel_simd_supported()) GTEST_SKIP() << "no SIMD backend on this host";
-  }
-  void TearDown() override { set_kernel_backend(KernelBackend::kAuto); }
-};
-
-// A fig14-style shared-bottleneck grid (vi-Fugu sessions contending on one
-// link) must emit bit-identical per-chunk records under both backends.
-TEST_F(KernelEndToEnd, MultiSessionRunBackendInvariant) {
-  media::EncodedVideo video_a = media::Encoder().encode(
-      media::SourceVideo::generate("KernelsA", media::Genre::kSports, 90));
-  media::EncodedVideo video_b = media::Encoder().encode(
-      media::SourceVideo::generate("KernelsB", media::Genre::kNature, 120));
-  net::ThroughputTrace bottleneck =
-      net::TraceGenerator::cellular("kernels-e2e", 1700, 400.0, 5).scaled(10.0, "k-x10");
-
-  auto run = [&](KernelBackend backend) {
-    set_kernel_backend(backend);
-    std::vector<std::unique_ptr<sim::AbrPolicy>> policies;
-    std::vector<sim::AbrPolicy*> policy_ptrs;
-    for (size_t k = 0; k < 10; ++k) {
-      abr::FuguConfig fc;
-      fc.planner = k % 2 == 0 ? abr::PlannerKind::kVi : abr::PlannerKind::kDp;
-      policies.push_back(std::make_unique<abr::FuguAbr>(fc));
-      policy_ptrs.push_back(policies.back().get());
-    }
-    std::vector<const media::EncodedVideo*> videos = {&video_a, &video_b};
-    auto specs = sim::StaggeredSpecs{videos, policy_ptrs, {}, 10, 4.0}.build();
-    return sim::Simulator().run(specs, bottleneck, sim::LinkMode::kShared);
-  };
-
-  auto scalar = run(KernelBackend::kScalar);
-  auto simd = run(KernelBackend::kSimd);
-  ASSERT_EQ(scalar.size(), simd.size());
-  for (size_t i = 0; i < scalar.size(); ++i) {
-    const auto& a = scalar[i].session;
-    const auto& b = simd[i].session;
-    ASSERT_EQ(a.chunks().size(), b.chunks().size()) << "session " << i;
-    for (size_t j = 0; j < a.chunks().size(); ++j) {
-      SCOPED_TRACE("session " + std::to_string(i) + " chunk " + std::to_string(j));
-      EXPECT_EQ(a.chunks()[j].level, b.chunks()[j].level);
-      EXPECT_EQ(a.chunks()[j].rebuffer_s, b.chunks()[j].rebuffer_s);
-      EXPECT_EQ(a.chunks()[j].download_time_s, b.chunks()[j].download_time_s);
-      EXPECT_EQ(a.chunks()[j].buffer_after_s, b.chunks()[j].buffer_after_s);
-      EXPECT_EQ(a.chunks()[j].visual_quality, b.chunks()[j].visual_quality);
-    }
+// The planners' download-time statement: bits / max(1, kbps) + 0.08.
+TEST(KernelCrossCheck, DivAddRowMatchesPlannerDownloadTime) {
+  ValueGen gen(25);
+  std::vector<double> kbps;
+  for (int t = 0; t < kTrials; ++t) {
+    SCOPED_TRACE("t=" + std::to_string(t));
+    gen.fill(kbps, kMaxLen);
+    const double bits = gen.param();
+    check_every_length(
+        [&](size_t n, double* out) {
+          kernels::div_add_row(bits, kbps.data(), n, 1.0, 0.08, out);
+        },
+        [&](size_t, size_t i) { return bits / std::max(1.0, kbps[i]) + 0.08; });
   }
 }
 
-// Fleet aggregates (the resilience/fleet determinism rows feed off these)
-// must be bit-identical across backends at 1 and 4 runner threads.
-TEST_F(KernelEndToEnd, FleetRunBackendInvariant) {
-  std::vector<media::EncodedVideo> videos;
-  media::Encoder encoder;
-  videos.push_back(
-      encoder.encode(media::SourceVideo::generate("KFleetA", media::Genre::kSports, 60)));
-  videos.push_back(
-      encoder.encode(media::SourceVideo::generate("KFleetB", media::Genre::kNature, 80)));
-  std::vector<const media::EncodedVideo*> video_ptrs;
-  for (const auto& v : videos) video_ptrs.push_back(&v);
+// WhittleIndexAbr::level_index's download time: (size_bytes * 8) / den.
+TEST(KernelCrossCheck, MulDivRowMatchesWhittleDownloadTime) {
+  ValueGen gen(26);
+  std::vector<double> bytes;
+  for (int t = 0; t < kTrials; ++t) {
+    SCOPED_TRACE("t=" + std::to_string(t));
+    gen.fill(bytes, kMaxLen);
+    const double den = gen.param();
+    check_every_length(
+        [&](size_t n, double* out) { kernels::mul_div_row(bytes.data(), n, 8.0, den, out); },
+        [&](size_t, size_t i) { return (bytes[i] * 8.0) / den; });
+  }
+}
 
-  sim::FleetConfig config;
-  config.num_cells = 4;
-  config.seed = 515;
-  config.workload.arrival_rate_per_s = 0.25;
-  config.workload.arrival_window_s = 90.0;
-  config.workload.abandon_fraction = 0.3;
-  config.workload.mean_abandon_chunks = 8.0;
+// net::triangular_scenarios normalizes its fan in place: prob[i] / sum(prob).
+TEST(KernelCrossCheck, DivScalarRowMatchesScenarioNormalization) {
+  ValueGen gen(27);
+  std::vector<double> prob(kMaxLen);
+  for (int t = 0; t < kTrials; ++t) {
+    SCOPED_TRACE("t=" + std::to_string(t));
+    for (double& p : prob) p = gen.positive(0.0, 2.0);
+    const auto total = [&](size_t n) {
+      double acc = 0.0;
+      for (size_t i = 0; i < n; ++i) acc += prob[i];
+      return acc;
+    };
+    check_every_length(
+        [&](size_t n, double* out) {
+          std::copy(prob.begin(), prob.begin() + static_cast<std::ptrdiff_t>(n), out);
+          kernels::div_scalar_row(out, n, kernels::sum_row(out, n), out);
+        },
+        [&](size_t n, size_t i) { return prob[i] / total(n); });
+  }
+}
 
-  auto run = [&](KernelBackend backend, size_t threads) {
-    set_kernel_backend(backend);
-    core::ExperimentRunner runner(threads);
-    return sim::FleetSimulator(config).run(video_ptrs, runner);
-  };
-
-  const sim::FleetAggregates ref = run(KernelBackend::kScalar, 1);
-  ASSERT_GT(ref.sessions, 10u);
-  for (size_t threads : {1u, 4u}) {
-    const sim::FleetAggregates agg = run(KernelBackend::kSimd, threads);
-    EXPECT_EQ(agg.sessions, ref.sessions) << "threads=" << threads;
-    EXPECT_EQ(agg.chunks, ref.chunks) << "threads=" << threads;
-    EXPECT_EQ(agg.outages, ref.outages) << "threads=" << threads;
-    EXPECT_EQ(agg.session_qoe.mean(), ref.session_qoe.mean()) << "threads=" << threads;
-    EXPECT_EQ(agg.session_qoe.variance(), ref.session_qoe.variance())
-        << "threads=" << threads;
-    EXPECT_EQ(agg.session_bitrate_kbps.mean(), ref.session_bitrate_kbps.mean())
-        << "threads=" << threads;
-    EXPECT_EQ(agg.session_rebuffer_s.mean(), ref.session_rebuffer_s.mean())
-        << "threads=" << threads;
-    for (double q : {0.5, 0.9, 0.99}) {
-      EXPECT_EQ(agg.qoe_sketch.quantile(q), ref.qoe_sketch.quantile(q))
-          << "threads=" << threads << " q=" << q;
+// planner.cpp fills its no-stall quality tables with these rows in place of
+// qoe::chunk_quality(vq, 0.0, prev): the zero stall term must drop out
+// bit-exactly, for the production parameters and for random finite ones.
+TEST(KernelCrossCheck, NoStallRowsMatchChunkQualityAtZeroStall) {
+  ValueGen gen(28);
+  std::vector<double> vq, prev;
+  for (int t = 0; t < kTrials; ++t) {
+    SCOPED_TRACE("t=" + std::to_string(t));
+    gen.fill(vq, kMaxLen);
+    gen.fill(prev, kMaxLen);
+    qoe::ChunkQualityParams p;
+    if (t > 0) {
+      p.beta_rebuf = gen.positive(0.0, 3.0);
+      p.rebuf_saturation = gen.positive(0.0, 1.0);
+      p.beta_switch = gen.positive(0.0, 2.0);
+      p.floor = gen.positive(-2.0, 0.0);
     }
+    const double cvq = gen.param(), cprev = gen.param();
+    check_every_length(
+        [&](size_t n, double* out) {
+          kernels::chunk_quality_nostall_row(vq.data(), n, cprev, p.beta_switch, p.floor,
+                                             out);
+        },
+        [&](size_t, size_t i) { return qoe::chunk_quality(vq[i], 0.0, cprev, p); });
+    check_every_length(
+        [&](size_t n, double* out) {
+          kernels::chunk_quality_nostall_prev_row(cvq, prev.data(), n, p.beta_switch,
+                                                  p.floor, out);
+        },
+        [&](size_t, size_t i) { return qoe::chunk_quality(cvq, 0.0, prev[i], p); });
   }
 }
 
