@@ -3,23 +3,19 @@
 // bench/README.md for the schema) so perf regressions in the system's
 // hottest path are caught by comparing runs.
 //
-//   ./bench_planner                 full sweep (horizons 1..7), ~30 s
+//   ./bench_planner                 full sweep (horizons 1..7), ~5 s
 //   ./bench_planner --smoke         reduced sweep for CI (~2 s)
 //   ./bench_planner --out FILE      JSON destination (default BENCH_planner.json)
-//   ./bench_planner --quantum S     DP state-merging quantum (default 0 = exact)
 //   ./bench_planner --baseline FILE validate a pinned JSON's schema
 //
 // The workload mirrors SENSEI-Fugu's production configuration: the default
 // 5-level ladder, 8 throughput scenarios, scheduled-rebuffer options
 // {0,1,2} s, sensitivity weights on. DP decisions are cross-checked against
-// the exhaustive reference while timing; any mismatch at quantum 0 fails
-// the process. The vi planner is lossy by design: its decision divergence
+// the exhaustive reference while timing; any mismatch fails the process. The vi planner is lossy by design: its decision divergence
 // is counted and reported, never fatal.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -98,8 +94,8 @@ double time_plans_ns(abr::Planner& planner, const std::vector<abr::PlanQuery>& q
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::check_flags(argc, argv, {"--out", "--quantum", "--baseline"}, {"--smoke"},
-                     "bench_planner [--smoke] [--out FILE] [--quantum S] [--baseline FILE]");
+  bench::check_flags(argc, argv, {"--out", "--baseline"}, {"--smoke"},
+                     "bench_planner [--smoke] [--out FILE] [--baseline FILE]");
   const bool smoke = bench::smoke_arg(argc, argv);
   const std::string out_path = bench::out_arg(argc, argv, "BENCH_planner.json");
   const std::string baseline_path = bench::baseline_arg(argc, argv);
@@ -108,10 +104,6 @@ int main(int argc, char** argv) {
     bench::check_baseline_fields(baseline_path, 2,
                                  {"\"vi\"", "\"vi_decision_divergence\"",
                                   "\"vi_quantum_s\""});
-  }
-  double quantum = abr::kDefaultDpBufferQuantumS;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--quantum") == 0) quantum = std::atof(argv[i + 1]);
   }
 
   const std::vector<size_t> horizons =
@@ -126,7 +118,7 @@ int main(int argc, char** argv) {
   const size_t max_horizon = horizons.back();
   auto cases = make_cases(video, num_obs, num_scenarios, max_horizon, seed);
 
-  abr::DpPlanner dp(quantum);
+  abr::DpPlanner dp;
   abr::ExhaustivePlanner exhaustive;
   abr::ViPlanner vi;  // default quantum: the production discretization
 
@@ -142,9 +134,8 @@ int main(int argc, char** argv) {
   size_t total_vi_divergence = 0;
 
   std::printf("planner bench: %zu obs, %zu scenarios, ladder %zu levels, rebuf {0,1,2}s, "
-              "quantum %.3gs, vi quantum %.3gs\n",
-              num_obs, num_scenarios, video.ladder().level_count(), quantum,
-              vi.quantum_s());
+              "vi quantum %.3gs\n",
+              num_obs, num_scenarios, video.ladder().level_count(), vi.quantum_s());
   std::printf("%8s %14s %14s %14s %10s %12s %10s\n", "horizon", "dp ns/dec",
               "exhaustive ns", "vi ns/dec", "speedup", "mismatches", "vi div");
 
@@ -199,11 +190,10 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "  \"config\": {\"levels\": %zu, \"scenarios\": %zu, \"observations\": %zu, "
                "\"rebuffer_options_s\": [0, 1, 2], \"use_weights\": true, "
-               "\"buffer_quantum_s\": %g, \"vi_quantum_s\": %g, \"seed\": %llu, "
+               "\"buffer_quantum_s\": 0, \"vi_quantum_s\": %g, \"seed\": %llu, "
                "\"backend\": \"%s\"},\n",
-               video.ladder().level_count(), num_scenarios, num_obs, quantum,
-               vi.quantum_s(), static_cast<unsigned long long>(seed),
-               util::kernel_backend_name());
+               video.ladder().level_count(), num_scenarios, num_obs, vi.quantum_s(),
+               static_cast<unsigned long long>(seed), util::kernel_backend_name());
   std::fprintf(f, "  \"horizons\": [\n");
   double speedup_h5 = 0.0;
   double vi_speedup_h5 = 0.0;
@@ -237,10 +227,9 @@ int main(int argc, char** argv) {
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
 
-  // Exact merging (quantum 0) must agree with the exhaustive planner
-  // decision-for-decision; lossy bucketing may legitimately diverge, so
-  // mismatches are reported in the JSON but do not fail the run.
-  if (total_mismatches > 0 && quantum == 0.0) {
+  // The exact DP must agree with the exhaustive planner decision for
+  // decision.
+  if (total_mismatches > 0) {
     std::fprintf(stderr, "error: %zu decision mismatches between planners\n",
                  total_mismatches);
     return 1;

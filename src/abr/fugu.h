@@ -9,8 +9,9 @@
 // added by SENSEI-Fugu in src/core; this class keeps the vanilla objective.
 //
 // The lookahead itself is delegated to abr::Planner (src/abr/planner.h):
-// the memoized DpPlanner by default, or the reference ExhaustivePlanner
-// behind `FuguConfig::planner` — both return identical decisions (see
+// the exact branch-and-bound DpPlanner by default, or the reference
+// ExhaustivePlanner behind `FuguConfig::planner` — both return identical
+// decisions (see
 // tests/test_planner_equivalence.cpp); the DP is simply much faster.
 #pragma once
 
@@ -40,15 +41,14 @@ struct FuguConfig {
   // stall risk often enough that an un-gated rebuffer action loses QoE.
   double rebuffer_margin = 0.35;
   // Which lookahead engine realizes the objective. kDp (default) is the
-  // memoized dynamic program; kExhaustive is the reference recursion; kVi
+  // exact branch and bound; kExhaustive is the reference recursion; kVi
   // is the discretized value iteration — lossy but an order of magnitude
   // faster, the fleet-scale mode (see planner.h).
   PlannerKind planner = PlannerKind::kDp;
-  // Buffer discretization in seconds, interpreted per planner. kDp: state
-  // merging quantum — 0 (default) merges only bit-identical states,
-  // guaranteeing decisions identical to the exhaustive planner; > 0 enables
-  // Puffer-style lossy bucketing (unit_buf_length). kVi: the value-table
-  // bucket width — <= 0 selects kDefaultViBufferQuantumS (2.0 s).
+  // ViPlanner's value-table bucket width in seconds; <= 0 selects
+  // kDefaultViBufferQuantumS (2.0 s). The exact planners have no buffer
+  // discretization: kDp rejects any value but 0 (make_planner throws
+  // std::invalid_argument naming this key), kExhaustive ignores it.
   double dp_buffer_quantum_s = 0.0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #include "util/kernels.h"
 
@@ -337,32 +338,14 @@ double ExhaustivePlanner::walk(const PlanQuery& q, size_t depth, size_t chunk,
 // DpPlanner
 // ---------------------------------------------------------------------------
 
-DpPlanner::DpPlanner(double buffer_quantum_s) : quantum_(buffer_quantum_s) {}
-
 size_t DpPlanner::arena_bytes() const {
-  size_t b = 0;
-  for (int i = 0; i < 2; ++i) {
-    b += bufs_[i].capacity() * sizeof(double);
-    b += recs_[i].capacity() * sizeof(StateRec);
-  }
-  b += (dl_.capacity() + vq_.capacity() + qn_.capacity() + eqn_.capacity() +
-        w_.capacity() + root_qn_.capacity() + root_eqn_.capacity() + bmax_.capacity() +
-        rq_.capacity() + cub_.capacity() + root_cub_.capacity() + h_.capacity() +
-        child_buf_.capacity()) *
-       sizeof(double);
-  b += child_key_.capacity() * sizeof(uint64_t) + warm_path_.capacity() * sizeof(uint32_t);
-  b += stamp_.capacity() * sizeof(uint64_t) + slot_.capacity() * sizeof(uint32_t);
-  return b;
-}
-
-void DpPlanner::ensure_hash_capacity(size_t min_slots) {
-  size_t want = 64;
-  while (want < min_slots) want <<= 1;
-  if (stamp_.size() < want) {
-    stamp_.assign(want, 0);
-    slot_.assign(want, 0);
-    round_ = 0;  // fresh stamps are all 0; rounds restart above it
-  }
+  return (dl_.capacity() + vq_.capacity() + qn_.capacity() + eqn_.capacity() + w_.capacity() +
+          root_qn_.capacity() + root_eqn_.capacity() + bmax_.capacity() + rq_.capacity() +
+          cub_.capacity() + root_cub_.capacity() + h_.capacity() + root_buf_.capacity() +
+          kid_buf_.capacity() + cache_buf_.capacity()) *
+             sizeof(double) +
+         kids_.capacity() * sizeof(Node) + cache_.capacity() * sizeof(CacheEntry) +
+         warm_path_.capacity() * sizeof(uint32_t);
 }
 
 // Fills the per-decision tables. Every expression mirrors the exhaustive
@@ -381,8 +364,6 @@ void DpPlanner::precompute(const PlanQuery& q, size_t depth_count) {
   w_.resize(depth_count);
   root_qn_.resize(L);
   root_eqn_.resize(L);
-  child_buf_.resize(S);
-  child_key_.resize(S);
 
   // Static tables come from the shared batch when one is attached; the
   // expressions below are the exact ones the batch builder ran (same
@@ -528,11 +509,225 @@ void DpPlanner::precompute_bound(const PlanQuery& q, size_t depth_count) {
   }
 }
 
+// Advances every scenario one step (same dynamics and fold order as the
+// exhaustive walk; no-stall quality served from the tables) and returns the
+// expected quality. Writes the post-step buffers to `out`.
+double DpPlanner::step(size_t d, size_t level, double prev_vq, double qn, double sched,
+                       const double* in, double* out) const {
+  const double* dl_row = &dl_[(d * L_ + level) * S_];
+  const double vq = vq_[d * L_ + level];
+  double expected_q = 0.0;
+  for (size_t s = 0; s < S_; ++s) {
+    double b = in[s];
+    double dl = dl_row[s];
+    double stall = 0.0;
+    if (dl > b) {
+      stall = dl - b;
+      b = 0.0;
+    } else {
+      b -= dl;
+    }
+    if (sched > 0.0) {
+      b += sched;
+      stall += sched;
+    }
+    b = std::min(b + tau_, kMaxBufferS);
+    out[s] = b;
+    double qv = stall > 0.0 ? qoe::chunk_quality(vq, stall, prev_vq, q_->chunk) : qn;
+    expected_q += q_->scenarios[s].probability * qv;
+  }
+  return expected_q;
+}
+
+// (max value, min rank) fold reproduces "first strictly-better leaf wins"
+// of the depth-first reference, whatever order the leaves arrive in.
+void DpPlanner::fold(const Node& leaf) {
+  if (leaf.value > result_.best_value ||
+      (leaf.value == result_.best_value && leaf.rank < best_rank_)) {
+    result_.best_value = leaf.value;
+    result_.best_level = leaf.root / R_;
+    result_.best_rebuffer_s = q_->rebuffer_options[leaf.root % R_];
+    best_rank_ = leaf.rank;
+  }
+  if (leaf.nostall && (leaf.value > result_.nostall_value ||
+                       (leaf.value == result_.nostall_value && leaf.rank < nostall_rank_))) {
+    result_.nostall_value = leaf.value;
+    result_.nostall_level = leaf.root / R_;
+    nostall_rank_ = leaf.rank;
+  }
+}
+
+// Whether a subtree whose leaves are all at most `bound` may still win or
+// tie the best plan, or the best stall-free plan when its root action
+// schedules no stall. Pruning with the stall-aware bound is only sound when
+// the stall penalty actually penalizes (the default and every sane
+// configuration).
+bool DpPlanner::useful(double bound, bool nostall) const {
+  return !prune_ok_ || bound >= result_.best_value ||
+         (nostall && bound >= result_.nostall_value);
+}
+
+// Folds the warm-start leaf: the previous best path shifted by one chunk for
+// depths [0, fixed) (rebuffer option 0 at the root), then at each deeper
+// depth the argmax of the step's contribution plus the bound of the rest. It
+// is a real leaf with its true rank, so it only tightens the incumbents.
+void DpPlanner::fold_warm_start(size_t fixed) {
+  const size_t L = L_;
+  const double* in = root_buf_.data();
+  Node leaf;
+  size_t prev = 0;
+  for (size_t d = 0; d < D_; ++d) {
+    double* rows = &kid_buf_[d * width_ * S_];
+    const double prev_vq = d == 0 ? q_->prev_visual_quality : vq_[(d - 1) * L + prev];
+    const auto contribution = [&](size_t l) {
+      double* out = &rows[l * S_];
+      if (d == 0) {
+        return weighted_step_quality(
+            w_[0], step(0, l, prev_vq, root_qn_[l], q_->rebuffer_options[0], in, out),
+            root_eqn_[l]);
+      }
+      const size_t t = (d * L + l) * L + prev;
+      return weighted_step_quality(w_[d], step(d, l, prev_vq, qn_[t], 0.0, in, out), eqn_[t]);
+    };
+    size_t arg = 0;
+    double c = 0.0;
+    if (d < fixed) {
+      arg = warm_path_[d + 1];
+      c = contribution(arg);
+    } else {
+      double best = -1e18;
+      for (size_t l = 0; l < L; ++l) {
+        const double cl = contribution(l);
+        const double score = cl + h_[(d + 1) * L + l];
+        if (score > best) {
+          best = score;
+          c = cl;
+          arg = l;
+        }
+      }
+    }
+    if (d == 0) {
+      leaf.value = c;
+      leaf.rank = arg * R_;
+      leaf.root = static_cast<uint32_t>(leaf.rank);
+    } else {
+      leaf.value = leaf.value + c;
+      leaf.rank = leaf.rank * L + arg;
+    }
+    in = &rows[arg * S_];
+    prev = arg;
+  }
+  leaf.nostall = q_->rebuffer_options[0] == 0.0;
+  fold(leaf);
+}
+
+// Steps every child of `node` (at depth d, buffers `buf`) that survives the
+// pre-dynamics prune. At the leaf depth the children fold as leaves;
+// otherwise the survivors of the post-dynamics prune are visited best bound
+// first, ties by rank, so the first descent is the greedy dive.
+void DpPlanner::expand(size_t d, const Node& node, const double* buf) {
+  const size_t L = L_;
+  const bool leaf_depth = d + 1 == D_;
+  const size_t options = d == 0 ? R_ : 1;
+  const double prev_vq = d == 0 ? q_->prev_visual_quality : vq_[(d - 1) * L + node.level];
+  Node* kids = &kids_[d * width_];
+  double* rows = &kid_buf_[d * width_ * S_];
+  size_t count = 0;
+  for (size_t level = 0; level < L; ++level) {
+    const size_t t = (d * L + level) * L + node.level;
+    const double qn = d == 0 ? root_qn_[level] : qn_[t];
+    const double eqn = d == 0 ? root_eqn_[level] : eqn_[t];
+    const double cub = d == 0 ? root_cub_[level] : cub_[t];
+    const double hb = (leaf_depth ? 0.0 : h_[(d + 1) * L + level]) + kBoundSlack;
+    // Pre-dynamics prune: cub upper-bounds the step contribution, so a
+    // hopeless action is rejected before its scenario loop runs.
+    const double ub = node.value + cub + hb;
+    for (size_t si = 0; si < options; ++si) {
+      const double sched = d == 0 ? q_->rebuffer_options[si] : 0.0;
+      Node& kid = kids[count];
+      kid.nostall = d == 0 ? sched == 0.0 : node.nostall;
+      if (!useful(ub, kid.nostall)) continue;
+      const double contribution = weighted_step_quality(
+          w_[d], step(d, level, prev_vq, qn, sched, buf, &rows[count * S_]), eqn);
+      kid.level = static_cast<uint32_t>(level);
+      kid.row = static_cast<uint32_t>(count);
+      if (d == 0) {
+        kid.value = contribution;  // the root's value is 0
+        kid.rank = level * options + si;
+        kid.root = static_cast<uint32_t>(kid.rank);
+      } else {
+        kid.value = node.value + contribution;
+        kid.rank = node.rank * L + level;
+        kid.root = node.root;
+      }
+      if (leaf_depth) {
+        fold(kid);
+        continue;
+      }
+      // Post-dynamics prune, tighter than the pre-check: the child's actual
+      // value plus the bound of the rest must still reach an incumbent.
+      kid.bound = kid.value + hb;
+      if (useful(kid.bound, kid.nostall)) ++count;
+    }
+  }
+
+  for (size_t i = 1; i < count; ++i) {
+    const Node kid = kids[i];
+    size_t j = i;
+    for (; j > 0 && (kids[j - 1].bound < kid.bound ||
+                     (kids[j - 1].bound == kid.bound && kids[j - 1].rank > kid.rank));
+         --j) {
+      kids[j] = kids[j - 1];
+    }
+    kids[j] = kid;
+  }
+  for (size_t i = 0; i < count; ++i) {
+    const Node& kid = kids[i];
+    const double* kid_buf = &rows[kid.row * S_];
+    // Incumbents rise while the siblings before it are searched: re-check.
+    if (!useful(kid.bound, kid.nostall) || dominated(d + 1, kid, kid_buf)) continue;
+    expand(d + 1, kid, kid_buf);
+  }
+}
+
+// The transposition cache. Returns true when the slot for (depth, last
+// level, buffers) holds an already expanded node with the identical key that
+// dominates `node`; otherwise records `node` there and returns false. Same
+// key, same continuations: every leaf below `node` has a twin below the
+// stored node that adds the same contributions to the stored value.
+// Domination needs all three of:
+//  - separable values, so no rounding of a shared continuation can turn the
+//    stored twin's lead into a tie the rank would decide the other way;
+//  - a greater stored value, or an equal one with a lower rank (every twin
+//    then wins the (value desc, rank asc) fold);
+//  - a stored prefix that schedules no stall whenever `node`'s does not, so
+//    the twins also cover the best stall-free plan.
+// Nodes are recorded when they are expanded, and a node's subtree is done
+// before any later node of its depth is visited.
+bool DpPlanner::dominated(size_t d, const Node& node, const double* buf) {
+  uint64_t h = splitmix(d * L_ + node.level);
+  for (size_t s = 0; s < S_; ++s) h = splitmix(h ^ bits_of(buf[s]));
+  const size_t slot = static_cast<size_t>(h) & (kCacheSlots - 1);
+  CacheEntry& e = cache_[slot];
+  double* key = &cache_buf_[slot * S_];
+  if (e.stamp == round_ && e.depth == d && e.level == node.level &&
+      std::memcmp(key, buf, S_ * sizeof(double)) == 0 && separable(e.value, node.value) &&
+      (e.value > node.value || (e.value == node.value && e.rank < node.rank)) &&
+      (e.nostall || !node.nostall)) {
+    return true;
+  }
+  e.stamp = round_;
+  e.value = node.value;
+  e.rank = node.rank;
+  e.depth = static_cast<uint32_t>(d);
+  e.level = node.level;
+  e.nostall = node.nostall;
+  std::copy_n(buf, S_, key);
+  return false;
+}
+
 PlanResult DpPlanner::plan(const PlanQuery& q) {
   const auto& video = *q.obs->video;
-  const size_t L = video.ladder().level_count();
-  const size_t S = q.num_scenarios;
-  const double tau = video.chunk_duration_s();
   const size_t remaining =
       q.obs->next_chunk < q.obs->num_chunks ? q.obs->num_chunks - q.obs->next_chunk : 0;
   const size_t D = std::min(q.horizon, remaining);
@@ -541,338 +736,47 @@ PlanResult DpPlanner::plan(const PlanQuery& q) {
   if (degenerate_plan(q, &result)) return result;
   precompute(q, D);
 
-  uint64_t best_rank = kNoRank;
-  uint64_t best_ns_rank = kNoRank;
-
-  // Pruning with the stall-free bound is only sound when the stall penalty
-  // actually penalizes (the default and every sane configuration).
-  const bool prune_ok = q.chunk.beta_rebuf >= 0.0 && q.chunk.rebuf_saturation >= 0.0;
-
-  // Advances every scenario one step (same dynamics and fold order as the
-  // exhaustive walk; no-stall quality served from the tables) and returns
-  // the expected quality. Writes the post-step buffers to `out`.
-  const auto step_expected_q = [&](size_t d, size_t level, double prev_vq_val, double qn,
-                                   double sched, const double* in, double* out) {
-    const double* dl_row = &dl_[(d * L + level) * S];
-    const double vq = vq_[d * L + level];
-    double expected_q = 0.0;
-    for (size_t s = 0; s < S; ++s) {
-      double b = in[s];
-      double dl = dl_row[s];
-      double stall = 0.0;
-      if (dl > b) {
-        stall = dl - b;
-        b = 0.0;
-      } else {
-        b -= dl;
-      }
-      if (sched > 0.0) {
-        b += sched;
-        stall += sched;
-      }
-      b = std::min(b + tau, kMaxBufferS);
-      out[s] = b;
-      double qv = stall > 0.0 ? qoe::chunk_quality(vq, stall, prev_vq_val, q.chunk) : qn;
-      expected_q += q.scenarios[s].probability * qv;
-    }
-    return expected_q;
-  };
-
-  // (max value, min rank) fold reproduces "first strictly-better leaf wins"
-  // of the depth-first reference.
-  const auto fold_leaf = [&](const StateRec& cand) {
-    if (cand.value > result.best_value ||
-        (cand.value == result.best_value && cand.rank < best_rank)) {
-      result.best_value = cand.value;
-      result.best_level = cand.first_level;
-      result.best_rebuffer_s = q.rebuffer_options[cand.first_sched];
-      best_rank = cand.rank;
-    }
-    if (cand.ns_rank != kNoRank &&
-        (cand.ns_value > result.nostall_value ||
-         (cand.ns_value == result.nostall_value && cand.ns_rank < best_ns_rank))) {
-      result.nostall_value = cand.ns_value;
-      result.nostall_level = cand.ns_level;
-      best_ns_rank = cand.ns_rank;
-    }
-  };
-
-  // Incumbent leaves, evaluated through the true per-scenario dynamics
-  // before the breadth-first pass: a dive follows `path` (levels for depths
-  // [0, fixed), rebuffer option 0 at the root), then greedily takes, at each
-  // deeper step, the argmax of the step's contribution plus the bound of the
-  // rest. Dive leaves are real leaves carrying their true rank, and pruning
-  // and merging keep ties, so the answer does not depend on the incumbents;
-  // a better incumbent only prunes harder. The dives run in the state
-  // arenas, idle until the root is seeded: bufs_[0] holds the root buffers
-  // and the dive's current buffers, bufs_[1] one post-step row per level.
-  bufs_[0].assign(2 * S, q.obs->buffer_s);
-  bufs_[1].resize(L * S);
-  double* const root_b = bufs_[0].data();
-  double* const dive_b = root_b + S;
-  const auto dive = [&](const uint32_t* path, size_t fixed) {
-    const size_t l0 = path[0];
-    double val = weighted_step_quality(
-        w_[0],
-        step_expected_q(0, l0, q.prev_visual_quality, root_qn_[l0], q.rebuffer_options[0],
-                        root_b, dive_b),
-        root_eqn_[l0]);
-    uint64_t rank = static_cast<uint64_t>(l0 * q.num_rebuffer_options);
-    size_t prev = l0;
-    for (size_t d = 1; d < D; ++d) {
-      const double prev_vq = vq_[(d - 1) * L + prev];
-      size_t arg = 0;
-      double best_c = 0.0;
-      if (d < fixed) {
-        arg = path[d];
-        const size_t t = (d * L + arg) * L + prev;
-        best_c = weighted_step_quality(
-            w_[d], step_expected_q(d, arg, prev_vq, qn_[t], 0.0, dive_b, dive_b), eqn_[t]);
-      } else {
-        double best = -1e18;
-        for (size_t l = 0; l < L; ++l) {
-          const size_t t = (d * L + l) * L + prev;
-          const double c = weighted_step_quality(
-              w_[d], step_expected_q(d, l, prev_vq, qn_[t], 0.0, dive_b, &bufs_[1][l * S]),
-              eqn_[t]);
-          const double score = c + h_[(d + 1) * L + l];
-          if (score > best) {
-            best = score;
-            best_c = c;
-            arg = l;
-          }
-        }
-        std::copy_n(&bufs_[1][arg * S], S, dive_b);
-      }
-      val = val + best_c;
-      rank = rank * L + arg;
-      prev = arg;
-    }
-    StateRec leaf;
-    leaf.value = val;
-    leaf.rank = rank;
-    leaf.first_level = static_cast<uint32_t>(l0);
-    leaf.first_sched = 0;
-    if (q.rebuffer_options[0] == 0.0) {
-      leaf.ns_value = val;
-      leaf.ns_rank = rank;
-      leaf.ns_level = static_cast<uint32_t>(l0);
-    } else {
-      leaf.ns_rank = kNoRank;
-    }
-    fold_leaf(leaf);
-  };
+  q_ = &q;
+  D_ = D;
+  L_ = video.ladder().level_count();
+  S_ = q.num_scenarios;
+  R_ = q.num_rebuffer_options;
+  width_ = L_ * R_;
+  tau_ = video.chunk_duration_s();
+  prune_ok_ = q.chunk.beta_rebuf >= 0.0 && q.chunk.rebuf_saturation >= 0.0;
+  result_ = PlanResult{};
+  best_rank_ = kNoRank;
+  nostall_rank_ = kNoRank;
+  root_buf_.assign(S_, q.obs->buffer_s);
+  kids_.resize(D * width_);
+  kid_buf_.resize(D * width_ * S_);
+  cache_.resize(kCacheSlots);
+  cache_buf_.resize(kCacheSlots * S_);
+  ++round_;
 
   // Warm start: consecutive decisions of one session overlap in all but one
-  // lookahead chunk, so the previous best path, shifted by one chunk (with a
-  // greedy step for the new last depth), is usually close to the new
-  // optimum. Only exact merging gets it: with a positive quantum the merged
-  // states carry approximate values, and the answer would then depend on
-  // the planner's history.
-  if (quantum_ == 0.0 && warm_video_ == &video && warm_chunk_ + 1 == q.obs->next_chunk &&
+  // lookahead chunk, so the previous best path, shifted by one chunk, is
+  // usually close to the new optimum.
+  if (warm_video_ == &video && warm_chunk_ + 1 == q.obs->next_chunk &&
       warm_path_.size() >= 2) {
     const size_t fixed = std::min(D, warm_path_.size() - 1);
     bool valid = true;
-    for (size_t d = 0; d < fixed; ++d) valid = valid && warm_path_[d + 1] < L;
-    if (valid) dive(&warm_path_[1], fixed);
+    for (size_t d = 0; d < fixed; ++d) valid = valid && warm_path_[d + 1] < L_;
+    if (valid) fold_warm_start(fixed);
   }
-  for (uint32_t l0 = 0; l0 < L; ++l0) dive(&l0, 1);
+  expand(0, Node{}, root_buf_.data());
 
-  // Root: one state, all scenarios at the observed buffer level.
-  size_t cur = 0;
-  bufs_[cur].assign(S, q.obs->buffer_s);
-  recs_[cur].assign(1, StateRec{});
-
-  const auto key_of = [this](double v) -> uint64_t {
-    if (quantum_ > 0.0) return buffer_bucket(v, quantum_);
-    return bits_of(v);
-  };
-
-  for (size_t d = 0; d < D; ++d) {
-    const size_t nxt = 1 - cur;
-    const size_t stall_count = d == 0 ? q.num_rebuffer_options : 1;
-    const uint64_t branch = static_cast<uint64_t>(L * stall_count);
-    const size_t parent_count = recs_[cur].size();
-    const bool leaf_depth = d + 1 == D;
-
-    size_t mask = 0;
-    if (!leaf_depth) {
-      recs_[nxt].clear();
-      bufs_[nxt].clear();
-      // Worst case every child is distinct; saturate the estimate so a long
-      // horizon cannot demand an absurd table up front (load-factor growth
-      // below handles the real count).
-      size_t projected = parent_count * L * stall_count;
-      ensure_hash_capacity(2 * std::min<size_t>(projected, size_t{1} << 20));
-      ++round_;
-      mask = stamp_.size() - 1;
-    }
-
-    const auto insert_or_merge = [&](const StateRec& cand) {
-      for (size_t s = 0; s < S; ++s) child_key_[s] = key_of(child_buf_[s]);
-      uint64_t h = splitmix(cand.last_level + 0x9e37ull);
-      for (size_t s = 0; s < S; ++s) h = splitmix(h ^ child_key_[s]);
-      size_t i = static_cast<size_t>(h) & mask;
-      while (stamp_[i] == round_) {
-        StateRec& ex = recs_[nxt][slot_[i]];
-        bool same = ex.last_level == cand.last_level;
-        if (same) {
-          const double* eb = &bufs_[nxt][static_cast<size_t>(slot_[i]) * S];
-          for (size_t s = 0; s < S; ++s) {
-            if (key_of(eb[s]) != child_key_[s]) {
-              same = false;
-              break;
-            }
-          }
-        }
-        // Identical continuation: keep the better prefix. Two prefixes within
-        // kBoundSlack of each other (but not equal) may round to the same
-        // leaf value once the shared continuation is added, and the reference
-        // then picks the lower rank, so such near-ties stay separate states.
-        same = same && separable(cand.value, ex.value) &&
-               (cand.ns_rank == kNoRank || ex.ns_rank == kNoRank ||
-                separable(cand.ns_value, ex.ns_value));
-        if (same) {
-          // Ranks encode the exhaustive walk's leaf visit order, so exact
-          // ties break identically.
-          if (cand.value > ex.value || (cand.value == ex.value && cand.rank < ex.rank)) {
-            ex.value = cand.value;
-            ex.rank = cand.rank;
-            ex.first_level = cand.first_level;
-            ex.first_sched = cand.first_sched;
-          }
-          if (cand.ns_rank != kNoRank &&
-              (ex.ns_rank == kNoRank || cand.ns_value > ex.ns_value ||
-               (cand.ns_value == ex.ns_value && cand.ns_rank < ex.ns_rank))) {
-            ex.ns_value = cand.ns_value;
-            ex.ns_rank = cand.ns_rank;
-            ex.ns_level = cand.ns_level;
-          }
-          return;
-        }
-        i = (i + 1) & mask;
-      }
-      // Fresh state: append to the arena and claim the slot.
-      stamp_[i] = round_;
-      slot_[i] = static_cast<uint32_t>(recs_[nxt].size());
-      recs_[nxt].push_back(cand);
-      bufs_[nxt].insert(bufs_[nxt].end(), child_buf_.begin(), child_buf_.end());
-
-      // Grow + rehash when half full so probes stay short. Steady state
-      // re-uses the high-water table with no allocation.
-      if (2 * recs_[nxt].size() >= stamp_.size()) {
-        ensure_hash_capacity(2 * stamp_.size());
-        ++round_;
-        mask = stamp_.size() - 1;
-        for (size_t r = 0; r < recs_[nxt].size(); ++r) {
-          const StateRec& rec = recs_[nxt][r];
-          const double* rb = &bufs_[nxt][r * S];
-          uint64_t rh = splitmix(rec.last_level + 0x9e37ull);
-          for (size_t s = 0; s < S; ++s) rh = splitmix(rh ^ key_of(rb[s]));
-          size_t j = static_cast<size_t>(rh) & mask;
-          while (stamp_[j] == round_) j = (j + 1) & mask;
-          stamp_[j] = round_;
-          slot_[j] = static_cast<uint32_t>(r);
-        }
-      }
-    };
-
-    for (size_t pi = 0; pi < parent_count; ++pi) {
-      const StateRec parent = recs_[cur][pi];  // by value: arena may reallocate
-      const double* pb = &bufs_[cur][pi * S];
-      const double prev_vq =
-          d == 0 ? q.prev_visual_quality : vq_[(d - 1) * L + parent.last_level];
-
-      for (size_t level = 0; level < L; ++level) {
-        const size_t t = (d * L + level) * L + parent.last_level;
-        const double qn = d == 0 ? root_qn_[level] : qn_[t];
-        const double eqn = d == 0 ? root_eqn_[level] : eqn_[t];
-        const double cub = d == 0 ? root_cub_[level] : cub_[t];
-        const double hb =
-            (leaf_depth ? 0.0 : h_[(d + 1) * L + level]) + kBoundSlack;
-        // Pre-dynamics prune: cub upper-bounds the step contribution, so a
-        // hopeless action is rejected before its scenario loop runs.
-        const double ub = parent.value + cub + hb;
-        const double ns_ub = parent.ns_value + cub + hb;
-
-        for (size_t si = 0; si < stall_count; ++si) {
-          const double scheduled = d == 0 ? q.rebuffer_options[si] : 0.0;
-          if (prune_ok) {
-            bool useful = ub >= result.best_value;
-            if (!useful) {
-              const bool has_ns =
-                  d == 0 ? scheduled == 0.0 : parent.ns_rank != kNoRank;
-              useful = has_ns && ns_ub >= result.nostall_value;
-            }
-            if (!useful) continue;
-          }
-          const double expected_q =
-              step_expected_q(d, level, prev_vq, qn, scheduled, pb, child_buf_.data());
-          const double contribution = weighted_step_quality(w_[d], expected_q, eqn);
-
-          StateRec cand;
-          cand.last_level = static_cast<uint32_t>(level);
-          const uint64_t action = static_cast<uint64_t>(level * stall_count + si);
-          if (d == 0) {
-            cand.value = contribution;  // parent value is 0 at the root
-            cand.rank = action;
-            cand.first_level = static_cast<uint32_t>(level);
-            cand.first_sched = static_cast<uint32_t>(si);
-            if (scheduled == 0.0) {
-              cand.ns_value = cand.value;
-              cand.ns_rank = cand.rank;
-              cand.ns_level = static_cast<uint32_t>(level);
-            } else {
-              cand.ns_rank = kNoRank;
-            }
-          } else {
-            cand.value = parent.value + contribution;
-            cand.rank = parent.rank * branch + action;
-            cand.first_level = parent.first_level;
-            cand.first_sched = parent.first_sched;
-            if (parent.ns_rank != kNoRank) {
-              cand.ns_value = parent.ns_value + contribution;
-              cand.ns_rank = parent.ns_rank * branch + action;
-              cand.ns_level = parent.ns_level;
-            } else {
-              cand.ns_rank = kNoRank;
-            }
-          }
-          if (leaf_depth) {
-            fold_leaf(cand);
-            continue;
-          }
-
-          // Post-dynamics prune, tighter than the pre-check: drop the state
-          // when even a stall-free completion of the *actual* prefix value
-          // cannot strictly beat the incumbents.
-          if (prune_ok) {
-            bool useful = cand.value + hb >= result.best_value;
-            if (!useful && cand.ns_rank != kNoRank) {
-              useful = cand.ns_value + hb >= result.nostall_value;
-            }
-            if (!useful) continue;
-          }
-          insert_or_merge(cand);
-        }
-      }
-    }
-    if (!leaf_depth) cur = nxt;
-  }
-
-  // Remember the best path for the next decision's warm start. Ranks are
-  // mixed-radix: the root digit is level * num_rebuffer_options + option,
-  // then one base-L digit per deeper depth.
+  // Remember the best path for the next decision's warm start.
   warm_video_ = &video;
   warm_chunk_ = q.obs->next_chunk;
   warm_path_.resize(D);
-  uint64_t rank = best_rank;
+  uint64_t rank = best_rank_;
   for (size_t d = D; d-- > 1;) {
-    warm_path_[d] = static_cast<uint32_t>(rank % L);
-    rank /= L;
+    warm_path_[d] = static_cast<uint32_t>(rank % L_);
+    rank /= L_;
   }
-  warm_path_[0] = static_cast<uint32_t>(rank / q.num_rebuffer_options);
-  return result;
+  warm_path_[0] = static_cast<uint32_t>(rank / R_);
+  return result_;
 }
 
 // ---------------------------------------------------------------------------
@@ -1249,7 +1153,12 @@ std::unique_ptr<Planner> make_planner(PlannerKind kind, double dp_buffer_quantum
       return std::make_unique<ViPlanner>(dp_buffer_quantum_s);
     case PlannerKind::kDp:
     default:
-      return std::make_unique<DpPlanner>(dp_buffer_quantum_s);
+      if (dp_buffer_quantum_s != 0.0) {
+        throw std::invalid_argument(
+            "dp_buffer_quantum_s must be 0 for planner=dp, which is exact; a non-zero "
+            "bucket width needs planner=vi");
+      }
+      return std::make_unique<DpPlanner>();
   }
 }
 

@@ -1,6 +1,6 @@
 // MPC lookahead planners behind Fugu/SENSEI-Fugu (paper Eq. 3 / Eq. 4).
 //
-// Both planners maximize the same objective: the expected sum, over a
+// All three planners maximize the same objective: the expected sum, over a
 // discrete throughput-scenario distribution, of per-chunk qualities across
 // the next `horizon` chunks, optionally weighted by per-chunk sensitivity
 // and extended with a scheduled-rebuffering action for the first chunk.
@@ -10,48 +10,49 @@
 //    heap-allocated per-scenario state vector at every node. Exponential in
 //    the horizon; kept as the equivalence baseline behind a config flag.
 //
-//  - DpPlanner is the production planner: a breadth-first dynamic program
-//    over the *reachable* joint states (last level, per-scenario buffers),
-//    in the style of Puffer's value iteration (Yan et al., NSDI'20) —
-//    round-stamped flat hash slots instead of per-decision clearing, a
-//    fixed-capacity arena reused across decide() calls (zero steady-state
-//    heap allocation), and per-(depth, level) download-time / quality tables
-//    precomputed once per decision instead of at every tree node. States
-//    that coincide (exactly, or within `buffer_quantum_s` buckets when > 0)
-//    are merged, which collapses the tree wherever the buffer saturates at
-//    its floor or cap. Two prefixes reaching one state merge only when
-//    their values are exactly equal (the rank decides) or differ by more
-//    than the bound slack: prefixes a few ulps apart can round to the same
-//    leaf value once the shared continuation is added, and the reference
-//    then picks the lower rank, so such near-ties stay separate states. On
-//    top of the merge, an admissible bound prunes the fan-out. It is
-//    stall-aware: once per decision, a per-scenario upper bound on every
-//    reachable buffer is propagated down the horizon (the cheapest level,
-//    the largest scheduled stall, the buffer cap), so each (depth, level,
-//    scenario) has a stall no plan avoids. Its penalty caps the step's
-//    expected quality, giving a per-(depth, level, previous level) step
-//    bound; a tiny L x horizon value iteration over those yields H(d,
-//    level), which upper-bounds any continuation. On the stall-heavy links
-//    of the paper's bandwidth sweep this is much tighter than assuming no
-//    scenario ever stalls. Incumbents are real leaves evaluated through
-//    the true per-scenario dynamics before the breadth-first pass: a warm
-//    start — the previous decision's best path shifted by one chunk, plus
-//    a greedy step for the new last depth, when the query is for the same
-//    video one chunk later — and one greedy dive per first level, whose
-//    deeper steps follow the argmax of step value + H. A state is dropped
-//    when value + H cannot *strictly* beat the incumbent (ties are kept,
-//    and every incumbent carries its true rank, so the depth-first
-//    tie-break of the reference planner is preserved bit-for-bit whatever
-//    the incumbent, and the answer never depends on the planner's history).
-//
-// With buffer_quantum_s == 0 (the default) merging only unifies bitwise-
-// identical states, and every arithmetic expression mirrors the exhaustive
-// recursion operation-for-operation, so the DP returns *bit-identical*
-// values and decisions — the equivalence gate in
-// tests/test_planner_equivalence.cpp asserts exactly that. A positive
-// quantum trades exactness for polynomially-bounded state growth
-// (Puffer's unit_buf_length), which is the right regime for horizons
-// beyond ~8 chunks.
+//  - DpPlanner is the production planner: an exact depth-first branch and
+//    bound over the same tree. Per-(depth, level) download-time and quality
+//    tables are precomputed once per decision instead of at every node, and
+//    every buffer it searches with lives in arenas reused across decide()
+//    calls (zero steady-state heap allocation). A search node is one
+//    decision prefix with its per-scenario buffers. A node's children are
+//    stepped through the true per-scenario dynamics, then visited in
+//    descending order of value + H (ties by ascending rank), so the first
+//    descent is a greedy dive that seeds the incumbents. The bound H is
+//    admissible and stall-aware: once per decision, a per-scenario upper
+//    bound on every reachable buffer is propagated down the horizon (the
+//    cheapest level, the largest scheduled stall, the buffer cap), so each
+//    (depth, level, scenario) has a stall no plan avoids. Its penalty caps
+//    the step's expected quality, giving a per-(depth, level, previous
+//    level) step bound; a tiny L x horizon value iteration over those yields
+//    H(d, level), which upper-bounds any continuation. On the stall-heavy
+//    links of the paper's bandwidth sweep this is much tighter than assuming
+//    no scenario ever stalls. A node is dropped, before and after its
+//    dynamics and again when it is visited, when value + H cannot
+//    *strictly* beat the incumbents (ties are kept). A warm start folds one
+//    real leaf first: the previous decision's best path shifted by one
+//    chunk, with a greedy step for the new last depth, when the query is for
+//    the same video one chunk later.
+//    Without merging, prefixes that reach one state (typically buffers
+//    pinned at the floor or the cap) would each be searched again. A fixed
+//    direct-mapped transposition cache of 256 slots (round-stamped per
+//    decision, keyed by depth, last level and the buffers' bits) skips a
+//    node when its slot holds an already expanded node with the identical
+//    key that dominates it: the two values are separable (equal, or apart
+//    by more than the bound slack, so no rounding of the shared
+//    continuation can reorder them), the stored value is greater or equal
+//    with a lower rank, and the stored prefix schedules no stall whenever
+//    the candidate does not. Every write overwrites: a lost entry costs
+//    work, never correctness.
+//    Every leaf carries its rank (its visit order in the exhaustive walk)
+//    and leaves fold by (value desc, rank asc), every arithmetic expression
+//    mirrors the exhaustive recursion operation-for-operation, and neither
+//    pruning nor the cache can drop the leaf the reference picks, so the DP
+//    returns *bit-identical* values and decisions whatever the visiting
+//    order, the incumbents or the planner's history —
+//    tests/test_planner_equivalence.cpp asserts exactly that. The search is
+//    exact and still exponential in the worst case; long horizons belong to
+//    ViPlanner.
 //
 //  - ViPlanner is the throughput planner: Puffer's discretized value
 //    iteration (Yan et al., NSDI'20), taken further on three axes.
@@ -95,14 +96,10 @@
 namespace sensei::abr {
 
 enum class PlannerKind {
-  kDp,          // memoized reachable-state DP (default)
+  kDp,          // exact depth-first branch and bound (default)
   kExhaustive,  // reference exhaustive recursion
   kVi,          // discretized value iteration (Puffer-style, lossy)
 };
-
-// Default buffer discretization for DpPlanner state merging (seconds).
-// 0 = exact (bitwise) merging.
-inline constexpr double kDefaultDpBufferQuantumS = 0.0;
 
 // Default buffer bucket width for ViPlanner (Puffer's UNIT_BUF_LENGTH) at
 // the first lookahead step; the width doubles with each deeper step.
@@ -127,10 +124,11 @@ inline double quantize_kbps(double kbps) {
       kViKbpsBinsPerOctave);
 }
 
-// The one buffer-discretization rule every planner shares: round to the
-// nearest `quantum_s` bucket with std::llround (round-half-away-from-zero —
-// never floor or a float->int truncation, which disagree around bucket
-// edges and on negative inputs and would split states across platforms).
+// ViPlanner's buffer-discretization rule (the exact planners have none):
+// round to the nearest `quantum_s` bucket with std::llround (round-half-
+// away-from-zero — never floor or a float->int truncation, which disagree
+// around bucket edges and on negative inputs and would split states across
+// platforms).
 // Everything at or below zero — including -0.0, which must not land in a
 // different bucket than +0.0 — maps to bucket 0, matching the dynamics'
 // buffer floor. The caller guarantees quantum_s > 0.
@@ -338,8 +336,6 @@ class ExhaustivePlanner : public Planner {
 
 class DpPlanner : public Planner {
  public:
-  explicit DpPlanner(double buffer_quantum_s = 0.0);
-
   const char* name() const override { return "dp"; }
   PlanResult plan(const PlanQuery& query) override;
   void set_batch(PlanBatch* batch) override { batch_ = batch; }
@@ -349,27 +345,42 @@ class DpPlanner : public Planner {
   size_t arena_bytes() const;
 
  private:
-  // Per-state bookkeeping. The state identity is (last_level, buffers);
-  // records carry the best prefix reaching the state, plus the best prefix
-  // whose first action scheduled no stall. Ranks encode the depth-first
-  // visit order of the exhaustive walk so ties resolve identically.
-  struct StateRec {
+  // One search node: a decision prefix. Its per-scenario buffers live in row
+  // `row` of its depth's slab. Ranks encode the depth-first visit order of
+  // the exhaustive walk (mixed radix: the root digit is level *
+  // num_rebuffer_options + option, then one base-L digit per deeper depth),
+  // so ties resolve identically.
+  struct Node {
     double value = 0.0;
-    double ns_value = 0.0;
+    double bound = 0.0;  // value + continuation bound + slack
     uint64_t rank = 0;
-    uint64_t ns_rank = 0;  // kNoRank when no stall-free prefix reaches here
-    uint32_t first_level = 0;
-    uint32_t first_sched = 0;  // index into rebuffer_options
-    uint32_t ns_level = 0;
-    uint32_t last_level = 0;
+    uint32_t level = 0;  // last level
+    uint32_t root = 0;   // root digit of the rank
+    uint32_t row = 0;
+    bool nostall = false;  // the root action schedules no stall
   };
+  // A transposition-cache slot: an expanded node's key, value and rank.
+  struct CacheEntry {
+    uint64_t stamp = 0;  // live iff == round_
+    double value = 0.0;
+    uint64_t rank = 0;
+    uint32_t depth = 0;
+    uint32_t level = 0;
+    bool nostall = false;
+  };
+  static constexpr size_t kCacheSlots = 256;
   static constexpr uint64_t kNoRank = ~0ull;
 
   void precompute(const PlanQuery& q, size_t depth_count);
   void precompute_bound(const PlanQuery& q, size_t depth_count);
-  void ensure_hash_capacity(size_t min_slots);
+  double step(size_t d, size_t level, double prev_vq, double qn, double sched,
+              const double* in, double* out) const;
+  void fold(const Node& leaf);
+  bool useful(double bound, bool nostall) const;
+  void fold_warm_start(size_t fixed);
+  void expand(size_t d, const Node& node, const double* buf);
+  bool dominated(size_t d, const Node& node, const double* buf);
 
-  double quantum_;
   PlanBatch* batch_ = nullptr;
 
   // Precomputed per-decision tables (indexed [depth][level][...]).
@@ -394,24 +405,33 @@ class DpPlanner : public Planner {
   // cub_ along the best level path.
   std::vector<double> h_;
 
+  // Per-plan() search context.
+  const PlanQuery* q_ = nullptr;
+  size_t D_ = 0, L_ = 0, S_ = 0, R_ = 0;
+  size_t width_ = 0;  // children per node at most: L * num_rebuffer_options
+  double tau_ = 0.0;
+  bool prune_ok_ = false;
+  PlanResult result_;
+  uint64_t best_rank_ = kNoRank;
+  uint64_t nostall_rank_ = kNoRank;
+
+  // Search arenas. The children of the node expanded at depth d are
+  // kids_[d * width_ + i], their buffers kid_buf_[(d * width_ + row) * S].
+  std::vector<double> root_buf_;
+  std::vector<Node> kids_;
+  std::vector<double> kid_buf_;
+
+  // Transposition cache: kCacheSlots entries, buffers at [slot * S].
+  std::vector<CacheEntry> cache_;
+  std::vector<double> cache_buf_;
+  uint64_t round_ = 0;
+
   // Warm start: the levels of the previous plan's best path and the
   // (video, next_chunk) it was planned for. A query for the same video one
   // chunk later evaluates this path shifted by one chunk as an incumbent.
   const media::EncodedVideo* warm_video_ = nullptr;
   size_t warm_chunk_ = 0;
   std::vector<uint32_t> warm_path_;
-
-  // Double-buffered state arenas: buffers are [state][scenario] flat.
-  std::vector<double> bufs_[2];
-  std::vector<StateRec> recs_[2];
-  std::vector<double> child_buf_;     // scratch for one candidate child
-  std::vector<uint64_t> child_key_;   // quantized/bit keys of child_buf_
-
-  // Round-stamped open-addressing hash over next-depth states: a slot is
-  // live iff stamp_[i] == round_, so no clearing between depths/decisions.
-  std::vector<uint64_t> stamp_;
-  std::vector<uint32_t> slot_;
-  uint64_t round_ = 0;
 };
 
 // Puffer-style discretized value iteration (see the file header). The
@@ -519,6 +539,9 @@ class ViPlanner : public Planner {
   size_t local_v_cap_ = 0;
 };
 
+// `dp_buffer_quantum_s` is ViPlanner's bucket width (<= 0 selects the
+// default). DpPlanner is exact only: for kDp a non-zero value throws
+// std::invalid_argument naming the key.
 std::unique_ptr<Planner> make_planner(PlannerKind kind, double dp_buffer_quantum_s = 0.0);
 
 }  // namespace sensei::abr

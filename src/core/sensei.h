@@ -36,9 +36,9 @@ class Sensei {
 
   // --- ABR factory helpers -------------------------------------------------
   //
-  // The Fugu factories take the lookahead engine as a parameter: the
-  // memoized DP by default, or the reference exhaustive recursion for
-  // equivalence/regression runs. Both yield identical decisions (see
+  // The Fugu factories take the lookahead engine as a parameter: the exact
+  // branch-and-bound DP by default, or the reference exhaustive recursion
+  // for equivalence/regression runs. Both yield identical decisions (see
   // tests/test_planner_equivalence.cpp).
 
   // Vanilla baselines.

@@ -64,7 +64,9 @@ TEST(ChunkQuality, VectorOverRenderedVideo) {
     EXPECT_DOUBLE_EQ(
         q[i], chunk_quality(rendered.chunk(i).visual_quality,
                             rendered.chunk(i).rebuffer_s, prev));
-    if (i == 3) EXPECT_LT(q[i], rendered.chunk(i).visual_quality - 0.5);
+    if (i == 3) {
+      EXPECT_LT(q[i], rendered.chunk(i).visual_quality - 0.5);
+    }
   }
 }
 

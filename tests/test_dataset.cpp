@@ -65,7 +65,9 @@ TEST(Dataset, Soccer1ClipLayout) {
   EXPECT_EQ(clip.chunk(5).kind, SceneKind::kReplay);
   // The goal is the most sensitive chunk.
   for (size_t i = 0; i < clip.num_chunks(); ++i) {
-    if (i != 3) EXPECT_LT(clip.chunk(i).sensitivity, clip.chunk(3).sensitivity);
+    if (i != 3) {
+      EXPECT_LT(clip.chunk(i).sensitivity, clip.chunk(3).sensitivity);
+    }
   }
   // Replay is more dynamic than the goal yet less sensitive (the LSTM-QoE
   // failure case from the paper).

@@ -72,8 +72,12 @@ TEST(FaultPlan, RandomRealizationIsSeededSortedAndSpecShaped) {
     EXPECT_GE(e.start_s, prev);
     EXPECT_LT(e.start_s, spec.horizon_s);
     EXPECT_GT(e.duration_s, 0.0);
-    if (e.kind == FaultKind::kCapacityCollapse) EXPECT_EQ(e.magnitude, 0.2);
-    if (e.kind == FaultKind::kRttSpike) EXPECT_EQ(e.magnitude, 0.7);
+    if (e.kind == FaultKind::kCapacityCollapse) {
+      EXPECT_EQ(e.magnitude, 0.2);
+    }
+    if (e.kind == FaultKind::kRttSpike) {
+      EXPECT_EQ(e.magnitude, 0.7);
+    }
     prev = e.start_s;
   }
   // A different seed draws a different realization.

@@ -133,7 +133,7 @@ double mean_chunk_qoe(const sim::SessionResult& session) {
 // tight contract is the end-to-end QoE delta below — but they would catch
 // a planner that stopped looking at its inputs.
 TEST_F(PlannerAccuracy, ViDecisionsTrackExactAcrossQuanta) {
-  DpPlanner exact;  // quantum 0: bit-identical to the exhaustive reference
+  DpPlanner exact;  // bit-identical to the exhaustive reference
   for (double quantum : {0.5, 1.0, kDefaultViBufferQuantumS}) {
     ViPlanner vi(quantum);
     auto grid = seeded_grid(video_, 0xacc0da7a, 5);

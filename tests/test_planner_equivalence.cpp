@@ -1,5 +1,5 @@
-// Equivalence gate for the MPC planner swap: the memoized DpPlanner must
-// reproduce the reference ExhaustivePlanner exactly — same (level,
+// Equivalence gate for the MPC planner swap: the branch-and-bound DpPlanner
+// must reproduce the reference ExhaustivePlanner exactly — same (level,
 // scheduled_rebuffer) decision and bit-identical value — across a seeded
 // grid of observations, weights, and scenario sets, and whole experiment
 // grids must stay bit-identical before/after the swap at any thread count.
@@ -122,7 +122,7 @@ void expect_same_plan(const PlanResult& a, const PlanResult& b) {
 // on every case of `grid`.
 void expect_dp_matches_exhaustive(const std::vector<GridCase>& grid) {
   ExhaustivePlanner reference;
-  DpPlanner dp;  // exact merging (quantum 0)
+  DpPlanner dp;
   for (size_t i = 0; i < grid.size(); ++i) {
     PlanQuery q = make_query(grid[i]);
     PlanResult a = reference.plan(q);
@@ -142,8 +142,10 @@ TEST_F(PlannerEquivalence, DpMatchesExhaustiveBitIdenticalOnSeededGrid) {
 // Tight links: forecasts centered at or below the lowest rung (300 kbps)
 // with near-empty buffers, so nearly every plan stalls. There chunk quality
 // sits at its floor, and two prefixes reaching one state can differ by an
-// ulp yet round to the same leaf value: a merge that keeps only the larger
-// prefix loses the reference's lowest-rank tie-break.
+// ulp yet round to the same leaf value: skipping the smaller prefix as
+// dominated loses the reference's lowest-rank tie-break. The DP's
+// transposition cache fails this grid without any one of its domination
+// conditions: separable values, no-stall coverage, or the rank order.
 TEST_F(PlannerEquivalence, DpMatchesExhaustiveBitIdenticalOnTightLinks) {
   GridRanges tight;
   tight.horizons = {3, 4, 5};
@@ -225,25 +227,6 @@ TEST_F(PlannerEquivalence, DpAnswerIndependentOfPlanHistory) {
     }
   }
   EXPECT_GT(checked, 1500u);
-}
-
-TEST_F(PlannerEquivalence, QuantizedDpKeepsDecisionsWithinTolerance) {
-  // Puffer-style lossy bucketing (unit_buf_length = 0.25 s): decisions must
-  // survive the discretization on small horizons, values within a tolerance
-  // proportional to the per-step quantization error.
-  ExhaustivePlanner reference;
-  DpPlanner dp(0.25);
-  auto grid = seeded_grid(video_, 0x0ddba11, 4);
-  for (size_t i = 0; i < grid.size(); ++i) {
-    if (grid[i].horizon > 3) continue;
-    PlanQuery q = make_query(grid[i]);
-    PlanResult a = reference.plan(q);
-    PlanResult b = dp.plan(q);
-    SCOPED_TRACE("case " + std::to_string(i));
-    EXPECT_EQ(a.best_level, b.best_level);
-    EXPECT_DOUBLE_EQ(a.best_rebuffer_s, b.best_rebuffer_s);
-    EXPECT_NEAR(a.best_value, b.best_value, 0.5);
-  }
 }
 
 TEST_F(PlannerEquivalence, DpValueMonotonicInInitialBuffer) {
@@ -449,8 +432,8 @@ TEST_F(PlannerEquivalence, DegenerateQueriesNoOpAcrossAllPlanners) {
   }
 }
 
-// The shared bucketing helper is the single point where every planner's
-// buffer discretization happens; its edge behavior (signed zero, negatives,
+// The bucketing helper is the single point where ViPlanner's buffer
+// discretization happens; its edge behavior (signed zero, negatives,
 // NaN, half-bucket edges) is what keeps quantized state keys from splitting
 // identical states across platforms.
 TEST(BufferBucket, EdgeCases) {

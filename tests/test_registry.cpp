@@ -18,6 +18,7 @@
 
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -131,6 +132,32 @@ TEST(PolicyRegistry, RejectsUnknownVocabularyNamingAlternatives) {
   EXPECT_THROW(registry.canonical_string("fugu:horizon=-3"), std::runtime_error);
   EXPECT_THROW(registry.canonical_string("fugu:horizon=3.5"), std::runtime_error);
   EXPECT_THROW(registry.make("no-such-policy"), std::runtime_error);
+}
+
+// DpPlanner is exact only. A non-zero dp_buffer_quantum_s, which only
+// ViPlanner reads, is a typed error naming the key for planner=dp, both at
+// make_planner and through a registry spec.
+TEST(PolicyRegistry, MakePlannerRejectsNonZeroDpQuantum) {
+  EXPECT_THROW(make_planner(PlannerKind::kDp, 0.25), std::invalid_argument);
+  const std::string message = thrown_message([] { make_planner(PlannerKind::kDp, 0.25); });
+  EXPECT_NE(message.find("dp_buffer_quantum_s"), std::string::npos) << message;
+  EXPECT_STREQ(make_planner(PlannerKind::kDp, 0.0)->name(), "dp");
+  EXPECT_STREQ(make_planner(PlannerKind::kVi, 0.25)->name(), "vi");
+}
+
+TEST(PolicyRegistry, DpSpecWithNonZeroQuantumFailsNamingTheKey) {
+  PolicyRegistry& registry = PolicyRegistry::instance();
+  for (const char* spec :
+       {"fugu:planner=dp,dp_buffer_quantum_s=0.25", "sensei-fugu:dp_buffer_quantum_s=1"}) {
+    EXPECT_THROW(registry.make(spec), std::invalid_argument) << spec;
+    const std::string message = thrown_message([&] { registry.make(spec); });
+    EXPECT_NE(message.find("dp_buffer_quantum_s"), std::string::npos) << message;
+  }
+  // The key stays in the canonical spec at 0, so canonical strings do not
+  // move, and vi still reads it.
+  EXPECT_NE(registry.canonical_string("fugu").find("dp_buffer_quantum_s=0"), std::string::npos);
+  EXPECT_NE(registry.make("fugu:planner=dp,dp_buffer_quantum_s=0"), nullptr);
+  EXPECT_NE(registry.make("fugu:planner=vi,dp_buffer_quantum_s=0.5"), nullptr);
 }
 
 // ---- canonicalization -------------------------------------------------------
