@@ -66,6 +66,18 @@ inline bool same_vi_context(const PlanBatch::ViValueTable& t, const media::Encod
          t.key.size() == key_len && std::equal(t.key.begin(), t.key.end(), key);
 }
 
+// The batch's tables for (video, params), looked up through the planner's
+// memo of its previous lookup, so a decide() for the same video takes no
+// lock.
+const PlanBatch::VideoTables& memo_tables(PlanBatch& batch, const PlanBatch::VideoTables*& memo,
+                                          const media::EncodedVideo& video,
+                                          const qoe::ChunkQualityParams& params) {
+  if (memo == nullptr || memo->video != &video || !same_params(memo->params, params)) {
+    memo = &batch.tables(video, params);
+  }
+  return *memo;
+}
+
 }  // namespace
 
 bool degenerate_plan(const PlanQuery& q, PlanResult* out) {
@@ -340,7 +352,7 @@ double ExhaustivePlanner::walk(const PlanQuery& q, size_t depth, size_t chunk,
 
 size_t DpPlanner::arena_bytes() const {
   return (dl_.capacity() + vq_.capacity() + qn_.capacity() + eqn_.capacity() + w_.capacity() +
-          root_qn_.capacity() + root_eqn_.capacity() + bmax_.capacity() + rq_.capacity() +
+          root_qn_.capacity() + root_eqn_.capacity() + bmax_.capacity() + bp_.capacity() +
           cub_.capacity() + root_cub_.capacity() + h_.capacity() + root_buf_.capacity() +
           kid_buf_.capacity() + cache_buf_.capacity()) *
              sizeof(double) +
@@ -372,7 +384,7 @@ void DpPlanner::precompute(const PlanQuery& q, size_t depth_count) {
   // where they live.
   const size_t base = q.obs->next_chunk;
   const PlanBatch::VideoTables* vt =
-      batch_ != nullptr ? &batch_->tables(video, q.chunk) : nullptr;
+      batch_ != nullptr ? &memo_tables(*batch_, video_tables_, video, q.chunk) : nullptr;
 
   for (size_t d = 0; d < depth_count; ++d) {
     double w = 1.0;
@@ -424,14 +436,20 @@ void DpPlanner::precompute(const PlanQuery& q, size_t depth_count) {
   precompute_bound(q, depth_count);
 }
 
-// Fills the stall-aware bound tables. Every real buffer is at most bmax:
-// the dynamics are monotone in the buffer, the download time and the
-// scheduled stall, so bmax follows the cheapest level, the largest scheduled
-// stall at the root, and the buffer floor and cap. Any level therefore
-// stalls at least dl - bmax in its scenario, and since the stall penalty is
-// nondecreasing, E[q] at those forced stalls (capped by the no-stall E[q])
-// bounds the true E[q]. Where no scenario is forced to stall this is w * eqn,
-// the stall-free bound.
+// Fills the stall-aware bound tables. The step is monotone in the entering
+// buffer, the download time and the scheduled stall, so bmax, which follows
+// the cheapest level, the largest scheduled stall at the root, and the
+// buffer floor and cap, bounds every buffer reachable at its depth. One more
+// step of that recursion through level p's download time instead of the
+// cheapest one (the largest scheduled stall again when p is the root
+// action) bounds every buffer after choosing p: b_p. Every level l after p
+// therefore stalls at least dl - b_p in its scenario, and since the stall
+// penalty is nondecreasing, E[q] at those forced stalls (capped by the
+// no-stall E[q]) bounds the true E[q]. At the root the entering buffer is
+// the observed one, so the forced stall is the exact one. Where no scenario
+// is forced to stall the bound is w * eqn, the stall-free bound. The bound
+// is evaluated in another order than the search's sums; kBoundSlack covers
+// that rounding.
 void DpPlanner::precompute_bound(const PlanQuery& q, size_t depth_count) {
   const size_t L = q.obs->video->ladder().level_count();
   const size_t S = q.num_scenarios;
@@ -442,53 +460,54 @@ void DpPlanner::precompute_bound(const PlanQuery& q, size_t depth_count) {
   for (size_t i = 0; i < q.num_rebuffer_options; ++i) {
     max_sched = std::max(max_sched, q.rebuffer_options[i]);
   }
+  // One step of the bound recursion: a buffer of at most b entering depth d
+  // is at most this after a download of dl.
+  const auto after = [&](size_t d, double b, double dl) {
+    double next = dl > b ? 0.0 : b - dl;
+    if (d == 0) next += max_sched;
+    return std::min(next + tau, kMaxBufferS);
+  };
+  // b_p reads bmax at depths [0, depth_count - 1) only.
   bmax_.resize(depth_count * S);
   std::fill_n(bmax_.begin(), S, q.obs->buffer_s);
-  for (size_t d = 0; d + 1 < depth_count; ++d) {
+  for (size_t d = 0; d + 2 < depth_count; ++d) {
     for (size_t s = 0; s < S; ++s) {
       double dl_min = dl_[(d * L) * S + s];
       for (size_t l = 1; l < L; ++l) dl_min = std::min(dl_min, dl_[(d * L + l) * S + s]);
-      const double b = bmax_[d * S + s];
-      double next = dl_min > b ? 0.0 : b - dl_min;
-      if (d == 0) next += max_sched;
-      bmax_[(d + 1) * S + s] = std::min(next + tau, kMaxBufferS);
+      bmax_[(d + 1) * S + s] = after(d, bmax_[d * S + s], dl_min);
     }
   }
 
-  // rq = vq - beta_rebuf * pen(forced stall): the first subtraction of
-  // chunk_quality, so q at the forced stall is max(floor, rq - switch term).
-  rq_.resize(depth_count * L * S);
-  for (size_t d = 0; d < depth_count; ++d) {
-    for (size_t l = 0; l < L; ++l) {
-      const double vq = vq_[d * L + l];
-      for (size_t s = 0; s < S; ++s) {
-        const double dl = dl_[(d * L + l) * S + s];
-        const double b = bmax_[d * S + s];
-        rq_[(d * L + l) * S + s] =
-            dl > b ? vq - cp.beta_rebuf * qoe::stall_penalty(dl - b, cp) : vq;
-      }
-    }
-  }
-
-  // Contribution bound of level l at depth d after a level of quality prev.
-  const auto bound = [&](size_t d, size_t l, double prev_vq, double eqn) {
-    const double* rq = &rq_[(d * L + l) * S];
+  // Contribution bound of level l at depth d after a level of quality
+  // prev_vq, every entering buffer at most b[s]: vq - beta_rebuf *
+  // pen(forced stall) is the first subtraction of chunk_quality, so q at the
+  // forced stall is max(floor, that - switch term).
+  const auto bound = [&](size_t d, size_t l, double prev_vq, double eqn, const double* b) {
+    const double* dl = &dl_[(d * L + l) * S];
     const double vq = vq_[d * L + l];
     const double sw = cp.beta_switch * std::abs(vq - prev_vq);
     double e = 0.0;
     for (size_t s = 0; s < S; ++s) {
-      e += q.scenarios[s].probability * std::max(cp.floor, rq[s] - sw);
+      const double rq =
+          dl[s] > b[s] ? vq - cp.beta_rebuf * qoe::stall_penalty(dl[s] - b[s], cp) : vq;
+      e += q.scenarios[s].probability * std::max(cp.floor, rq - sw);
     }
     return weighted_step_quality(w_[d], std::min(e, eqn), eqn);
   };
   root_cub_.resize(L);
-  for (size_t l = 0; l < L; ++l) root_cub_[l] = bound(0, l, q.prev_visual_quality, root_eqn_[l]);
+  for (size_t l = 0; l < L; ++l) {
+    root_cub_[l] = bound(0, l, q.prev_visual_quality, root_eqn_[l], bmax_.data());
+  }
+  bp_.resize(S);
   cub_.resize(depth_count * L * L);
   for (size_t d = 1; d < depth_count; ++d) {
-    for (size_t l = 0; l < L; ++l) {
-      for (size_t p = 0; p < L; ++p) {
+    for (size_t p = 0; p < L; ++p) {
+      const double* dl = &dl_[((d - 1) * L + p) * S];
+      for (size_t s = 0; s < S; ++s) bp_[s] = after(d - 1, bmax_[(d - 1) * S + s], dl[s]);
+      const double prev_vq = vq_[(d - 1) * L + p];
+      for (size_t l = 0; l < L; ++l) {
         const size_t t = (d * L + l) * L + p;
-        cub_[t] = bound(d, l, vq_[(d - 1) * L + p], eqn_[t]);
+        cub_[t] = bound(d, l, prev_vq, eqn_[t], bp_.data());
       }
     }
   }
@@ -513,7 +532,8 @@ void DpPlanner::precompute_bound(const PlanQuery& q, size_t depth_count) {
 // exhaustive walk; no-stall quality served from the tables) and returns the
 // expected quality. Writes the post-step buffers to `out`.
 double DpPlanner::step(size_t d, size_t level, double prev_vq, double qn, double sched,
-                       const double* in, double* out) const {
+                       const double* in, double* out) {
+  ++search_steps_;
   const double* dl_row = &dl_[(d * L_ + level) * S_];
   const double vq = vq_[d * L_ + level];
   double expected_q = 0.0;
@@ -624,7 +644,9 @@ void DpPlanner::fold_warm_start(size_t fixed) {
 // Steps every child of `node` (at depth d, buffers `buf`) that survives the
 // pre-dynamics prune. At the leaf depth the children fold as leaves;
 // otherwise the survivors of the post-dynamics prune are visited best bound
-// first, ties by rank, so the first descent is the greedy dive.
+// first, ties by rank, so the first descent is the greedy dive. A visited
+// child is not re-checked against incumbents its elder siblings raised: its
+// own children's pre-dynamics prune drops them before any dynamics run.
 void DpPlanner::expand(size_t d, const Node& node, const double* buf) {
   const size_t L = L_;
   const bool leaf_depth = d + 1 == D_;
@@ -684,8 +706,7 @@ void DpPlanner::expand(size_t d, const Node& node, const double* buf) {
   for (size_t i = 0; i < count; ++i) {
     const Node& kid = kids[i];
     const double* kid_buf = &rows[kid.row * S_];
-    // Incumbents rise while the siblings before it are searched: re-check.
-    if (!useful(kid.bound, kid.nostall) || dominated(d + 1, kid, kid_buf)) continue;
+    if (dominated(d + 1, kid, kid_buf)) continue;
     expand(d + 1, kid, kid_buf);
   }
 }
@@ -705,16 +726,20 @@ void DpPlanner::expand(size_t d, const Node& node, const double* buf) {
 // Nodes are recorded when they are expanded, and a node's subtree is done
 // before any later node of its depth is visited.
 bool DpPlanner::dominated(size_t d, const Node& node, const double* buf) {
-  uint64_t h = splitmix(d * L_ + node.level);
-  for (size_t s = 0; s < S_; ++s) h = splitmix(h ^ bits_of(buf[s]));
-  const size_t slot = static_cast<size_t>(h) & (kCacheSlots - 1);
+  // Multiply-xor per word; the product's top bits mix every input bit.
+  constexpr uint64_t kMul = 0x9e3779b97f4a7c15ull;
+  uint64_t h = (d * L_ + node.level + 1) * kMul;
+  for (size_t s = 0; s < S_; ++s) h = (h ^ bits_of(buf[s])) * kMul;
+  const size_t slot = static_cast<size_t>(h >> (64 - kCacheBits));
   CacheEntry& e = cache_[slot];
   double* key = &cache_buf_[slot * S_];
   if (e.stamp == round_ && e.depth == d && e.level == node.level &&
-      std::memcmp(key, buf, S_ * sizeof(double)) == 0 && separable(e.value, node.value) &&
+      separable(e.value, node.value) &&
       (e.value > node.value || (e.value == node.value && e.rank < node.rank)) &&
       (e.nostall || !node.nostall)) {
-    return true;
+    bool same = true;
+    for (size_t s = 0; s < S_ && same; ++s) same = bits_of(key[s]) == bits_of(buf[s]);
+    if (same) return true;
   }
   e.stamp = round_;
   e.value = node.value;
@@ -803,13 +828,10 @@ void ViPlanner::precompute(const PlanQuery& q, size_t depth_count) {
   const size_t base = q.obs->next_chunk;
 
   if (batch_ != nullptr) {
-    if (video_tables_ == nullptr || video_tables_->video != &video ||
-        !same_params(video_tables_->params, q.chunk)) {
-      video_tables_ = &batch_->tables(video, q.chunk);
-    }
-    bits_tab_ = &video_tables_->bits_kb[base * L];
-    vq_tab_ = &video_tables_->vq[base * L];
-    qn_tab_ = &video_tables_->qn[base * L * L];
+    const PlanBatch::VideoTables& vt = memo_tables(*batch_, video_tables_, video, q.chunk);
+    bits_tab_ = &vt.bits_kb[base * L];
+    vq_tab_ = &vt.vq[base * L];
+    qn_tab_ = &vt.qn[base * L * L];
   } else {
     local_bits_.resize(depth_count * L);
     local_vq_.resize(depth_count * L);

@@ -21,22 +21,27 @@
 //    descent is a greedy dive that seeds the incumbents. The bound H is
 //    admissible and stall-aware: once per decision, a per-scenario upper
 //    bound on every reachable buffer is propagated down the horizon (the
-//    cheapest level, the largest scheduled stall, the buffer cap), so each
-//    (depth, level, scenario) has a stall no plan avoids. Its penalty caps
-//    the step's expected quality, giving a per-(depth, level, previous
-//    level) step bound; a tiny L x horizon value iteration over those yields
-//    H(d, level), which upper-bounds any continuation. On the stall-heavy
-//    links of the paper's bandwidth sweep this is much tighter than assuming
-//    no scenario ever stalls. A node is dropped, before and after its
-//    dynamics and again when it is visited, when value + H cannot
-//    *strictly* beat the incumbents (ties are kept). A warm start folds one
-//    real leaf first: the previous decision's best path shifted by one
-//    chunk, with a greedy step for the new last depth, when the query is for
-//    the same video one chunk later.
+//    cheapest level, the largest scheduled stall, the buffer cap). One more
+//    step of the same recursion through the previous level p instead of the
+//    cheapest one bounds every buffer a plan can hold after choosing p, so
+//    each (depth, level, previous level, scenario) has a stall no plan
+//    avoids. Its penalty caps the step's expected quality, giving a per-
+//    (depth, level, previous level) step bound; a tiny L x horizon value
+//    iteration over those yields H(d, level), which upper-bounds any
+//    continuation. On the stall-heavy links of the paper's bandwidth sweep
+//    this is much tighter than assuming no scenario ever stalls, and
+//    conditioning on p is tighter again: a high-bitrate previous chunk
+//    cannot have kept the cheapest path's buffer. A child is dropped, before
+//    and after its dynamics, when value + H cannot *strictly* beat the
+//    incumbents (ties are kept). A warm start folds one real leaf first:
+//    the previous decision's best path shifted by one chunk, with a greedy
+//    step for the new last depth, when the query is for the same video one
+//    chunk later.
 //    Without merging, prefixes that reach one state (typically buffers
 //    pinned at the floor or the cap) would each be searched again. A fixed
 //    direct-mapped transposition cache of 256 slots (round-stamped per
-//    decision, keyed by depth, last level and the buffers' bits) skips a
+//    decision, keyed by depth, last level and the buffers' bits, probed with
+//    one multiply-xor per buffer word and a bitwise compare) skips a
 //    node when its slot holds an already expanded node with the identical
 //    key that dominates it: the two values are separable (equal, or apart
 //    by more than the bound slack, so no rounding of the shared
@@ -338,11 +343,18 @@ class DpPlanner : public Planner {
  public:
   const char* name() const override { return "dp"; }
   PlanResult plan(const PlanQuery& query) override;
-  void set_batch(PlanBatch* batch) override { batch_ = batch; }
+  void set_batch(PlanBatch* batch) override {
+    batch_ = batch;
+    video_tables_ = nullptr;  // only valid within one batch
+  }
 
   // Bytes currently owned by the arenas/tables — exposed so tests and
   // benches can assert the steady-state hot path stops allocating.
   size_t arena_bytes() const;
+
+  // Scenario rows stepped through the dynamics since construction: one per
+  // (node, child action), warm start included. The search's work measure.
+  uint64_t search_steps() const { return search_steps_; }
 
  private:
   // One search node: a decision prefix. Its per-scenario buffers live in row
@@ -368,13 +380,14 @@ class DpPlanner : public Planner {
     uint32_t level = 0;
     bool nostall = false;
   };
-  static constexpr size_t kCacheSlots = 256;
+  static constexpr unsigned kCacheBits = 8;
+  static constexpr size_t kCacheSlots = size_t{1} << kCacheBits;
   static constexpr uint64_t kNoRank = ~0ull;
 
   void precompute(const PlanQuery& q, size_t depth_count);
   void precompute_bound(const PlanQuery& q, size_t depth_count);
   double step(size_t d, size_t level, double prev_vq, double qn, double sched,
-              const double* in, double* out) const;
+              const double* in, double* out);
   void fold(const Node& leaf);
   bool useful(double bound, bool nostall) const;
   void fold_warm_start(size_t fixed);
@@ -382,6 +395,9 @@ class DpPlanner : public Planner {
   bool dominated(size_t d, const Node& node, const double* buf);
 
   PlanBatch* batch_ = nullptr;
+  // The batch's static tables for the video/params of the previous plan(),
+  // so a decide() for the same video takes no lock.
+  const PlanBatch::VideoTables* video_tables_ = nullptr;
 
   // Precomputed per-decision tables (indexed [depth][level][...]).
   std::vector<double> dl_;       // expected download time per scenario
@@ -392,12 +408,12 @@ class DpPlanner : public Planner {
   std::vector<double> root_qn_;  // depth-0 no-stall quality per level
   std::vector<double> root_eqn_;
   // Stall-aware step bound. bmax_[d * S + s] upper-bounds every buffer
-  // reachable at depth d in scenario s, so dl - bmax is a stall no plan
-  // avoids; rq_[(d * L + l) * S + s] is vq minus that forced stall's
-  // penalty. cub_[(d * L + l) * L + p] (root_cub_[l] at depth 0) bounds the
-  // weighted contribution of level l after previous level p.
+  // reachable at depth d in scenario s; bp_[s] is the scratch row of the
+  // tighter bound after a given previous level. cub_[(d * L + l) * L + p]
+  // (root_cub_[l] at depth 0) bounds the weighted contribution of level l
+  // after previous level p.
   std::vector<double> bmax_;
-  std::vector<double> rq_;
+  std::vector<double> bp_;
   std::vector<double> cub_;
   std::vector<double> root_cub_;
   // Admissible continuation bound: h_[d * L + p] is the best possible
@@ -414,6 +430,7 @@ class DpPlanner : public Planner {
   PlanResult result_;
   uint64_t best_rank_ = kNoRank;
   uint64_t nostall_rank_ = kNoRank;
+  uint64_t search_steps_ = 0;
 
   // Search arenas. The children of the node expanded at depth d are
   // kids_[d * width_ + i], their buffers kid_buf_[(d * width_ + row) * S].

@@ -43,6 +43,17 @@ struct GridRanges {
   double max_kbps = 6500.0;
 };
 
+// Tight links: forecasts centered at or below the lowest rung (300 kbps)
+// with near-empty buffers, so nearly every plan stalls.
+GridRanges tight_ranges() {
+  GridRanges tight;
+  tight.horizons = {3, 4, 5};
+  tight.max_buffer_s = 6.0;
+  tight.min_kbps = 60.0;
+  tight.max_kbps = 400.0;
+  return tight;
+}
+
 // One case at `next_chunk`: buffer, last level, forecast and weights drawn
 // from `ranges`.
 GridCase draw_case(util::Rng& rng, const media::EncodedVideo& video, const GridRanges& ranges,
@@ -139,22 +150,55 @@ TEST_F(PlannerEquivalence, DpMatchesExhaustiveBitIdenticalOnSeededGrid) {
   expect_dp_matches_exhaustive(grid);
 }
 
-// Tight links: forecasts centered at or below the lowest rung (300 kbps)
-// with near-empty buffers, so nearly every plan stalls. There chunk quality
-// sits at its floor, and two prefixes reaching one state can differ by an
-// ulp yet round to the same leaf value: skipping the smaller prefix as
-// dominated loses the reference's lowest-rank tie-break. The DP's
-// transposition cache fails this grid without any one of its domination
-// conditions: separable values, no-stall coverage, or the rank order.
+// On tight links chunk quality sits at its floor, and two prefixes reaching
+// one state can differ by an ulp yet round to the same leaf value: skipping
+// the smaller prefix as dominated loses the reference's lowest-rank
+// tie-break. The DP's transposition cache fails this grid without any one of
+// its domination conditions: separable values, no-stall coverage, or the
+// rank order.
+std::vector<GridCase> tight_grid(const media::EncodedVideo& video) {
+  return seeded_grid(video, 0x71647411, 200, tight_ranges());
+}
+
 TEST_F(PlannerEquivalence, DpMatchesExhaustiveBitIdenticalOnTightLinks) {
-  GridRanges tight;
-  tight.horizons = {3, 4, 5};
-  tight.max_buffer_s = 6.0;
-  tight.min_kbps = 60.0;
-  tight.max_kbps = 400.0;
-  auto grid = seeded_grid(video_, 0x71647411, 200, tight);
+  auto grid = tight_grid(video_);
   ASSERT_EQ(grid.size(), 2400u);
   expect_dp_matches_exhaustive(grid);
+}
+
+// The bound keeps a scratch row per scenario: tight-link cases with one,
+// two and many scenarios (past any small fixed-size row), short horizons,
+// both rebuffer sets.
+TEST_F(PlannerEquivalence, DpMatchesExhaustiveAcrossScenarioCounts) {
+  util::Rng rng(0x5ce7a210);
+  const GridRanges tight = tight_ranges();
+  std::vector<GridCase> grid;
+  for (size_t num_scen : {1, 2, 64, 80}) {
+    for (size_t horizon : {1, 2, 3}) {
+      for (bool stall_actions : {false, true}) {
+        for (size_t i = 0; i < 6; ++i) {
+          const size_t next_chunk = static_cast<size_t>(
+              rng.uniform_int(0, static_cast<int>(video_.num_chunks()) - 1));
+          GridCase c = draw_case(rng, video_, tight, horizon, rng.chance(0.5), stall_actions,
+                                 next_chunk);
+          c.scenarios = net::triangular_scenarios(
+              num_scen, rng.uniform(tight.min_kbps, tight.max_kbps), rng.uniform(0.05, 0.8));
+          grid.push_back(std::move(c));
+        }
+      }
+    }
+  }
+  expect_dp_matches_exhaustive(grid);
+}
+
+// Work budget on the tight-link grid. A bound that stays admissible but
+// gets looser changes no answer, so the equivalence tests cannot see it;
+// the number of scenario rows the search steps can. Re-pin only downward:
+// a rise means the pruning got weaker.
+TEST_F(PlannerEquivalence, DpSearchWorkOnTightLinksWithinBudget) {
+  DpPlanner dp;
+  for (const GridCase& c : tight_grid(video_)) dp.plan(make_query(c));
+  EXPECT_LE(dp.search_steps(), 161224u);
 }
 
 // Consecutive chunks of one seeded session-like walk per combination of
@@ -187,12 +231,8 @@ std::vector<GridCase> seeded_walks(const media::EncodedVideo& video, uint64_t se
 // consecutive chunks, and planners whose previous query was a different
 // plan for chunk n - 1, must each match a fresh planner bit for bit.
 TEST_F(PlannerEquivalence, DpAnswerIndependentOfPlanHistory) {
-  GridRanges tight;
-  tight.horizons = {3, 4, 5};
-  tight.max_buffer_s = 6.0;
-  tight.min_kbps = 60.0;
-  tight.max_kbps = 400.0;
-  GridRanges wide;
+  const GridRanges tight = tight_ranges();
+  const GridRanges wide{};
   size_t checked = 0;
   for (const GridRanges* ranges : {&tight, &wide}) {
     const auto walks = seeded_walks(video_, ranges == &tight ? 0x3a1c0 : 0x3a1c1, 6, *ranges);
