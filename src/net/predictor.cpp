@@ -29,21 +29,21 @@ void ThroughputPredictor::scenarios_into(std::vector<ThroughputScenario>& out) c
 }
 
 HarmonicMeanPredictor::HarmonicMeanPredictor(size_t window, double initial_kbps)
-    : initial_kbps_(initial_kbps), history_(window) {}
+    : initial_kbps_(initial_kbps), inverse_history_(window) {}
 
 void HarmonicMeanPredictor::observe(double kbps) {
   if (kbps <= 0.0) kbps = 1.0;
-  history_.push(kbps);
+  inverse_history_.push(1.0 / kbps);
 }
 
 double HarmonicMeanPredictor::predict_kbps() const {
-  if (history_.empty()) return initial_kbps_;
+  if (inverse_history_.empty()) return initial_kbps_;
   double inv_sum = 0.0;
-  for (size_t i = 0; i < history_.size(); ++i) inv_sum += 1.0 / history_[i];
-  return static_cast<double>(history_.size()) / inv_sum;
+  for (size_t i = 0; i < inverse_history_.size(); ++i) inv_sum += inverse_history_[i];
+  return static_cast<double>(inverse_history_.size()) / inv_sum;
 }
 
-void HarmonicMeanPredictor::reset() { history_.clear(); }
+void HarmonicMeanPredictor::reset() { inverse_history_.clear(); }
 
 EwmaPredictor::EwmaPredictor(double alpha, double initial_kbps)
     : alpha_(alpha), initial_kbps_(initial_kbps), estimate_(initial_kbps) {}

@@ -27,19 +27,19 @@ class SampleWindow {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  // i = 0 is the oldest retained sample.
-  double operator[](size_t i) const { return data_[(head_ + i) % data_.size()]; }
+  // i = 0 is the oldest retained sample (i < size()).
+  double operator[](size_t i) const { return data_[wrap(head_ + i)]; }
 
   // Appends a sample, evicting the oldest when full. A zero-capacity
   // window retains nothing (the deque-with-immediate-evict behavior).
   void push(double v) {
     if (capacity_ == 0) return;
     if (size_ < capacity_) {
-      data_[(head_ + size_) % data_.size()] = v;
+      data_[wrap(head_ + size_)] = v;
       ++size_;
     } else {
       data_[head_] = v;
-      head_ = (head_ + 1) % data_.size();
+      head_ = wrap(head_ + 1);
     }
     ++generation_;
   }
@@ -58,6 +58,10 @@ class SampleWindow {
   uint64_t generation() const { return generation_; }
 
  private:
+  // Ring position of head_ + i: both terms are below the ring size, so one
+  // conditional subtract replaces the modulo.
+  size_t wrap(size_t pos) const { return pos >= data_.size() ? pos - data_.size() : pos; }
+
   std::vector<double> data_;
   size_t capacity_ = 0;
   size_t head_ = 0;  // index of the oldest sample
@@ -107,7 +111,9 @@ class ThroughputPredictor {
 };
 
 // Harmonic mean of the last `window` observations — robust to outliers and
-// the standard choice in MPC ABR.
+// the standard choice in MPC ABR. The window holds each observation's
+// reciprocal, taken once at observe(), so a prediction is one sum and one
+// division; the summands and their order are those of summing 1 / kbps.
 class HarmonicMeanPredictor : public ThroughputPredictor {
  public:
   explicit HarmonicMeanPredictor(size_t window = 5, double initial_kbps = 1000.0);
@@ -117,11 +123,11 @@ class HarmonicMeanPredictor : public ThroughputPredictor {
 
   // Change stamp of the retained observation window (see
   // SampleWindow::generation).
-  uint64_t window_generation() const { return history_.generation(); }
+  uint64_t window_generation() const { return inverse_history_.generation(); }
 
  private:
   double initial_kbps_;
-  SampleWindow history_;
+  SampleWindow inverse_history_;  // 1 / kbps of each retained observation
 };
 
 class EwmaPredictor : public ThroughputPredictor {

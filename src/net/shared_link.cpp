@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "net/segment_memo.h"
+
 namespace sensei::net {
 
 namespace {
@@ -21,7 +23,7 @@ constexpr double kFinishEpsBits = 1.0;
 }  // namespace
 
 SharedLink::SharedLink(const ThroughputTrace& trace, bool recycle_ids)
-    : trace_(&trace), recycle_ids_(recycle_ids) {
+    : trace_(&trace), recycle_ids_(recycle_ids), cursor_(trace) {
   trace.index();  // fail fast on a default-constructed trace
 }
 
@@ -39,35 +41,57 @@ void SharedLink::pop_min_credit() {
   next_completion_valid_ = false;
 }
 
-double SharedLink::cumulative_bits_now() {
-  if (!cum_now_valid_) {
-    cum_now_bits_ = cumulative_bits(now_s_);
-    cum_now_valid_ = true;
+double SharedLink::cumulative_bits(double t) const {
+  const double interval = trace_->interval_s();
+  // Every instant in the memo's range passes the checks below: the range
+  // starts at a finite t > 0 that passed them, and on a finite trace it
+  // ends by period_s, because x < period_s rounds x / period_s below 1, so
+  // whole = 0 holds exactly on [0, period_s).
+  if (!(t >= cum_seg_.lo && t < cum_seg_.hi)) {
+    const std::vector<double>& prefix = trace_->index().prefix_bits;
+    const size_t n = trace_->sample_count();
+    const double period_bits = prefix[n];
+    if (!(t > 0.0)) return 0.0;
+    // t = +inf: a finite trace caps at one period; a looping trace delivers
+    // without bound — unless its period carries nothing (dead link: 0).
+    if (!std::isfinite(t)) {
+      if (trace_->finite() || period_bits <= 0.0) return period_bits;
+      return kInf;
+    }
+    const double period_s = interval * static_cast<double>(n);
+    if (trace_->finite() && t >= period_s) return period_bits;
+    // The reference key: whole periods, then the interval inside the period.
+    auto key_at = [&](double x, double* whole) {
+      *whole = std::floor(x / period_s);
+      auto idx = static_cast<size_t>((x - *whole * period_s) / interval);
+      return idx >= n ? n - 1 : idx;  // fp guard at the period boundary
+    };
+    double whole;
+    const size_t idx = key_at(t, &whole);
+    cum_seg_.period_start = whole * period_s;
+    cum_seg_.interval_start = static_cast<double>(idx) * interval;
+    cum_seg_.base_bits = whole * period_bits + prefix[idx];
+    cum_seg_.bps = trace_->samples_kbps()[idx] * 1000.0;
+    const double estimate =
+        idx + 1 < n ? cum_seg_.period_start + static_cast<double>(idx + 1) * interval
+                    : (whole + 1.0) * period_s;
+    cum_seg_.lo = t;
+    cum_seg_.hi = segment_end(t, estimate, [&](double x) {
+      double w;
+      const size_t i = key_at(x, &w);
+      return w == whole && i == idx;
+    });
   }
-  return cum_now_bits_;
+  double span = (t - cum_seg_.period_start) - cum_seg_.interval_start;
+  if (span > interval) span = interval;
+  return cum_seg_.base_bits + cum_seg_.bps * span;
 }
 
-double SharedLink::cumulative_bits(double t) const {
-  const std::vector<double>& prefix = trace_->index().prefix_bits;
-  const size_t n = trace_->sample_count();
-  const double period_bits = prefix[n];
-  if (!(t > 0.0)) return 0.0;
-  // t = +inf: a finite trace caps at one period; a looping trace delivers
-  // without bound — unless its period carries nothing (dead link: 0).
-  if (!std::isfinite(t)) {
-    if (trace_->finite() || period_bits <= 0.0) return period_bits;
-    return kInf;
-  }
-  const double interval = trace_->interval_s();
-  const double period_s = interval * static_cast<double>(n);
-  if (trace_->finite() && t >= period_s) return period_bits;
-  double whole = std::floor(t / period_s);
-  double rem = t - whole * period_s;
-  auto idx = static_cast<size_t>(rem / interval);
-  if (idx >= n) idx = n - 1;  // fp guard at the period boundary
-  double span = rem - static_cast<double>(idx) * interval;
-  if (span > interval) span = interval;
-  return whole * period_bits + prefix[idx] + trace_->samples_kbps()[idx] * 1000.0 * span;
+void SharedLink::drain_to(double t) {
+  // now_s_ first: the memo usually still holds the segment of the previous
+  // drain, which ended at now_s_.
+  const double before = cumulative_bits(now_s_);
+  drained_bits_ += (cumulative_bits(t) - before) / static_cast<double>(credits_.size());
 }
 
 size_t SharedLink::begin(double bytes, double start_s) {
@@ -111,7 +135,7 @@ double SharedLink::next_completion_s() const {
       // Equal split: everyone drains at capacity / n, so the next finisher
       // needs the link to deliver its remaining bits times the active count.
       double bits_needed = min_remaining * static_cast<double>(credits_.size());
-      TransferResult r = trace_->advance(bits_needed / 8.0, now_s_);
+      TransferResult r = cursor_.advance(bits_needed / 8.0, now_s_);
       if (r.completed) next = now_s_ + r.elapsed_s;
     }
   }
@@ -140,10 +164,8 @@ void SharedLink::advance_to(double t) {
     double finish_s = next_completion_s();
     if (!(finish_s < t)) break;
     if (finish_s > now_s_) {
-      const double cum = cumulative_bits(finish_s);
-      drained_bits_ += (cum - cumulative_bits_now()) / static_cast<double>(credits_.size());
+      drain_to(finish_s);
       now_s_ = finish_s;
-      cum_now_bits_ = cum;
       next_completion_valid_ = false;
     }
     bool popped = false;
@@ -168,13 +190,7 @@ void SharedLink::advance_to(double t) {
     }
   }
   if (t > now_s_) {
-    if (!credits_.empty()) {
-      const double cum = cumulative_bits(t);
-      drained_bits_ += (cum - cumulative_bits_now()) / static_cast<double>(credits_.size());
-      cum_now_bits_ = cum;
-    } else {
-      cum_now_valid_ = false;  // idle: computed on the next drain, if any
-    }
+    if (!credits_.empty()) drain_to(t);
     now_s_ = t;
     next_completion_valid_ = false;
   }

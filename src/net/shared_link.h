@@ -27,6 +27,16 @@
 // the hot path and no allocation once the backing vectors reach the link's
 // peak concurrency.
 //
+// Both time lookups on the event path — cumulative_bits(t) for every drain
+// and the trace integration behind next_completion_s() — run through exact
+// segment memos (net/segment_memo.h): the link remembers the key its last
+// lookup resolved (whole period and interval for cumulative_bits, the start
+// interval for the integration, held in the link's own TraceCursor) and the
+// exact range of instants that resolve to it, so the steady state replaces
+// a division, a floor and a modulo per event with two multiply-subtracts.
+// The memo keeps the reference association, so every value is the
+// reference value bit for bit; the shared trace is never written.
+//
 // The link is a passive integrator: a driver (sim::Simulator) advances it
 // through time with advance_to(), never past next_completion_s(), and joins
 // transfers only at the link's current instant — which is exactly how the
@@ -113,7 +123,9 @@ class SharedLink {
 
   // Trace capacity (bits) deliverable over [0, t): the link-wide budget the
   // conservation tests compare grants against. Looping traces accumulate
-  // period capacity forever; finite traces cap at their duration.
+  // period capacity forever; finite traces cap at their duration. Served
+  // from the segment memo, so like next_completion_s() it must not race
+  // another call on the same link.
   double cumulative_bits(double t) const;
 
  private:
@@ -144,8 +156,9 @@ class SharedLink {
 
   const Credit& min_credit() const { return credits_.front(); }
   void pop_min_credit();
-  // cumulative_bits(now_s_), served from the memo while now_s_ is unchanged.
-  double cumulative_bits_now();
+  // Credits every active transfer its equal share of the trace capacity
+  // over [now_s_, t]; the caller then moves now_s_ to t.
+  void drain_to(double t);
 
   const ThroughputTrace* trace_ = nullptr;
   bool recycle_ids_ = false;
@@ -156,14 +169,28 @@ class SharedLink {
   std::vector<Transfer> transfers_;  // indexed by id (bounded when recycling)
   std::vector<size_t> free_ids_;     // drained ids awaiting reuse (recycle_ids_)
   std::vector<Completion> completions_;
-  // Memos of two pure functions of the link state. A driver asks for
-  // next_completion_s() and then advances to it, which asks again, and
-  // every drain needs cumulative_bits(now_s_), so both are kept until
-  // begin, abort or advance_to changes the state they read.
+  // Memo of next_completion_s(), a pure function of the link state. A
+  // driver asks for it and then advances to it, which asks again, so it is
+  // kept until begin, abort or advance_to changes the state it reads.
   mutable double next_completion_memo_ = 0.0;
   mutable bool next_completion_valid_ = false;
-  double cum_now_bits_ = 0.0;
-  bool cum_now_valid_ = true;  // cumulative_bits(0) == 0
+  // cumulative_bits' segment memo: every t in [lo, hi) has the key (whole,
+  // idx) the products below were derived from, so the value there is
+  // (whole * period_bits + prefix[idx]) + bps * ((t - whole * period_s) -
+  // idx * interval), the reference expression in the reference order.
+  // Empty (lo == hi) until the first lookup.
+  struct CumSegment {
+    double lo = 0.0;
+    double hi = 0.0;
+    double period_start = 0.0;    // whole * period_s
+    double interval_start = 0.0;  // idx * interval
+    double base_bits = 0.0;       // whole * period_bits + prefix[idx]
+    double bps = 0.0;             // samples[idx] * 1000
+  };
+  mutable CumSegment cum_seg_;
+  // next_completion_s()'s integrator: its start-interval memo and finish
+  // hint track the link's clock.
+  mutable TraceCursor cursor_;
 };
 
 }  // namespace sensei::net

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "net/segment_memo.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -136,17 +137,13 @@ double ThroughputTrace::mean_kbps() const { return util::mean(samples_); }
 double ThroughputTrace::stddev_kbps() const { return util::stddev(samples_); }
 
 TransferResult ThroughputTrace::integrate(double bytes, double start_s, TraceIntegration mode,
-                                          size_t* hint) const {
+                                          TraceCursor* cursor) const {
   TransferResult result;
   if (bytes <= 0.0) return result;
   // A transfer "started" at non-finite time (downstream of an earlier
   // outage) can never complete; index arithmetic from it would be UB.
   if (!std::isfinite(start_s)) return dead_link();
   if (start_s < 0.0) start_s = 0.0;
-  // A start so far out that interval indices exceed the exactly-representable
-  // integer range cannot be located reliably; such a clock only arises
-  // downstream of an earlier unbounded stall, so the link reads as dead.
-  if (start_s / interval_s_ >= 9.0e15) return dead_link();
   if (!index_) return dead_link();  // default-constructed empty trace
 
   const size_t n = samples_.size();
@@ -154,18 +151,52 @@ TransferResult ThroughputTrace::integrate(double bytes, double start_s, TraceInt
   double remaining_bits = bytes * 8.0;
 
   // --- the (possibly partial) interval the transfer starts in -------------
-  auto idx = static_cast<size_t>(start_s / interval_s_);
+  // A cursor's segment memo answers the key start_s / interval_s_ and its
+  // products for every start inside its range (net/segment_memo.h). A
+  // start inside the range has the key of one that passed the range guard
+  // below, so it passes too.
+  size_t idx;
+  size_t idx_mod;  // idx % n
   double span;
-  while (true) {
-    if (finite_ && idx >= n) return dead_link();
-    double interval_end = static_cast<double>(idx + 1) * interval_s_;
+  TraceCursor::StartSegment* seg = cursor != nullptr ? &cursor->seg_ : nullptr;
+  if (seg != nullptr && start_s >= seg->lo && start_s < seg->hi) {
+    idx = seg->idx;
+    idx_mod = seg->idx_mod;
+    span = seg->end - start_s;
+  } else {
+    const double key = start_s / interval_s_;
+    // A start so far out that interval indices exceed the exactly-
+    // representable integer range cannot be located reliably; such a clock
+    // only arises downstream of an earlier unbounded stall, so the link
+    // reads as dead.
+    if (key >= 9.0e15) return dead_link();
+    idx = static_cast<size_t>(key);
+    idx_mod = idx % n;
+    const double interval_end = static_cast<double>(idx + 1) * interval_s_;
     span = interval_end - start_s;
-    if (span > 0.0) break;
+    if (seg != nullptr) {
+      seg->idx = idx;
+      seg->idx_mod = idx_mod;
+      seg->end = interval_end;
+      seg->lo = start_s;
+      seg->hi = segment_end(start_s, interval_end, [&](double x) {
+        return static_cast<size_t>(x / interval_s_) == idx;
+      });
+    }
+  }
+  if (finite_ && idx >= n) return dead_link();
+  if (!(span > 0.0)) {
     // The start rounded onto (or past) this interval's end: a zero-width
     // sliver with no capacity to consume.
-    ++idx;
+    while (true) {
+      ++idx;
+      if (finite_ && idx >= n) return dead_link();
+      span = static_cast<double>(idx + 1) * interval_s_ - start_s;
+      if (span > 0.0) break;
+    }
+    idx_mod = idx % n;
   }
-  double kbps = samples_[idx % n];
+  double kbps = samples_[idx_mod];
   if (kbps > 0.0) {
     double bps = kbps * 1000.0;
     double capacity_bits = bps * span;
@@ -189,7 +220,7 @@ TransferResult ThroughputTrace::integrate(double bytes, double start_s, TraceInt
     base = 0;
     phase = b;
   } else {
-    phase = b % n;
+    phase = idx_mod + 1 == n ? 0 : idx_mod + 1;  // b % n
     base = b - phase;
     if (period_bits > 0.0) {
       // A transfer that would finish beyond the exactly-representable
@@ -206,6 +237,7 @@ TransferResult ThroughputTrace::integrate(double bytes, double start_s, TraceInt
     if (finite_ && phase >= n) return dead_link();
     double window_bits = prefix[n] - prefix[phase];
     if (window_bits >= remaining_bits) {
+      size_t* hint = cursor != nullptr ? &cursor->hint_ : nullptr;
       size_t k = find_finish(prefix, phase, n, remaining_bits, mode, hint);
       if (hint != nullptr) *hint = k;
       size_t finish = base + k - 1;  // absolute finishing interval
@@ -248,7 +280,7 @@ double ThroughputTrace::download_time_s(double bytes, double start_s, double rtt
 }
 
 TransferResult TraceCursor::advance(double bytes, double start_s) {
-  return trace_->integrate(bytes, start_s, mode_, &hint_);
+  return trace_->integrate(bytes, start_s, mode_, this);
 }
 
 double TraceCursor::download_time_s(double bytes, double start_s, double rtt_s) {

@@ -26,6 +26,12 @@
 // has no capacity left, ever (an all-zero looping trace, or a finite trace
 // exhausted mid-transfer). There is no walk cap that could silently fake a
 // completed download.
+//
+// A trace is immutable and shared across ExperimentRunner workers, so
+// everything a lookup learns lives with the caller: a TraceCursor keeps its
+// finish-search hint and the exact segment memo of its start interval
+// (net/segment_memo.h), and SharedLink keeps its own cursor plus the memo of
+// its cumulative-capacity lookup.
 #pragma once
 
 #include <memory>
@@ -134,11 +140,11 @@ class ThroughputTrace {
  private:
   friend class TraceCursor;
 
-  // The shared integration core. `hint` (nullable) is a cursor's warm-start
-  // phase for the finishing-interval search; it only affects speed, never
-  // the result.
+  // The shared integration core. `cursor` (nullable) supplies a warm-start
+  // phase for the finishing-interval search and the start-interval segment
+  // memo; both only affect speed, never the result.
   TransferResult integrate(double bytes, double start_s, TraceIntegration mode,
-                           size_t* hint) const;
+                           TraceCursor* cursor) const;
 
   std::string name_;
   std::vector<double> samples_;  // Kbps
@@ -151,10 +157,16 @@ class ThroughputTrace {
 // Stateful integration handle for a session's (mostly) monotonically
 // advancing wall clock: remembers the phase where the previous transfer
 // finished and gallops from it, so consecutive chunk downloads locate their
-// finishing interval in O(1) amortized instead of O(log n) each. Results
-// are bit-identical to ThroughputTrace::advance — the hint changes only
-// where the search starts, and the predicate it brackets is monotone.
-// Cheap to construct (two words); keep one per session.
+// finishing interval in O(1) amortized instead of O(log n) each. It also
+// holds the start-interval segment memo (net/segment_memo.h): the interval
+// index start_s / interval_s resolved last, with the exact range of starts
+// that resolve to it, so transfers starting in the same interval skip the
+// division and modulo. Results are bit-identical to ThroughputTrace::advance
+// — the hint changes only where the search starts, the predicate it
+// brackets is monotone, and the memo only answers starts whose reference
+// key it holds. The memo lives here, not in the trace, so traces stay
+// immutable and shareable across threads. Cheap to construct; keep one per
+// session.
 class TraceCursor {
  public:
   TraceCursor() = default;
@@ -170,7 +182,20 @@ class TraceCursor {
  private:
   const ThroughputTrace* trace_ = nullptr;
   TraceIntegration mode_ = TraceIntegration::kIndexed;
+  friend class ThroughputTrace;
+
+  // Every start in [lo, hi) has start / interval_s truncating to idx.
+  // Empty (lo == hi) until the first transfer.
+  struct StartSegment {
+    double lo = 0.0;
+    double hi = 0.0;
+    size_t idx = 0;
+    size_t idx_mod = 0;  // idx % sample_count
+    double end = 0.0;    // (idx + 1) * interval_s
+  };
+
   size_t hint_ = 1;  // phase (prefix index) of the last finishing interval
+  StartSegment seg_;
 };
 
 }  // namespace sensei::net

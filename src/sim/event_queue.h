@@ -11,7 +11,10 @@
 // alternative: each session holds exactly one slot, keyed by its current
 // next_event_time(), moved in place (sift up/down) when the time changes.
 // No stale entries, no allocation after the index space is sized, O(log n)
-// per update.
+// per update. The heap stores its (time, index) entries flat, so a sift
+// compares keys in the heap's own cache lines instead of chasing indices
+// into a separate time array, and moves each displaced entry once into a
+// travelling hole rather than swapping pairs.
 //
 // Determinism contract (what the bit-identity gates rely on): the minimum
 // is totally ordered by (time, index) — among sessions scheduled at the
@@ -34,10 +37,7 @@ class EventQueue {
   // until their first finite update). Never shrinks: fleet cells recycle
   // session slots, so the space is bounded by peak concurrency.
   void ensure_size(size_t n) {
-    if (times_.size() < n) {
-      times_.resize(n, kInfTime);
-      pos_.resize(n, kNone);
-    }
+    if (pos_.size() < n) pos_.resize(n, kNone);
   }
 
   bool empty() const { return heap_.empty(); }
@@ -45,28 +45,29 @@ class EventQueue {
 
   // Time and index of the earliest event; min_time() is +infinity when the
   // heap is empty (min_index() is then unspecified).
-  double min_time() const { return heap_.empty() ? kInfTime : times_[heap_[0]]; }
-  size_t min_index() const { return heap_[0]; }
+  double min_time() const { return heap_.empty() ? kInfTime : heap_[0].time; }
+  size_t min_index() const { return heap_[0].index; }
 
   // Sets session `idx`'s next event time, inserting, moving, or (+infinity)
   // removing its slot as needed.
   void update(size_t idx, double time) {
     ensure_size(idx + 1);
-    const bool present = pos_[idx] != kNone;
+    const size_t at = pos_[idx];
     if (time == kInfTime) {
-      if (present) remove(idx);
+      if (at != kNone) remove(at);
       return;
     }
-    double old = times_[idx];
-    times_[idx] = time;
-    if (!present) {
-      pos_[idx] = heap_.size();
-      heap_.push_back(idx);
-      sift_up(pos_[idx]);
-    } else if (time < old) {
-      sift_up(pos_[idx]);
+    const Entry entry{time, idx};
+    if (at == kNone) {
+      heap_.emplace_back();
+      sift_up(heap_.size() - 1, entry);
+      return;
+    }
+    const double old = heap_[at].time;
+    if (time < old) {
+      sift_up(at, entry);
     } else if (old < time) {
-      sift_down(pos_[idx]);
+      sift_down(at, entry);
     }
   }
 
@@ -74,59 +75,65 @@ class EventQueue {
   static constexpr double kInfTime = std::numeric_limits<double>::infinity();
   static constexpr size_t kNone = static_cast<size_t>(-1);
 
-  // (time, index) lexicographic order — the deterministic tie-break.
-  bool before(size_t a, size_t b) const {
-    if (times_[a] != times_[b]) return times_[a] < times_[b];
-    return a < b;
+  struct Entry {
+    double time;
+    size_t index;
+  };
+
+  // (time, index) lexicographic order — the deterministic tie-break. Both
+  // comparisons are evaluated and combined without branches: which child a
+  // sift follows is data-dependent, so a branch here mispredicts often.
+  static bool before(const Entry& a, const Entry& b) {
+    return (a.time < b.time) | ((a.time == b.time) & (a.index < b.index));
   }
 
-  void remove(size_t idx) {
-    size_t hole = pos_[idx];
-    pos_[idx] = kNone;
-    times_[idx] = kInfTime;
-    size_t last = heap_.back();
+  // Removes the entry at heap position `hole`: the tail entry refills the
+  // hole from whichever side restores the order.
+  void remove(size_t hole) {
+    pos_[heap_[hole].index] = kNone;
+    const Entry last = heap_.back();
     heap_.pop_back();
-    if (last == idx) return;  // removed the tail slot itself
-    heap_[hole] = last;
-    pos_[last] = hole;
-    sift_up(hole);
-    sift_down(hole);
-  }
-
-  void sift_up(size_t i) {
-    while (i > 0) {
-      size_t parent = (i - 1) / 2;
-      if (!before(heap_[i], heap_[parent])) break;
-      swap_slots(i, parent);
-      i = parent;
+    if (hole == heap_.size()) return;  // removed the tail slot itself
+    if (hole > 0 && before(last, heap_[(hole - 1) / 2])) {
+      sift_up(hole, last);
+    } else {
+      sift_down(hole, last);
     }
   }
 
-  void sift_down(size_t i) {
+  // Hole-based sifts: `entry` belongs at or above (below) position `hole`;
+  // entries it precedes (follows) move one level down (up) into the hole,
+  // and `entry` is written once where the hole stops.
+  void sift_up(size_t hole, const Entry& entry) {
+    while (hole > 0) {
+      const size_t parent = (hole - 1) / 2;
+      if (!before(entry, heap_[parent])) break;
+      place(hole, heap_[parent]);
+      hole = parent;
+    }
+    place(hole, entry);
+  }
+
+  void sift_down(size_t hole, const Entry& entry) {
     const size_t n = heap_.size();
     while (true) {
-      size_t left = 2 * i + 1;
-      if (left >= n) break;
-      size_t child = left;
-      size_t right = left + 1;
-      if (right < n && before(heap_[right], heap_[left])) child = right;
-      if (!before(heap_[child], heap_[i])) break;
-      swap_slots(i, child);
-      i = child;
+      size_t child = 2 * hole + 1;
+      if (child >= n) break;
+      if (child + 1 < n) child += before(heap_[child + 1], heap_[child]);
+      if (!before(heap_[child], entry)) break;
+      place(hole, heap_[child]);
+      hole = child;
     }
+    place(hole, entry);
   }
 
-  void swap_slots(size_t a, size_t b) {
-    size_t ia = heap_[a], ib = heap_[b];
-    heap_[a] = ib;
-    heap_[b] = ia;
-    pos_[ia] = b;
-    pos_[ib] = a;
+  void place(size_t at, const Entry& entry) {
+    heap_[at] = entry;
+    pos_[entry.index] = at;
   }
 
-  std::vector<size_t> heap_;   // session indices, heap-ordered by before()
-  std::vector<size_t> pos_;    // session index -> heap position (kNone: absent)
-  std::vector<double> times_;  // session index -> next event time
+  std::vector<Entry> heap_;  // (time, session index), heap-ordered by before()
+  std::vector<size_t> pos_;  // session index -> heap position (kNone: absent)
 };
 
 }  // namespace sensei::sim

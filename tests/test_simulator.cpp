@@ -201,11 +201,12 @@ TEST(SharedLink, DeadLinkReportsNoCompletion) {
   EXPECT_TRUE(std::isinf(link.next_completion_s()));
 }
 
-// next_completion_s() and the drain's cumulative_bits(now) are memoized
-// until begin, abort or advance_to changes the link. Two links replay one
-// seeded operation sequence; only the second is also asked for its next
-// completion before and after every operation (so its memo is warm at the
-// instant of each begin and abort). A stale completion memo would show up as
+// next_completion_s() is memoized until begin, abort or advance_to changes
+// the link, and the drain's cumulative_bits(now) comes from the segment
+// memo of the previous drain. Two links replay one seeded operation
+// sequence; only the second is also asked for its next completion before
+// and after every operation (so its memo is warm at the instant of each
+// begin and abort). A stale completion memo would show up as
 // different completions or grants, and a stale cumulative_bits(now) after an
 // idle span as grants that no longer add up to the capacity of the busy
 // spans. Sub-bit transfers are due the instant they join.
