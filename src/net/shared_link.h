@@ -37,7 +37,7 @@
 // The memo keeps the reference association, so every value is the
 // reference value bit for bit; the shared trace is never written.
 //
-// The link is a passive integrator: a driver (sim::Simulator) advances it
+// The link is a passive integrator: a driver (sim/cell_loop.h) advances it
 // through time with advance_to(), never past next_completion_s(), and joins
 // transfers only at the link's current instant — which is exactly how the
 // event loop produces its times, so the contract costs the driver nothing.

@@ -1,14 +1,7 @@
-// Indexed min-heap of per-session event times for the discrete-event loops
-// (sim::Simulator, sim::FleetSimulator).
+// Indexed min-heap of per-session event times for the discrete-event loop
+// (sim/cell_loop.h).
 //
-// The PR 5 scheduler used a lazy std::priority_queue: every engine state
-// change pushed a fresh (time, index) entry and stale entries were skipped
-// on pop. That keeps the heap 2-3x the live session count (each transition
-// chain strands its superseded entries until they surface), every push
-// allocates until the high-water mark, and the stale-skip rescan runs on
-// the hottest loop in the simulator — the measured cause of the 400 -> 1000
-// concurrent-session throughput droop. This queue is the indexed
-// alternative: each session holds exactly one slot, keyed by its current
+// Each session holds exactly one slot, keyed by its current
 // next_event_time(), moved in place (sift up/down) when the time changes.
 // No stale entries, no allocation after the index space is sized, O(log n)
 // per update. The heap stores its (time, index) entries flat, so a sift
@@ -18,9 +11,8 @@
 //
 // Determinism contract (what the bit-identity gates rely on): the minimum
 // is totally ordered by (time, index) — among sessions scheduled at the
-// same instant the lowest index surfaces first, exactly the tie-break the
-// lazy heap's pop order produced. +infinity means "no event" and removes
-// the session from the heap.
+// same instant the lowest index surfaces first. +infinity means "no event"
+// and removes the session from the heap.
 #pragma once
 
 #include <cstddef>

@@ -13,9 +13,8 @@
 #include "core/runner.h"
 #include "net/shared_link.h"
 #include "qoe/chunk_quality.h"
-#include "sim/event_queue.h"
+#include "sim/cell_loop.h"
 #include "sim/session_engine.h"
-#include "sim/simulator.h"
 #include "util/kernels.h"
 #include "util/rng.h"
 
@@ -166,7 +165,7 @@ FleetAggregates FleetSimulator::run_cell(size_t cell,
   const FleetFaultConfig& faults = config_.faults;
   net::FaultPlan fault_plan;
   const net::FaultPlan* plan_ptr = nullptr;
-  double fail_at_s = kInf;
+  CellFailover failover;
   std::optional<net::ThroughputTrace> fallback_trace;
   std::optional<net::SharedLink> fallback_link;
   if (faults.cell_failure_fraction > 0.0) {
@@ -175,9 +174,11 @@ FleetAggregates FleetSimulator::run_cell(size_t cell,
       const double window = faults.cell_failure_window_s > 0.0
                                 ? faults.cell_failure_window_s
                                 : workload.arrival_window_s;
-      fail_at_s = fail_rng.uniform(0.0, window);
+      failover.at_s = fail_rng.uniform(0.0, window);
       fallback_trace.emplace(trace.scaled(faults.fallback_scale, cell_name + "-fallback"));
       fallback_link.emplace(*fallback_trace, /*recycle_ids=*/true);
+      failover.fallback = &*fallback_link;
+      failover.reconnect_delay_s = faults.reconnect_delay_s;
     }
   }
   if (!faults.trace_faults.empty()) {
@@ -190,16 +191,13 @@ FleetAggregates FleetSimulator::run_cell(size_t cell,
   }
 
   net::SharedLink link(trace, /*recycle_ids=*/true);
-  // All admissions and the event loop go through `live`, which repoints to
-  // the fallback at the failover instant.
-  net::SharedLink* live = &link;
 
   FleetAggregates agg;
   agg.cells = 1;
   agg.sessions_by_policy.assign(pool_specs_.size(), 0);
   agg.completed_by_policy.assign(pool_specs_.size(), 0);
   agg.abandoned_by_policy.assign(pool_specs_.size(), 0);
-  if (fail_at_s < kInf) agg.failed_cells = 1;  // counts the draw, not the hit
+  if (failover.fallback != nullptr) agg.failed_cells = 1;  // counts the draw, not the hit
   const qoe::ChunkQualityParams qoe_params;
 
   // Session slots recycled across sessions, laid out as parallel arrays
@@ -216,13 +214,12 @@ FleetAggregates FleetSimulator::run_cell(size_t cell,
   std::vector<double> rec_vq, rec_stall, rec_prev, rec_q;
   // One policy pool per unique canonical spec (pool_specs_ order).
   std::vector<std::vector<std::unique_ptr<AbrPolicy>>> policy_pool(pool_specs_.size());
-  EventQueue events;
-  std::vector<size_t> transfer_owner;  // transfer id -> slot (ids recycled)
-
-  size_t active = 0;
   uint64_t session_ordinal = 0;  // admission order, for per-session jitter tags
 
-  auto admit = [&](const SessionArrival& a) -> size_t {
+  // Admits the pending arrival on the link live at its instant.
+  SessionArrival pending;
+  bool have_arrival = gen.next(&pending);
+  auto admit = [&](net::SharedLink& live) -> size_t {
     size_t idx;
     if (!free_slots.empty()) {
       idx = free_slots.back();
@@ -238,8 +235,8 @@ FleetAggregates FleetSimulator::run_cell(size_t cell,
       free_slots.reserve(engines.size());
       for (auto& pool : policy_pool) pool.reserve(engines.size());
     }
-    arrivals[idx] = a;
-    const size_t pool_idx = mix_to_pool_[a.policy_index];
+    arrivals[idx] = pending;
+    const size_t pool_idx = mix_to_pool_[pending.policy_index];
     auto& pool = policy_pool[pool_idx];
     if (!pool.empty()) {
       policies[idx] = std::move(pool.back());
@@ -248,21 +245,22 @@ FleetAggregates FleetSimulator::run_cell(size_t cell,
       policies[idx] = abr::make_policy(pool_specs_[pool_idx]);
       if (config_.player.share_plan_tables) policies[idx]->attach_plan_batch(&batch);
     }
-    const media::EncodedVideo& video = *videos[a.video_index];
+    const media::EncodedVideo& video = *videos[pending.video_index];
     if (engines[idx] == nullptr) {
-      engines[idx] = std::make_unique<SessionEngine>(config_.player, video, *live,
-                                                     *policies[idx], kNoWeights, a.start_s);
-      engines[idx]->set_chunk_limit(a.chunk_limit);
+      engines[idx] = std::make_unique<SessionEngine>(config_.player, video, live,
+                                                     *policies[idx], kNoWeights, pending.start_s);
+      engines[idx]->set_chunk_limit(pending.chunk_limit);
     } else {
-      engines[idx]->reset(video, *live, *policies[idx], kNoWeights, a.start_s,
-                          a.chunk_limit);
+      engines[idx]->reset(video, live, *policies[idx], kNoWeights, pending.start_s,
+                          pending.chunk_limit);
     }
     // Stable jitter identity (admission order, decoupled from slot reuse)
     // and the live fault plan for RTT spikes (nullptr detaches).
     engines[idx]->set_session_tag(util::mix_seed(cell_seed, session_ordinal++));
     engines[idx]->set_fault_plan(plan_ptr);
-    ++active;
-    agg.peak_concurrent = std::max(agg.peak_concurrent, active);
+    // Occupied slots are exactly the active sessions.
+    agg.peak_concurrent = std::max(agg.peak_concurrent, engines.size() - free_slots.size());
+    have_arrival = gen.next(&pending);
     return idx;
   };
 
@@ -333,112 +331,13 @@ FleetAggregates FleetSimulator::run_cell(size_t cell,
     }
     if (config_.on_session_done) config_.on_session_done(cell, arrivals[idx], engine);
 
-    policy_pool[mix_to_pool_[arrivals[idx].policy_index]].push_back(
-        std::move(policies[idx]));
+    policy_pool[pool_idx].push_back(std::move(policies[idx]));
     free_slots.push_back(idx);
-    --active;
   };
 
-  auto record_join = [&](size_t idx) {
-    if (engines[idx]->state() != SessionEngine::State::kTransferring) return;
-    size_t id = engines[idx]->transfer_id();
-    if (transfer_owner.size() <= id) transfer_owner.resize(id + 1, 0);
-    transfer_owner[id] = idx;
-  };
-
-  // The sim::Simulator event loop plus an arrival stream: completions land
-  // first, then every arrival at t is admitted (its first event is at t),
-  // then every engine transition scheduled at t runs in slot order.
-  SessionArrival pending;
-  bool have_pending = gen.next(&pending);
-  double prev_t = -kInf;
-  bool prev_was_noop = false;
-  while (active > 0 || have_pending) {
-    double t = std::min(events.min_time(), live->next_completion_s());
-    if (have_pending) t = std::min(t, pending.start_s);
-    t = std::min(t, fail_at_s);
-
-    if (t == kInf) {
-      // Dead link, no arrivals left: every active session is stuck on a
-      // transfer the link can never deliver. Outage-truncate, slot order.
-      for (size_t idx = 0; idx < engines.size(); ++idx) {
-        if (engines[idx] != nullptr && policies[idx] != nullptr &&
-            !engines[idx]->done()) {
-          engines[idx]->fail_transfer();
-          retire(idx);
-        }
-      }
-      break;
-    }
-
-    size_t processed = 0;
-    live->advance_to(t);
-    for (const net::SharedLink::Completion& completion : live->completions_sorted()) {
-      ++processed;
-      size_t idx = transfer_owner[completion.id];
-      engines[idx]->complete_transfer(completion.finish_s);
-      if (engines[idx]->done()) {
-        events.update(idx, kInf);
-        retire(idx);
-      } else {
-        events.update(idx, engines[idx]->next_event_time());
-      }
-    }
-    live->clear_completions();
-
-    while (have_pending && pending.start_s <= t) {
-      size_t idx = admit(pending);
-      events.update(idx, engines[idx]->next_event_time());
-      have_pending = gen.next(&pending);
-      ++processed;
-    }
-
-    while (!events.empty() && events.min_time() <= t) {
-      size_t idx = events.min_index();
-      engines[idx]->advance_to(t);
-      ++processed;
-      events.update(idx, engines[idx]->next_event_time());
-      if (engines[idx]->done()) {
-        retire(idx);
-      } else {
-        record_join(idx);
-      }
-    }
-
-    // Cell failover, processed at the end of its instant: completions and
-    // transitions that land exactly at the failure time still resolve on
-    // the primary; everything live afterwards re-homes to the fallback
-    // (in-flight attempts are aborted and charged by the engine, idle
-    // sessions just repoint) and re-enters the heap at its new event time.
-    if (fail_at_s <= t) {
-      ++processed;
-      for (size_t idx = 0; idx < engines.size(); ++idx) {
-        if (engines[idx] != nullptr && policies[idx] != nullptr &&
-            !engines[idx]->done()) {
-          engines[idx]->rehome(*fallback_link, faults.reconnect_delay_s, t);
-          events.update(idx, engines[idx]->next_event_time());
-        }
-      }
-      live = &*fallback_link;
-      fail_at_s = kInf;
-    }
-
-    // Livelock sentinel, as in sim::Simulator: one no-op instant is legal
-    // (an epsilon-short completion estimate), two in a row can never resolve.
-    if (processed == 0 && prev_was_noop && t == prev_t) {
-      size_t stuck = engines.size();
-      for (size_t idx = 0; idx < engines.size(); ++idx) {
-        if (engines[idx] != nullptr && policies[idx] != nullptr &&
-            !engines[idx]->done()) {
-          stuck = idx;
-          break;
-        }
-      }
-      throw LivelockError("fleet cell " + std::to_string(cell), stuck, t);
-    }
-    prev_was_noop = processed == 0;
-    prev_t = t;
-  }
+  run_cell_loop(
+      engines, &link, failover, "fleet cell " + std::to_string(cell),
+      [&] { return have_arrival ? pending.start_s : kInf; }, admit, retire);
   return agg;
 }
 

@@ -6,9 +6,9 @@
 // each contending among the handful-to-hundreds of viewers behind it. A
 // FleetSimulator run is `num_cells` such cells; each cell owns a seeded
 // workload stream (sim/workload.h), its own generated bottleneck trace, and
-// its own discrete-event loop (the sim::Simulator loop plus arrivals), all
-// derived from ExperimentRunner::task_seed(seed, cell) — a cell is a pure
-// function of (config, videos, cell index).
+// its own run of the one discrete-event loop (sim/cell_loop.h) fed by those
+// arrivals, all derived from ExperimentRunner::task_seed(seed, cell) — a
+// cell is a pure function of (config, videos, cell index).
 //
 // Scale discipline (what makes a million sessions fit):
 //  - engines are pooled: a finished session's SessionEngine is reset() to

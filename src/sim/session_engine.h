@@ -1,12 +1,12 @@
 // Resumable streaming-session engine.
 //
 // SessionEngine is the event-driven session timeline of sim/timeline.h
-// decomposed into an explicit, interruptible state machine so a central
-// scheduler (sim::Simulator) can interleave many concurrent sessions over a
-// shared clock. One engine owns everything the monolithic loop owned — the
-// ABR observation buffers, the throughput history ring, the trace cursor,
-// the in-flight chunk's record and trajectory — and exposes the session as
-// a sequence of timed transitions:
+// decomposed into an explicit, interruptible state machine so the
+// discrete-event loop (sim/cell_loop.h) can interleave many concurrent
+// sessions over a shared clock. One engine owns everything the monolithic
+// loop owned — the ABR observation buffers, the throughput history ring,
+// the trace cursor, the in-flight chunk's record and trajectory — and
+// exposes the session as a sequence of timed transitions:
 //
 //   kRequesting --(decide)--> kRtt --(request dead time)--> kTransferring
 //        ^                                                      |

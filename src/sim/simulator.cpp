@@ -5,26 +5,14 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <utility>
 
 #include "abr/planner.h"
 #include "net/fault.h"
 #include "net/shared_link.h"
-#include "sim/event_queue.h"
+#include "sim/cell_loop.h"
 #include "sim/session_engine.h"
 
 namespace sensei::sim {
-
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}
-
-LivelockError::LivelockError(const std::string& loop, size_t stuck_session, double sim_time_s)
-    : std::runtime_error(loop + ": event loop stalled (no progress at t=" +
-                         std::to_string(sim_time_s) + ", stuck session " +
-                         std::to_string(stuck_session) + ")"),
-      stuck_session_(stuck_session),
-      sim_time_s_(sim_time_s) {}
 
 const char* to_string(LinkMode mode) {
   switch (mode) {
@@ -85,9 +73,9 @@ std::vector<MultiSessionResult> Simulator::run(const std::vector<SessionSpec>& s
   // N concurrent Fugu sessions on the same ladder build their chunk-size /
   // quality tables once instead of N times per decision. Attaching never
   // changes a decision (planners read the exact values they would compute
-  // locally), and the guard detaches on every exit — including the livelock
-  // throw below — so a policy reused after run() never dangles into a dead
-  // batch.
+  // locally), and the guard detaches on every exit — including a
+  // LivelockError from the loop — so a policy reused after run() never
+  // dangles into a dead batch.
   abr::PlanBatch batch;
   struct BatchGuard {
     std::vector<std::unique_ptr<SessionEngine>>* engines = nullptr;
@@ -101,101 +89,12 @@ std::vector<MultiSessionResult> Simulator::run(const std::vector<SessionSpec>& s
     for (auto& engine : engines) engine->attach_plan_batch(&batch);
   }
 
-  // Indexed min-heap of transition times: each engine holds one slot, moved
-  // in place as its next_event_time() changes (+infinity leaves the heap).
-  // Ties surface in session-index order — the deterministic tie-break the
-  // thread-count/diff gates rely on — exactly as the lazy heap this
-  // replaces popped them, without its stale-entry rescans (the measured
-  // 400 -> 1000-session droop) or its per-push allocations.
-  EventQueue events;
-  events.ensure_size(engines.size());
-  auto push_engine = [&](size_t idx) {
-    events.update(idx, engines[idx]->next_event_time());
-  };
-  for (size_t i = 0; i < engines.size(); ++i) push_engine(i);
-  size_t remaining = engines.size();
-
-  // transfer id -> session index, recorded as transfers join the link.
-  std::vector<size_t> transfer_owner;
-  auto record_join = [&](size_t idx) {
-    if (!link || engines[idx]->state() != SessionEngine::State::kTransferring) return;
-    size_t id = engines[idx]->transfer_id();
-    if (transfer_owner.size() <= id) transfer_owner.resize(id + 1, engines.size());
-    transfer_owner[id] = idx;
-  };
-
-  double prev_t = -kInf;
-  bool prev_was_noop = false;
-  while (remaining > 0) {
-    double t_engines = events.min_time();
-    double t_link = link ? link->next_completion_s() : kInf;
-    double t = std::min(t_engines, t_link);
-
-    if (t == kInf) {
-      // No event can ever fire again: every unfinished session is waiting on
-      // a transfer the shared link can never deliver (dead link). Surface
-      // the outage exactly as a dedicated dead link does at request time.
-      for (auto& engine : engines) {
-        if (!engine->done()) {
-          engine->fail_transfer();
-          --remaining;
-        }
-      }
-      break;
-    }
-
-    size_t processed = 0;
-    if (link) {
-      // Completions land before same-instant engine events: the leaver
-      // frees its share before anyone joining at t sees the link.
-      link->advance_to(t);
-      for (const net::SharedLink::Completion& completion : link->completions_sorted()) {
-        ++processed;
-        size_t idx = transfer_owner[completion.id];
-        engines[idx]->complete_transfer(completion.finish_s);
-        // Re-push unconditionally: a transferring engine parks at its attempt
-        // deadline (finite with resilience), and a completion that finishes
-        // the session must clear that stale entry or the deadline pops later
-        // against a done engine and double-counts the retirement.
-        push_engine(idx);
-        if (engines[idx]->done()) --remaining;
-      }
-      link->clear_completions();
-    }
-
-    // Every engine transition scheduled at t, in session-index order. A
-    // chain may end in a join (kRtt expiring at t with rtt 0), which is
-    // legal because the link already sits at t.
-    while (!events.empty() && events.min_time() <= t) {
-      size_t idx = events.min_index();
-      engines[idx]->advance_to(t);
-      ++processed;
-      push_engine(idx);  // done() or in-flight transfers park at +infinity
-      if (engines[idx]->done()) {
-        --remaining;
-      } else {
-        record_join(idx);
-      }
-    }
-
-    // Livelock sentinel. A no-op iteration is legal once (the link predicted
-    // a completion whose drain fell an epsilon short), but time must then
-    // move; two stuck iterations at the same instant can never resolve, so
-    // fail loudly — naming the stuck session and instant — instead of
-    // spinning.
-    if (processed == 0 && prev_was_noop && t == prev_t) {
-      size_t stuck = engines.size();
-      for (size_t i = 0; i < engines.size(); ++i) {
-        if (!engines[i]->done()) {
-          stuck = i;
-          break;
-        }
-      }
-      throw LivelockError("simulator", stuck, t);
-    }
-    prev_was_noop = processed == 0;
-    prev_t = t;
-  }
+  // Every session is in `engines` already: no arrivals, no failover, and
+  // nothing to fold on retirement (results are taken below).
+  run_cell_loop(
+      engines, link ? &*link : nullptr, CellFailover{}, "simulator",
+      [] { return std::numeric_limits<double>::infinity(); },
+      [](net::SharedLink&) -> size_t { return 0; }, [](size_t) {});
 
   std::vector<MultiSessionResult> results;
   results.reserve(engines.size());

@@ -7,16 +7,9 @@
 // (kShared — a net::SharedLink splitting each instant's trace capacity
 // equally across active downloads).
 //
-// The loop is a textbook discrete-event scheduler over exact times, not
-// fixed ticks: an indexed min-heap (sim/event_queue.h) of engine transition
-// times plus the shared link's next-completion estimate. Every iteration
-// advances the link to the earliest pending instant, delivers completions
-// (in join order), then lets every engine with a transition at that instant
-// run its chain —
-// deterministic by construction: ties break on session index, completions
-// land before same-instant joins (the leaver frees its share first, which
-// is what makes "last leaver gets the full link" exact at boundaries), and
-// no step depends on heap internals.
+// The engines run through the one discrete-event loop, sim/cell_loop.h
+// (run_cell_loop), with no arrivals beyond the specs and no failover:
+// deterministic by construction, ties break on spec index.
 //
 // Equivalence gate (tests/test_simulator.cpp): a single session driven
 // through this loop on a dedicated link emits a SessionResult and
@@ -26,12 +19,11 @@
 // by this scheduler or driven to completion in one call.
 #pragma once
 
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "media/encoder.h"
 #include "net/trace.h"
+#include "sim/cell_loop.h"  // LivelockError
 #include "sim/player.h"
 #include "sim/session.h"
 
@@ -40,22 +32,6 @@ class FaultPlan;
 }
 
 namespace sensei::sim {
-
-// Typed livelock diagnosis: an event loop made no progress across two
-// iterations pinned at the same simulated instant, which can never resolve.
-// Thrown by Simulator::run and FleetSimulator cells instead of spinning;
-// carries the stuck session's index (spec order / cell-local ordinal) and
-// the simulated time so the failure names its culprit.
-class LivelockError : public std::runtime_error {
- public:
-  LivelockError(const std::string& loop, size_t stuck_session, double sim_time_s);
-  size_t stuck_session() const { return stuck_session_; }
-  double sim_time_s() const { return sim_time_s_; }
-
- private:
-  size_t stuck_session_;
-  double sim_time_s_;
-};
 
 // How sessions see the network.
 enum class LinkMode {
@@ -95,7 +71,8 @@ class Simulator {
   // results, regardless of how sessions interleave in wall-clock terms.
   // `faults` (nullable) injects a net::FaultPlan: capacity faults are
   // materialized onto the trace before any session starts, RTT spikes are
-  // queried by the engines per request. It must outlive the call.
+  // queried by the engines per request. It must outlive the call. Throws
+  // LivelockError if the loop stops making progress.
   std::vector<MultiSessionResult> run(const std::vector<SessionSpec>& specs,
                                       const net::ThroughputTrace& trace,
                                       LinkMode mode = LinkMode::kShared,

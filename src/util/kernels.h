@@ -21,7 +21,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 
 namespace sensei::util {
 
@@ -41,12 +40,6 @@ inline void div_add_row(double num, const double* den, size_t n, double den_floo
     const double d = den_floor < den[i] ? den[i] : den_floor;  // max(den_floor, den)
     out[i] = num / d + add;
   }
-}
-
-// out[i] = (x[i] * scale) / den
-// The Whittle download-time row: (size_bytes * 8) / (budget_kbps * 1000).
-inline void mul_div_row(const double* x, size_t n, double scale, double den, double* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = (x[i] * scale) / den;
 }
 
 // out[i] = x[i] / den  (probability normalization; `out` may alias `x`)
@@ -180,15 +173,6 @@ inline double sum_row(const double* x, size_t n) {
   return acc;
 }
 
-// Sequential left-to-right multiply-add reduction: sum_i w[i] * x[i],
-// two rounded ops per element (never fused) — the probability-weighted
-// value folds over level tables.
-inline double weighted_sum_row(const double* w, const double* x, size_t n) {
-  double acc = 0.0;
-  for (size_t i = 0; i < n; ++i) acc += w[i] * x[i];
-  return acc;
-}
-
 // First index attaining the strict maximum, scanning from index 0 — the
 // planners' and the Whittle policy's argmax semantics, evaluated
 // branchlessly. Ties keep the lowest index. A NaN after index 0 never wins
@@ -216,17 +200,6 @@ inline void quantize_kbps_row(const double* kbps, size_t n, double bins_per_octa
     out[i] = std::exp2(
         static_cast<double>(std::llround(std::log2(k) * bins_per_octave)) /
         bins_per_octave);
-  }
-}
-
-// Buffer bucket map (abr::buffer_bucket batched): llround(buf / quantum),
-// everything at or below zero (and NaN) to bucket 0.
-inline void buffer_bucket_row(const double* buffer_s, size_t n, double quantum_s,
-                              uint64_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = !(buffer_s[i] > 0.0)
-                 ? 0
-                 : static_cast<uint64_t>(std::llround(buffer_s[i] / quantum_s));
   }
 }
 

@@ -1,8 +1,8 @@
 // Kernel-row gates (util/kernels.h): every row cross-checked bit-for-bit
 // against the scalar helper or production statement it batches
-// (qoe::chunk_quality, abr::quantize_kbps, abr::buffer_bucket,
-// WhittleIndexAbr::level_index, the planners' download-time and buffer
-// dynamics, net::triangular_scenarios), plus the order-pinned reductions.
+// (qoe::chunk_quality, abr::quantize_kbps, WhittleIndexAbr::level_index,
+// the planners' download-time and buffer dynamics,
+// net::triangular_scenarios), plus the order-pinned reductions.
 // The download-time, normalization and no-stall rows run at every length
 // 0..19 on inputs salted with FP edge values.
 #include "util/kernels.h"
@@ -171,24 +171,14 @@ TEST(KernelCrossCheck, StepBufferMatchesPlannerDynamics) {
   }
 }
 
-TEST(KernelCrossCheck, QuantizeAndBucketMatchPlannerHelpers) {
+TEST(KernelCrossCheck, QuantizeRowMatchesPlannerHelper) {
   ValueGen gen(23);
-  std::vector<double> kbps(kMaxLen), buf(kMaxLen), qout(kMaxLen);
-  std::vector<uint64_t> bout(kMaxLen);
-  for (size_t i = 0; i < kMaxLen; ++i) {
-    kbps[i] = gen.positive(-10.0, 20000.0);
-    buf[i] = gen.positive(-5.0, 35.0);
-  }
-  buf[0] = -0.0;  // must land in bucket 0 with +0.0
-  buf[1] = 0.0;
+  std::vector<double> kbps(kMaxLen), qout(kMaxLen);
+  for (size_t i = 0; i < kMaxLen; ++i) kbps[i] = gen.positive(-10.0, 20000.0);
   kernels::quantize_kbps_row(kbps.data(), kMaxLen, abr::kViKbpsBinsPerOctave,
                              qout.data());
-  kernels::buffer_bucket_row(buf.data(), kMaxLen, abr::kDefaultViBufferQuantumS,
-                             bout.data());
   for (size_t i = 0; i < kMaxLen; ++i) {
     EXPECT_EQ(qout[i], abr::quantize_kbps(kbps[i])) << "i=" << i;
-    EXPECT_EQ(bout[i], abr::buffer_bucket(buf[i], abr::kDefaultViBufferQuantumS))
-        << "i=" << i;
   }
 }
 
@@ -239,21 +229,16 @@ TEST(KernelCrossCheck, TriangularFanMatchesScenarioFan) {
 
 TEST(KernelCrossCheck, OrderPinnedPrimitives) {
   ValueGen gen(24);
-  std::vector<double> x(kMaxLen), w(kMaxLen);
-  for (size_t i = 0; i < kMaxLen; ++i) {
-    x[i] = gen.positive(-10.0, 10.0);
-    w[i] = gen.positive(0.0, 1.0);
-  }
+  std::vector<double> x(kMaxLen);
+  for (size_t i = 0; i < kMaxLen; ++i) x[i] = gen.positive(-10.0, 10.0);
   x[4] = x[9] = x[12];  // force ties for the argmax tie-break check
-  double sum = 0.0, wsum = 0.0;
+  double sum = 0.0;
   size_t best = 0;
   for (size_t i = 0; i < kMaxLen; ++i) {
     sum += x[i];
-    wsum += w[i] * x[i];
     if (x[i] > x[best]) best = i;
   }
   EXPECT_EQ(kernels::sum_row(x.data(), kMaxLen), sum);
-  EXPECT_EQ(kernels::weighted_sum_row(w.data(), x.data(), kMaxLen), wsum);
   EXPECT_EQ(kernels::argmax_strict_row(x.data(), kMaxLen), best);
   EXPECT_EQ(kernels::argmax_strict_row(x.data(), 0), 0u);
   // No x[i] > NaN holds, so a NaN at index 0 is returned; a later NaN never wins.
@@ -277,20 +262,6 @@ TEST(KernelCrossCheck, DivAddRowMatchesPlannerDownloadTime) {
           kernels::div_add_row(bits, kbps.data(), n, 1.0, 0.08, out);
         },
         [&](size_t, size_t i) { return bits / std::max(1.0, kbps[i]) + 0.08; });
-  }
-}
-
-// WhittleIndexAbr::level_index's download time: (size_bytes * 8) / den.
-TEST(KernelCrossCheck, MulDivRowMatchesWhittleDownloadTime) {
-  ValueGen gen(26);
-  std::vector<double> bytes;
-  for (int t = 0; t < kTrials; ++t) {
-    SCOPED_TRACE("t=" + std::to_string(t));
-    gen.fill(bytes, kMaxLen);
-    const double den = gen.param();
-    check_every_length(
-        [&](size_t n, double* out) { kernels::mul_div_row(bytes.data(), n, 8.0, den, out); },
-        [&](size_t, size_t i) { return (bytes[i] * 8.0) / den; });
   }
 }
 

@@ -488,6 +488,50 @@ TEST_F(SimulatorEquivalence, GateHoldsAcrossRunnerThreads) {
   }
 }
 
+TEST_F(SimulatorEquivalence, ShuffledSpecOrderGivesEachSpecItsSortedResult) {
+  // Spec order is an index, not a schedule: the same sessions, with
+  // distinct start times, listed shuffled must give every session the
+  // result it gets in the start-sorted listing, bit for bit, whether the
+  // sessions contend for one link or not.
+  std::vector<media::EncodedVideo> videos;
+  videos.push_back(media::Encoder().encode(
+      media::SourceVideo::generate("SpecOrderA", media::Genre::kSports, 60)));
+  videos.push_back(media::Encoder().encode(
+      media::SourceVideo::generate("SpecOrderB", media::Genre::kNature, 80)));
+  std::vector<std::vector<double>> weights;
+  for (const auto& video : videos) weights.emplace_back(video.num_chunks(), 1.0);
+  net::ThroughputTrace trace = net::TraceGenerator::cellular("order-cell", 1800, 600.0, 47);
+  PlayerConfig config;
+  const std::vector<double> starts = {0.0, 1.3, 2.9, 4.4, 6.1, 7.7};
+  const std::vector<size_t> shuffled = {3, 0, 5, 1, 4, 2};  // spec j runs session shuffled[j]
+
+  for (LinkMode mode : {LinkMode::kDedicated, LinkMode::kShared}) {
+    SCOPED_TRACE(to_string(mode));
+    auto run = [&](const std::vector<size_t>& order) {
+      std::vector<std::unique_ptr<AbrPolicy>> policies;
+      std::vector<SessionSpec> specs;
+      for (size_t k : order) {
+        policies.push_back(make_policy(static_cast<int>(k % 3)));
+        SessionSpec spec;
+        spec.video = &videos[k % videos.size()];
+        spec.weights = &weights[k % videos.size()];
+        spec.policy = policies.back().get();
+        spec.start_s = starts[k];
+        specs.push_back(spec);
+      }
+      return Simulator(config).run(specs, trace, mode);
+    };
+    auto sorted = run({0, 1, 2, 3, 4, 5});
+    auto reordered = run(shuffled);
+    ASSERT_EQ(reordered.size(), shuffled.size());
+    for (size_t j = 0; j < shuffled.size(); ++j) {
+      SCOPED_TRACE("session " + std::to_string(shuffled[j]));
+      EXPECT_EQ(reordered[j].start_s, sorted[shuffled[j]].start_s);
+      expect_sessions_identical(sorted[shuffled[j]].session, reordered[j].session);
+    }
+  }
+}
+
 // --- shared-link contention behavior ----------------------------------------
 
 TEST(SimulatorContention, SymmetricSessionsStaySymmetricAndSlower) {
