@@ -198,8 +198,9 @@ inline double weighted_step_quality(double w, double expected_q, double expected
 // units the planners use, visual qualities, and the no-stall chunk quality
 // for every (chunk, level, previous level) triple, plus ViPlanner's shared
 // value tables. A sim::Simulator run owns one PlanBatch; a
-// sim::FleetSimulator run owns one for all of its cells and worker threads.
-// Either attaches it to every session's policy (AbrPolicy::
+// sim::FleetSimulator run owns one for all of its cells and worker threads,
+// and a core::Experiments::run_grid call one for all of its grid cells.
+// Each attaches it to every session's policy (AbrPolicy::
 // attach_plan_batch), so sessions streaming the same ladder build these
 // tables once instead of once per session and decision. Tables are built
 // lazily per (video, chunk-quality params) pair and the planners read them

@@ -177,12 +177,18 @@ std::vector<Experiments::RunResult> Experiments::run_grid(
   // workers and the task costs uniform.
   oracle();
 
+  // One pool of static planning tables for the whole grid, attached to every
+  // cell's policy like a Simulator or fleet run does: cells streaming the
+  // same video build its chunk tables once, on whichever worker gets there
+  // first, and decisions are bit-identical to unbatched ones.
+  abr::PlanBatch batch;
   const std::vector<double> none;
   std::vector<RunResult> out(videos.size() * traces.size());
   runner.for_each(out.size(), [&](size_t i) {
     size_t v = i / traces.size();
     size_t t = i % traces.size();
     auto policy = make_policy();
+    policy->attach_plan_batch(&batch);
     const std::vector<double>& w = weights_per_video.empty() ? none : weights_per_video[v];
     out[i] = run(videos[v], traces[t], *policy, w);
   });

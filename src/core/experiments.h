@@ -75,7 +75,8 @@ class Experiments {
   // row-major order: cell (v, t) lands at index v * traces.size() + t,
   // bit-identical to the serial double loop regardless of thread count.
   // `weights_per_video` is either empty (weight-unaware ABRs) or one
-  // sensitivity vector per video.
+  // sensitivity vector per video. Every cell's policy gets the call's one
+  // abr::PlanBatch, so each cell equals Experiments::run bit for bit.
   static std::vector<RunResult> run_grid(
       const std::vector<media::EncodedVideo>& videos,
       const std::vector<net::ThroughputTrace>& traces, const PolicyFactory& make_policy,

@@ -54,6 +54,13 @@ void FaultPlan::add(const FaultEvent& event) {
       break;
   }
   events_.push_back(event);
+  if (event.kind == FaultKind::kRttSpike) {
+    const RttSpike spike{event.start_s, event.end_s(), event.magnitude};
+    const auto by_start = [](const RttSpike& a, const RttSpike& b) {
+      return a.start_s < b.start_s;
+    };
+    spikes_.insert(std::upper_bound(spikes_.begin(), spikes_.end(), spike, by_start), spike);
+  }
 }
 
 FaultPlan FaultPlan::random(const RandomFaultSpec& spec, uint64_t seed) {
@@ -110,10 +117,12 @@ double FaultPlan::capacity_horizon_s() const {
 }
 
 double FaultPlan::rtt_extra_s(double t_s) const {
+  // Every spike past the first that starts after t starts after t too; the
+  // max over the active ones does not depend on the order they are met in.
   double extra = 0.0;
-  for (const FaultEvent& e : events_) {
-    if (e.kind != FaultKind::kRttSpike) continue;
-    if (t_s >= e.start_s && t_s < e.end_s()) extra = std::max(extra, e.magnitude);
+  for (const RttSpike& spike : spikes_) {
+    if (spike.start_s > t_s) break;
+    if (t_s < spike.end_s) extra = std::max(extra, spike.extra_s);
   }
   return extra;
 }

@@ -94,7 +94,9 @@ class FaultPlan {
 
   // Extra request dead time at absolute time t: the max over active RTT
   // spikes (max, not sum — overlapping spikes describe the same congested
-  // resolver, they don't stack).
+  // resolver, they don't stack). Engines ask at every request, so the scan
+  // runs over the spikes alone, in start order, and stops at the first one
+  // that starts after t.
   double rtt_extra_s(double t_s) const;
 
   // Capacity multiplier at absolute time t: min over active outage/collapse
@@ -112,7 +114,14 @@ class FaultPlan {
   ThroughputTrace apply_to_trace(const ThroughputTrace& base) const;
 
  private:
+  struct RttSpike {
+    double start_s = 0.0;
+    double end_s = 0.0;
+    double extra_s = 0.0;
+  };
+
   std::vector<FaultEvent> events_;
+  std::vector<RttSpike> spikes_;  // the kRttSpike events, sorted by start
 };
 
 }  // namespace sensei::net

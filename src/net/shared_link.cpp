@@ -27,18 +27,22 @@ SharedLink::SharedLink(const ThroughputTrace& trace, bool recycle_ids)
   trace.index();  // fail fast on a default-constructed trace
 }
 
-// Min-heap ordering: std::push_heap/pop_heap build a max-heap under the
-// comparator, so reversing Credit's operator< puts the smallest
-// (finish_credit, id) at the front — completions pop in exactly the order
-// the previous sorted-set code produced, join order breaking ties.
-namespace {
-constexpr auto kCreditAfter = [](const auto& a, const auto& b) { return b < a; };
-}  // namespace
-
-void SharedLink::pop_min_credit() {
-  std::pop_heap(credits_.begin(), credits_.end(), kCreditAfter);
-  credits_.pop_back();
+void SharedLink::finish_min() {
+  const size_t id = credits_.min_index();
+  credits_.update(id, kInf);
   next_completion_valid_ = false;
+  transfers_[id].finished = true;
+  transfers_[id].finish_s = now_s_;
+  completions_.push_back({id, now_s_});
+}
+
+bool SharedLink::finish_due() {
+  bool any = false;
+  while (!credits_.empty() && credits_.min_time() - drained_bits_ <= kFinishEpsBits) {
+    finish_min();
+    any = true;
+  }
+  return any;
 }
 
 double SharedLink::cumulative_bits(double t) const {
@@ -95,7 +99,9 @@ void SharedLink::drain_to(double t) {
 }
 
 size_t SharedLink::begin(double bytes, double start_s) {
-  if (!(bytes > 0.0)) throw std::runtime_error("shared link: transfer must carry bytes");
+  if (!(bytes > 0.0) || !std::isfinite(bytes * 8.0)) {
+    throw std::runtime_error("shared link: transfer must carry a finite, positive byte count");
+  }
   // Joins happen at the link's current instant: the driver advances the link
   // to each event time before letting sessions act at it.
   if (std::abs(start_s - now_s_) > 1e-9 * std::max(1.0, std::abs(now_s_))) {
@@ -104,7 +110,6 @@ size_t SharedLink::begin(double bytes, double start_s) {
   Transfer transfer;
   transfer.total_bits = bytes * 8.0;
   transfer.joined_drained_bits = drained_bits_;
-  transfer.finish_credit = transfer.total_bits + drained_bits_;
   size_t id;
   if (!free_ids_.empty()) {
     id = free_ids_.back();
@@ -118,8 +123,7 @@ size_t SharedLink::begin(double bytes, double start_s) {
     // the release path never allocates in steady state.
     if (recycle_ids_) free_ids_.reserve(transfers_.size());
   }
-  credits_.push_back({transfer.finish_credit, id});
-  std::push_heap(credits_.begin(), credits_.end(), kCreditAfter);
+  credits_.update(id, transfer.total_bits + drained_bits_);
   next_completion_valid_ = false;
   return id;
 }
@@ -128,7 +132,7 @@ double SharedLink::next_completion_s() const {
   if (next_completion_valid_) return next_completion_memo_;
   double next = kInf;
   if (!credits_.empty()) {
-    double min_remaining = min_credit().finish_credit - drained_bits_;
+    double min_remaining = credits_.min_time() - drained_bits_;
     if (min_remaining <= kFinishEpsBits) {
       next = now_s_;
     } else {
@@ -168,39 +172,17 @@ void SharedLink::advance_to(double t) {
       now_s_ = finish_s;
       next_completion_valid_ = false;
     }
-    bool popped = false;
-    while (!credits_.empty() &&
-           min_credit().finish_credit - drained_bits_ <= kFinishEpsBits) {
-      size_t id = min_credit().id;
-      pop_min_credit();
-      transfers_[id].finished = true;
-      transfers_[id].finish_s = now_s_;
-      completions_.push_back({id, now_s_});
-      popped = true;
-    }
-    if (!popped) {
-      // The drain landed an epsilon short of the prediction; the remaining
-      // bits are sub-bit, so complete the predicted finisher rather than
-      // re-deriving the same instant forever.
-      size_t id = min_credit().id;
-      pop_min_credit();
-      transfers_[id].finished = true;
-      transfers_[id].finish_s = now_s_;
-      completions_.push_back({id, now_s_});
-    }
+    // When the drain landed an epsilon short of the prediction, the
+    // remaining bits are sub-bit: complete the predicted finisher rather
+    // than re-deriving the same instant forever.
+    if (!finish_due()) finish_min();
   }
   if (t > now_s_) {
     if (!credits_.empty()) drain_to(t);
     now_s_ = t;
     next_completion_valid_ = false;
   }
-  while (!credits_.empty() && min_credit().finish_credit - drained_bits_ <= kFinishEpsBits) {
-    size_t id = min_credit().id;
-    pop_min_credit();
-    transfers_[id].finished = true;
-    transfers_[id].finish_s = now_s_;
-    completions_.push_back({id, now_s_});
-  }
+  finish_due();
 }
 
 void SharedLink::abort(size_t id) {
@@ -209,19 +191,7 @@ void SharedLink::abort(size_t id) {
   if (transfer.finished || transfer.aborted) {
     throw std::runtime_error("shared link: cannot abort a transfer that is not active");
   }
-  bool found = false;
-  for (size_t k = 0; k < credits_.size(); ++k) {
-    if (credits_[k].id == id) {
-      credits_[k] = credits_.back();
-      credits_.pop_back();
-      found = true;
-      break;
-    }
-  }
-  if (!found) throw std::runtime_error("shared link: aborted transfer has no active credit");
-  // Rebuilding the heap is O(active); aborts only happen on timeouts and
-  // failovers, so this never touches the steady-state join/complete path.
-  std::make_heap(credits_.begin(), credits_.end(), kCreditAfter);
+  credits_.update(id, kInf);
   next_completion_valid_ = false;
   transfer.aborted = true;
   transfer.aborted_granted_bits = std::min(

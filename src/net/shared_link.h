@@ -21,11 +21,13 @@
 // transfer drains at the same bits/s, so the relative order of their
 // remaining bits never changes between membership events. Each transfer is
 // therefore booked once, at join time, as a *finish credit* (bits remaining
-// + bits already drained per transfer); a credit min-heap plus one global
-// drained-bits accumulator answer "who finishes next" and "how much has
-// everyone received" in O(log n) per event, with no per-transfer update on
-// the hot path and no allocation once the backing vectors reach the link's
-// peak concurrency.
+// + bits already drained per transfer). The credits live in an indexed
+// min-heap keyed by transfer id (util/indexed_min_heap.h), ordered by
+// (finish credit, id); with one global drained-bits accumulator it answers
+// "who finishes next" and "how much has everyone received". Joining,
+// finishing and aborting a transfer each re-key one id in O(log n), with no
+// per-transfer update on the hot path and no allocation once the backing
+// vectors reach the link's peak concurrency.
 //
 // Both time lookups on the event path — cumulative_bits(t) for every drain
 // and the trace integration behind next_completion_s() — run through exact
@@ -47,6 +49,7 @@
 #include <vector>
 
 #include "net/trace.h"
+#include "util/indexed_min_heap.h"
 
 namespace sensei::net {
 
@@ -65,9 +68,11 @@ class SharedLink {
   double now_s() const { return now_s_; }
   size_t active_count() const { return credits_.size(); }
 
-  // Registers a transfer of `bytes` (> 0) starting at `start_s`, which must
-  // be the link's current instant (the driver advances the link to an event
-  // time, then lets sessions join at it). Returns the transfer's id.
+  // Registers a transfer of `bytes` (finite, > 0) starting at `start_s`,
+  // which must be the link's current instant (the driver advances the link
+  // to an event time, then lets sessions join at it). Returns the
+  // transfer's id. Throws for a non-finite or non-positive byte count: an
+  // infinite transfer would never finish, and the link would look dead.
   size_t begin(double bytes, double start_s);
 
   // Earliest absolute time at which an active transfer completes if the
@@ -93,8 +98,8 @@ class SharedLink {
   // had completed. Throws for an unknown id or one that is not active
   // (already finished or aborted) — drivers deliver completions before
   // session events at the same instant, so a session can never race its own
-  // completion here. O(active) for the credit removal; aborts ride the rare
-  // fault path, never the steady-state one.
+  // completion here. Removing the credit is one O(log n) heap update, the
+  // same cost as a completion.
   void abort(size_t id);
 
   // Completions recorded since the last drain, in join (id) order.
@@ -129,33 +134,19 @@ class SharedLink {
   double cumulative_bits(double t) const;
 
  private:
-  // Remaining bits of an active transfer = credit - drained_bits_: the
-  // credit is fixed at join, the accumulator advances for everyone at once.
-  // Kept in a binary min-heap over (finish_credit, id) — same completion
-  // order a sorted set would give (ties pop in join order), but the backing
-  // vector's capacity is reused, so the per-join hot path never allocates
-  // once the link has seen its peak concurrency.
-  struct Credit {
-    double finish_credit = 0.0;
-    size_t id = 0;
-    bool operator<(const Credit& other) const {
-      if (finish_credit != other.finish_credit) return finish_credit < other.finish_credit;
-      return id < other.id;
-    }
-  };
-
   struct Transfer {
     double total_bits = 0.0;
     double joined_drained_bits = 0.0;  // drained_bits_ at join
-    double finish_credit = 0.0;
     bool finished = false;
     bool aborted = false;
     double aborted_granted_bits = 0.0;  // grants frozen at the abort instant
     double finish_s = 0.0;
   };
 
-  const Credit& min_credit() const { return credits_.front(); }
-  void pop_min_credit();
+  // finish_min() retires the heap's minimum at now_s_; finish_due() retires
+  // every transfer within a bit of done and says whether there was one.
+  void finish_min();
+  bool finish_due();
   // Credits every active transfer its equal share of the trace capacity
   // over [now_s_, t]; the caller then moves now_s_ to t.
   void drain_to(double t);
@@ -165,7 +156,9 @@ class SharedLink {
   double now_s_ = 0.0;
   // Per-transfer share of capacity drained since the link began (bits).
   double drained_bits_ = 0.0;
-  std::vector<Credit> credits_;      // binary min-heap, next finisher at front
+  // Remaining bits of an active transfer = credit - drained_bits_. The
+  // minimum (credit, id) finishes next; equal credits finish in id order.
+  util::IndexedMinHeap credits_;  // transfer id -> finish credit
   std::vector<Transfer> transfers_;  // indexed by id (bounded when recycling)
   std::vector<size_t> free_ids_;     // drained ids awaiting reuse (recycle_ids_)
   std::vector<Completion> completions_;

@@ -1,11 +1,11 @@
 // The discrete-event loop every simulated session runs through.
 //
 // sim::Simulator and each sim::FleetSimulator cell call run_cell_loop. The
-// loop owns the event queue (sim/event_queue.h), the transfer-id -> slot
-// map, the live-link pointer, the dead-link outage, the failover instant
-// and the livelock sentinel; callers own their session slots and pass three
-// hooks (an arrival source, admit, retire) as template parameters, so the
-// hooks inline into the per-event path.
+// loop owns the event queue (an indexed min-heap, util/indexed_min_heap.h),
+// the transfer-id -> slot map, the live-link pointer, the dead-link outage,
+// the failover instant and the livelock sentinel; callers own their session
+// slots and pass three hooks (an arrival source, admit, retire) as template
+// parameters, so the hooks inline into the per-event path.
 //
 // Times are exact, not ticks. Each iteration takes the earliest of the
 // engines' next transitions, the link's next completion, the next arrival
@@ -35,8 +35,8 @@
 #include <vector>
 
 #include "net/shared_link.h"
-#include "sim/event_queue.h"
 #include "sim/session_engine.h"
+#include "util/indexed_min_heap.h"
 
 namespace sensei::sim {
 
@@ -85,7 +85,7 @@ void run_cell_loop(std::vector<std::unique_ptr<SessionEngine>>& engines, net::Sh
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const auto live_slot = [&](size_t i) { return engines[i] != nullptr && !engines[i]->done(); };
 
-  EventQueue events;
+  util::IndexedMinHeap events;
   events.ensure_size(engines.size());
   size_t active = 0;
   for (size_t i = 0; i < engines.size(); ++i) {

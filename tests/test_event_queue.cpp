@@ -1,15 +1,19 @@
-// Differential gate for sim::EventQueue, the indexed min-heap both
-// discrete-event loops schedule engine transitions on. A seeded operation
-// stream — inserts, moves up and down, +infinity removals, re-insertion of
-// removed indices, equal-time ties, index-space growth — runs against the
-// queue and against a std::set of (time, index) pairs, the order the queue
-// promises. After every operation the queue's minimum, size and emptiness
-// must equal the reference's.
-#include "sim/event_queue.h"
+// Differential gate for util::IndexedMinHeap, the one heap in src/: the
+// discrete-event loop schedules engine transitions on it (as
+// sim::EventQueue) and net::SharedLink keeps its finish credits in it. A
+// seeded operation stream — inserts, moves up and down, +infinity removals,
+// re-insertion of removed indices, equal-key ties, index-space growth, and
+// the link's pattern of pop-min runs interleaved with removals of arbitrary
+// indices — runs against the heap and against a std::set of (key, index)
+// pairs, the order the heap promises. After every operation the heap's
+// minimum, size and emptiness must equal the reference's. The suite keeps
+// the event loop's name for the heap.
+#include "util/indexed_min_heap.h"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <string>
@@ -18,7 +22,7 @@
 
 #include "util/rng.h"
 
-namespace sensei::sim {
+namespace sensei::util {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -35,13 +39,14 @@ class ReferenceQueue {
   bool empty() const { return set_.empty(); }
   size_t size() const { return set_.size(); }
   const std::pair<double, size_t>& min() const { return *set_.begin(); }
+  size_t nth_index(size_t k) const { return std::next(set_.begin(), k)->second; }
 
  private:
   std::set<std::pair<double, size_t>> set_;
   std::vector<double> times_;
 };
 
-void expect_same(const EventQueue& queue, const ReferenceQueue& ref, size_t op) {
+void expect_same(const IndexedMinHeap& queue, const ReferenceQueue& ref, size_t op) {
   ASSERT_EQ(queue.empty(), ref.empty()) << "op " << op;
   ASSERT_EQ(queue.size(), ref.size()) << "op " << op;
   if (ref.empty()) {
@@ -53,7 +58,7 @@ void expect_same(const EventQueue& queue, const ReferenceQueue& ref, size_t op) 
 }
 
 TEST(EventQueue, EmptyQueueReportsInfinity) {
-  EventQueue queue;
+  IndexedMinHeap queue;
   EXPECT_TRUE(queue.empty());
   EXPECT_EQ(queue.size(), 0u);
   EXPECT_EQ(queue.min_time(), kInf);
@@ -67,7 +72,7 @@ TEST(EventQueue, EmptyQueueReportsInfinity) {
 }
 
 TEST(EventQueue, EqualTimesSurfaceInIndexOrder) {
-  EventQueue queue;
+  IndexedMinHeap queue;
   for (size_t idx : {7u, 2u, 9u, 0u, 4u}) queue.update(idx, 5.0);
   std::vector<size_t> order;
   while (!queue.empty()) {
@@ -85,11 +90,12 @@ TEST(EventQueue, MatchesOrderedSetReferenceOverSeededOperations) {
   for (uint64_t seed : {1ull, 0x5eedull, 0xe7e47ull}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     util::Rng rng(seed);
-    EventQueue queue;
+    IndexedMinHeap queue;
     ReferenceQueue ref;
     size_t space = 8;
     queue.ensure_size(space);
     size_t removals = 0, reinserts = 0, moves_up = 0, moves_down = 0, ties = 0;
+    size_t min_pops = 0, arbitrary_removals = 0;
     std::vector<bool> removed(1 << 12, false);
     for (size_t op = 0; op < 40000; ++op) {
       if (space < removed.size() && rng.chance(0.002)) {
@@ -139,6 +145,29 @@ TEST(EventQueue, MatchesOrderedSetReferenceOverSeededOperations) {
           if (HasFatalFailure()) return;
         }
       }
+
+      // SharedLink's credit pattern: a run of finishers retired off the
+      // minimum, then an abort that removes any present index.
+      if (rng.chance(0.05)) {
+        const int run = rng.uniform_int(1, 6);
+        for (int k = 0; k < run && !ref.empty(); ++k) {
+          const size_t min_idx = queue.min_index();
+          queue.update(min_idx, kInf);
+          ref.update(min_idx, kInf);
+          ++min_pops;
+          expect_same(queue, ref, op);
+          if (HasFatalFailure()) return;
+        }
+        if (!ref.empty()) {
+          const size_t victim = ref.nth_index(static_cast<size_t>(
+              rng.uniform_int(0, static_cast<int>(ref.size()) - 1)));
+          queue.update(victim, kInf);
+          ref.update(victim, kInf);
+          ++arbitrary_removals;
+          expect_same(queue, ref, op);
+          if (HasFatalFailure()) return;
+        }
+      }
     }
     // Every operation kind the queue branches on actually ran.
     EXPECT_GT(removals, 1000u);
@@ -147,8 +176,10 @@ TEST(EventQueue, MatchesOrderedSetReferenceOverSeededOperations) {
     EXPECT_GT(moves_down, 1000u);
     EXPECT_GT(ties, 1000u);
     EXPECT_GE(space, 1024u);
+    EXPECT_GT(min_pops, 4000u);
+    EXPECT_GT(arbitrary_removals, 1000u);
   }
 }
 
 }  // namespace
-}  // namespace sensei::sim
+}  // namespace sensei::util

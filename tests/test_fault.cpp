@@ -3,7 +3,9 @@
 //  - seeded-random realizations: deterministic in the seed, sorted, shaped
 //    by the spec, scaled by the intensity knob;
 //  - point queries (capacity_factor_at, rtt_extra_s) with overlap semantics
-//    (min factor / max extra — faults don't stack);
+//    (min factor / max extra — faults don't stack); rtt_extra_s's
+//    start-sorted early-exit scan equals a scan over every event at and
+//    one ulp around each spike edge;
 //  - apply_to_trace materialization: interval scaling snaps outward to the
 //    sample grid, looping traces unroll whole periods, finite traces stay
 //    finite, names and intervals survive.
@@ -11,10 +13,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "net/trace.h"
+#include "util/rng.h"
 
 namespace sensei::net {
 namespace {
@@ -132,6 +139,73 @@ TEST(FaultPlan, PointQueriesUseMinFactorAndMaxExtra) {
 
   // RTT spikes never affect capacity; capacity faults never affect RTT.
   EXPECT_EQ(plan.capacity_horizon_s(), 5.0);
+}
+
+// rtt_extra_s as the plan defines it: the max over every RTT spike whose
+// [start, end) window holds t, in event order.
+double brute_force_rtt_extra(const FaultPlan& plan, double t) {
+  double extra = 0.0;
+  for (const FaultEvent& e : plan.events()) {
+    if (e.kind != FaultKind::kRttSpike) continue;
+    if (t >= e.start_s && t < e.end_s()) extra = std::max(extra, e.magnitude);
+  }
+  return extra;
+}
+
+// Seeded plans of both origins: random() realizations (sorted, one spike
+// magnitude) and scripted add() sequences in arbitrary start order, with
+// overlapping spikes of varied magnitude, shared starts and capacity events
+// mixed in. Every spike edge is probed exactly and one ulp either side.
+TEST(FaultPlan, RttExtraMatchesBruteForceScanAroundEverySpikeEdge) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<FaultPlan> plans;
+  RandomFaultSpec spec;
+  spec.horizon_s = 300.0;
+  spec.mean_outages = 3.0;
+  spec.mean_collapses = 3.0;
+  spec.mean_rtt_spikes = 25.0;
+  for (uint64_t seed = 0; seed < 8; ++seed) plans.push_back(FaultPlan::random(spec, seed));
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    util::Rng rng(0x5b1ce + seed);
+    FaultPlan plan;
+    double last_start = 0.0;
+    for (int i = 0; i < 40; ++i) {
+      const bool shared_start = i > 0 && rng.chance(0.2);
+      const double start = shared_start ? last_start : rng.uniform(0.0, 120.0);
+      last_start = start;
+      const double duration = rng.exponential(8.0) + 1e-3;
+      const double pick = rng.uniform();
+      if (pick < 0.15) {
+        plan.add(make_event(FaultKind::kOutage, start, duration, 0.0));
+      } else if (pick < 0.3) {
+        plan.add(make_event(FaultKind::kCapacityCollapse, start, duration, 0.3));
+      } else {
+        plan.add(make_event(FaultKind::kRttSpike, start, duration, rng.uniform(0.0, 2.0)));
+      }
+    }
+    plans.push_back(plan);
+  }
+
+  size_t probes = 0, nonzero = 0;
+  for (size_t p = 0; p < plans.size(); ++p) {
+    SCOPED_TRACE("plan " + std::to_string(p));
+    std::vector<double> instants = {0.0, -1.0, 1e9, kInf};
+    for (const FaultEvent& e : plans[p].events()) {
+      for (double edge : {e.start_s, e.end_s()}) {
+        instants.push_back(edge);
+        instants.push_back(std::nextafter(edge, -kInf));
+        instants.push_back(std::nextafter(edge, kInf));
+      }
+    }
+    for (double t : instants) {
+      const double want = brute_force_rtt_extra(plans[p], t);
+      ASSERT_EQ(plans[p].rtt_extra_s(t), want) << "t = " << t;
+      ++probes;
+      nonzero += want > 0.0;
+    }
+  }
+  EXPECT_GT(probes, 3000u);
+  EXPECT_GT(nonzero, 1000u);
 }
 
 TEST(FaultPlan, ApplyToTraceScalesOverlappedIntervals) {

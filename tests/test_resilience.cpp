@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -305,6 +306,29 @@ TEST(SharedLinkAbort, FreezesGrantsAndRestoresFullCapacity) {
   EXPECT_THROW(link.abort(a), std::runtime_error);
   EXPECT_THROW(link.abort(b), std::runtime_error);
   EXPECT_THROW(link.abort(999), std::runtime_error);
+}
+
+// A transfer of +infinity bytes would hold an infinite finish credit: it
+// could never finish, so next_completion_s() would report a dead link and
+// the cell loop would fail every live session; in the link's credit heap
+// +infinity also means "absent". begin() refuses it, and any byte count
+// whose bit count overflows, up front.
+TEST(SharedLinkAbort, BeginRejectsNonFiniteByteCounts) {
+  net::ThroughputTrace trace("flat", {8000.0}, 1.0);
+  net::SharedLink link(trace);
+  EXPECT_THROW(link.begin(kInf, 0.0), std::runtime_error);
+  EXPECT_THROW(link.begin(std::numeric_limits<double>::max(), 0.0), std::runtime_error);
+  EXPECT_THROW(link.begin(std::nan(""), 0.0), std::runtime_error);
+  EXPECT_THROW(link.begin(-kInf, 0.0), std::runtime_error);
+  EXPECT_THROW(link.begin(0.0, 0.0), std::runtime_error);
+  EXPECT_EQ(link.active_count(), 0u);
+  EXPECT_EQ(link.next_completion_s(), kInf);
+
+  const size_t id = link.begin(1000.0 * 125.0, 0.0);  // 1 Mbit at 8 Mbps
+  EXPECT_EQ(link.active_count(), 1u);
+  EXPECT_EQ(link.next_completion_s(), 0.125);
+  link.abort(id);
+  EXPECT_EQ(link.active_count(), 0u);
 }
 
 // ---- LivelockError ----------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "abr/bba.h"
@@ -170,6 +171,46 @@ TEST_F(RunnerGridTest, GridMatchesDirectSerialLoopRowMajor) {
       EXPECT_EQ(cell.true_qoe, direct.true_qoe) << "v=" << v << " t=" << t;
       EXPECT_EQ(cell.session.video_name(), direct.session.video_name());
       EXPECT_EQ(cell.session.trace_name(), direct.session.trace_name());
+    }
+  }
+}
+
+// run_grid attaches one abr::PlanBatch to every cell's policy; the DP
+// planners read the batch's tables through the expressions they would
+// evaluate locally, so each cell must equal an unbatched Experiments::run
+// bit for bit, weighted (SENSEI) or not.
+TEST_F(RunnerGridTest, BatchedDpGridMatchesUnbatchedRuns) {
+  auto videos = grid_videos();
+  auto traces = grid_traces();
+  const auto& all_weights = Experiments::weights();
+  const std::vector<std::vector<double>> weights(all_weights.begin(),
+                                                 all_weights.begin() + videos.size());
+  ExperimentRunner parallel(4);
+  for (const char* spec : {"fugu:planner=dp", "sensei-fugu:planner=dp"}) {
+    SCOPED_TRACE(spec);
+    const auto factory = Experiments::policy_factory(spec);
+    const bool weighted = std::string(spec).rfind("sensei", 0) == 0;
+    const std::vector<std::vector<double>> grid_weights =
+        weighted ? weights : std::vector<std::vector<double>>{};
+    auto grid = Experiments::run_grid(videos, traces, factory, grid_weights, parallel);
+    for (size_t v = 0; v < videos.size(); ++v) {
+      for (size_t t = 0; t < traces.size(); ++t) {
+        auto policy = factory();
+        auto direct = Experiments::run(videos[v], traces[t], *policy,
+                                       weighted ? weights[v] : std::vector<double>{});
+        const auto& cell = grid[v * traces.size() + t];
+        EXPECT_EQ(cell.true_qoe, direct.true_qoe) << "v=" << v << " t=" << t;
+        const auto& ca = cell.session.chunks();
+        const auto& cb = direct.session.chunks();
+        ASSERT_EQ(ca.size(), cb.size()) << "v=" << v << " t=" << t;
+        for (size_t c = 0; c < ca.size(); ++c) {
+          EXPECT_EQ(ca[c].level, cb[c].level) << "v=" << v << " t=" << t << " chunk " << c;
+          EXPECT_EQ(ca[c].rebuffer_s, cb[c].rebuffer_s);
+          EXPECT_EQ(ca[c].download_time_s, cb[c].download_time_s);
+          EXPECT_EQ(ca[c].buffer_after_s, cb[c].buffer_after_s);
+          EXPECT_EQ(ca[c].visual_quality, cb[c].visual_quality);
+        }
+      }
     }
   }
 }
