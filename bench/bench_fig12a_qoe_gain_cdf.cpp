@@ -50,6 +50,6 @@ int main() {
               util::median(gain_pensieve), util::median(gain_sensei_pen));
   std::printf("(paper: SENSEI median +14.4%%, Pensieve/Fugu ~+5.7%%; our RL substrate "
               "is weaker than A3C, so the Fugu family carries the headline here — see "
-              "EXPERIMENTS.md)\n");
+              "README.md, Substitutions and fidelity)\n");
   return 0;
 }

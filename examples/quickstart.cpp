@@ -29,7 +29,8 @@ int main() {
   std::printf("Trace: %s (mean %.0f Kbps)\n\n", trace.name().c_str(), trace.mean_kbps());
 
   // 2. Profile the video: simulated MTurk raters -> per-chunk weights.
-  crowd::GroundTruthQoE oracle;  // stands in for real viewers (see DESIGN.md)
+  // Stands in for real viewers (README.md, "Substitutions and fidelity").
+  crowd::GroundTruthQoE oracle;
   core::Sensei sensei(oracle);
   core::ProfileOutput profiled = sensei.profile(video);
   std::printf("Profiling: %zu renderings, %zu ratings, %zu participants\n",

@@ -1,7 +1,5 @@
 #include "abr/fugu.h"
 
-#include "util/kernels.h"
-
 namespace sensei::abr {
 
 FuguAbr::FuguAbr(FuguConfig config)
@@ -32,18 +30,6 @@ sim::AbrDecision FuguAbr::decide(const sim::AbrObservation& obs) {
   if (obs.last_throughput_kbps > 0.0) predictor_.observe(obs.last_throughput_kbps);
   predictor_.scenarios_into(scenario_buf_);
 
-  // Quantize the forecast once per decision for the vi planner, the only
-  // one that reads it.
-  const bool quantize = config_.planner == PlannerKind::kVi;
-  if (quantize) {
-    const size_t S = scenario_buf_.size();
-    kbps_buf_.resize(S);
-    quantized_buf_.resize(S);
-    for (size_t s = 0; s < S; ++s) kbps_buf_[s] = scenario_buf_[s].kbps;
-    util::kernels::quantize_kbps_row(kbps_buf_.data(), S, kViKbpsBinsPerOctave,
-                                     quantized_buf_.data());
-  }
-
   double prev_vq = obs.next_chunk > 0
                        ? obs.video->visual_quality(obs.next_chunk - 1, obs.last_level)
                        : obs.video->visual_quality(0, 0);
@@ -59,7 +45,6 @@ sim::AbrDecision FuguAbr::decide(const sim::AbrObservation& obs) {
   q.weight_shrinkage = config_.weight_shrinkage;
   q.chunk = config_.chunk;
   q.prev_visual_quality = prev_vq;
-  q.quantized_kbps = quantize ? quantized_buf_.data() : nullptr;
 
   PlanResult r = planner_->plan(q);
 

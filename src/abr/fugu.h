@@ -74,14 +74,8 @@ class FuguAbr : public sim::AbrPolicy {
   net::ScenarioPredictor predictor_;
   std::unique_ptr<Planner> planner_;
   // Scenario buffer refilled in place every decision (no per-decide heap
-  // allocation once warm), plus, for planner=vi only, the per-decision
-  // quantized-forecast table (quantize_kbps over the scenario kbps) handed
-  // to the planner through PlanQuery::quantized_kbps so ViPlanner skips the
-  // log2/exp2 re-derive. The exact planners ignore it, so they get nullptr
-  // and the quantization is skipped.
+  // allocation once warm).
   std::vector<net::ThroughputScenario> scenario_buf_;
-  std::vector<double> kbps_buf_;
-  std::vector<double> quantized_buf_;
 };
 
 }  // namespace sensei::abr

@@ -56,14 +56,13 @@ inline bool same_params(const qoe::ChunkQualityParams& a, const qoe::ChunkQualit
          a.beta_switch == b.beta_switch && a.floor == b.floor;
 }
 
-// Whether shared table `t` was built for exactly this discretized context.
-inline bool same_vi_context(const PlanBatch::ViValueTable& t, const media::EncodedVideo& video,
-                            const qoe::ChunkQualityParams& params, size_t next_chunk,
-                            size_t depth_count, size_t levels, double quantum,
-                            const double* key, size_t key_len) {
-  return t.video == &video && t.next_chunk == next_chunk && t.depth_count == depth_count &&
-         t.levels == levels && t.quantum == quantum && same_params(t.params, params) &&
-         t.key.size() == key_len && std::equal(t.key.begin(), t.key.end(), key);
+// Whether `ctx` is exactly this discretized context.
+inline bool same_vi_context(const PlanBatch::ViContext& ctx, const media::EncodedVideo& video,
+                            const qoe::ChunkQualityParams& params, size_t depth_count,
+                            size_t levels, double quantum, const double* key, size_t key_len) {
+  return ctx.video == &video && ctx.depth_count == depth_count && ctx.levels == levels &&
+         ctx.quantum == quantum && same_params(ctx.params, params) &&
+         ctx.key.size() == key_len && std::equal(ctx.key.begin(), ctx.key.end(), key);
 }
 
 // The batch's tables for (video, params), looked up through the planner's
@@ -137,28 +136,20 @@ const PlanBatch::VideoTables& PlanBatch::tables(const media::EncodedVideo& video
   return *tables_.back();
 }
 
-PlanBatch::ViValueTable& PlanBatch::vi_table(const media::EncodedVideo& video,
+PlanBatch::ViContext& PlanBatch::vi_context(const media::EncodedVideo& video,
                                              const qoe::ChunkQualityParams& params,
-                                             size_t next_chunk, size_t depth_count,
-                                             size_t levels, double quantum,
-                                             const double* key, size_t key_len,
-                                             size_t cell_count) {
+                                             size_t depth_count, size_t levels, double quantum,
+                                             const double* key, size_t key_len) {
   // FNV-1a folded a machine word at a time: every keyed field is naturally
   // 8 bytes (pointers, counts, double bit patterns), and the hash only
-  // steers the probe — the full compare below decides identity — so the
-  // 8x-shorter multiply chain is pure savings on this per-decide path.
+  // steers the probe — the full compare decides identity.
   uint64_t h = 1469598103934665603ull;  // FNV offset basis
   const auto mix_u64 = [&h](uint64_t v) {
     h ^= v;
     h *= 1099511628211ull;
   };
-  const auto mix_f64 = [&mix_u64](double d) {
-    uint64_t u;
-    std::memcpy(&u, &d, sizeof(u));
-    mix_u64(u);
-  };
+  const auto mix_f64 = [&mix_u64](double d) { mix_u64(bits_of(d)); };
   mix_u64(reinterpret_cast<uintptr_t>(&video));
-  mix_u64(next_chunk);
   mix_u64(depth_count);
   mix_u64(levels);
   mix_f64(quantum);
@@ -168,57 +159,109 @@ PlanBatch::ViValueTable& PlanBatch::vi_table(const media::EncodedVideo& video,
   mix_f64(params.floor);
   for (size_t k = 0; k < key_len; ++k) mix_f64(key[k]);
 
-  std::lock_guard<std::mutex> lock(mu_);
-  // Grow before probing so the insert below always finds an empty slot and
-  // the load factor stays under ~0.7.
-  if (vi_ht_slot_.empty()) {
-    vi_ht_slot_.assign(64, 0);
-    vi_ht_hash_.assign(64, 0);
-  } else if ((vi_list_.size() + 1) * 10 >= vi_ht_slot_.size() * 7) {
-    vi_rehash(vi_ht_slot_.size() * 2);
-  }
-  const size_t mask = vi_ht_slot_.size() - 1;
-  size_t i = splitmix(h) & mask;
-  while (vi_ht_slot_[i] != 0) {
-    if (vi_ht_hash_[i] == h) {
-      ViValueTable& t = *vi_list_[vi_ht_slot_[i] - 1];
-      if (same_vi_context(t, video, params, next_chunk, depth_count, levels, quantum, key,
-                          key_len)) {
-        return t;
+  // Returns the context's slot in `index`, or the empty slot ending its probe.
+  const auto probe = [&](const ViIndex& index) {
+    size_t i = splitmix(h) & index.mask;
+    for (;; i = (i + 1) & index.mask) {
+      const ViContext* c = index.slot[i].load(std::memory_order_acquire);
+      if (c == nullptr || (c->hash == h && same_vi_context(*c, video, params, depth_count,
+                                                           levels, quantum, key, key_len))) {
+        return &index.slot[i];
       }
     }
-    i = (i + 1) & mask;
+  };
+  const ViIndex* index = vi_index_.load(std::memory_order_acquire);
+  if (index != nullptr) {
+    if (ViContext* c = probe(*index)->load(std::memory_order_acquire)) return *c;
   }
-  vi_list_.push_back(std::make_unique<ViValueTable>());
-  vi_ht_slot_[i] = static_cast<uint32_t>(vi_list_.size());
-  vi_ht_hash_[i] = h;
-  ViValueTable& t = *vi_list_.back();
-  t.video = &video;
-  t.params = params;
-  t.next_chunk = next_chunk;
-  t.depth_count = depth_count;
-  t.levels = levels;
-  t.quantum = quantum;
-  t.key.assign(key, key + key_len);
-  t.v.reset(new std::atomic<uint64_t>[cell_count]);
-  for (size_t c = 0; c < cell_count; ++c) t.v[c].store(kUnfilled, std::memory_order_relaxed);
-  t.cell_count = cell_count;
-  return t;
+
+  std::lock_guard<std::mutex> lock(mu_);
+  // Re-probe the current index: another thread may have inserted the
+  // context, or grown the index, since the lock-free probe.
+  index = vi_index_.load(std::memory_order_relaxed);
+  if (index != nullptr) {
+    if (ViContext* c = probe(*index)->load(std::memory_order_relaxed)) return *c;
+  }
+  // Grow before inserting so the load factor stays under ~0.7 and every
+  // probe ends at an empty slot. The new index is filled, then published;
+  // the old one stays alive for readers still probing it.
+  const size_t cap = index == nullptr ? 0 : index->mask + 1;
+  if ((vi_contexts_.size() + 1) * 10 >= cap * 7) {
+    auto grown = std::make_unique<ViIndex>();
+    const size_t new_cap = cap == 0 ? 64 : cap * 2;
+    grown->mask = new_cap - 1;
+    grown->slot.reset(new std::atomic<ViContext*>[new_cap]);
+    for (size_t i = 0; i < new_cap; ++i) grown->slot[i].store(nullptr, std::memory_order_relaxed);
+    for (const auto& c : vi_contexts_) {
+      size_t i = splitmix(c->hash) & grown->mask;
+      while (grown->slot[i].load(std::memory_order_relaxed) != nullptr) i = (i + 1) & grown->mask;
+      grown->slot[i].store(c.get(), std::memory_order_relaxed);
+    }
+    index = grown.get();
+    vi_indexes_.push_back(std::move(grown));
+    vi_index_.store(index, std::memory_order_release);
+  }
+  auto ctx = std::make_unique<ViContext>();
+  ctx->video = &video;
+  ctx->params = params;
+  ctx->depth_count = depth_count;
+  ctx->levels = levels;
+  ctx->quantum = quantum;
+  ctx->key.assign(key, key + key_len);
+  ctx->hash = h;
+  ViContext* c = ctx.get();
+  vi_contexts_.push_back(std::move(ctx));
+  probe(*index)->store(c, std::memory_order_release);
+  return *c;
 }
 
-void PlanBatch::vi_rehash(size_t new_cap) {
-  std::vector<uint64_t> old_hash = std::move(vi_ht_hash_);
-  std::vector<uint32_t> old_slot = std::move(vi_ht_slot_);
-  vi_ht_hash_.assign(new_cap, 0);
-  vi_ht_slot_.assign(new_cap, 0);
-  const size_t mask = new_cap - 1;
-  for (size_t j = 0; j < old_slot.size(); ++j) {
-    if (old_slot[j] == 0) continue;
-    size_t i = splitmix(old_hash[j]) & mask;
-    while (vi_ht_slot_[i] != 0) i = (i + 1) & mask;
-    vi_ht_slot_[i] = old_slot[j];
-    vi_ht_hash_[i] = old_hash[j];
+PlanBatch::ViCell* PlanBatch::create_vi_table(ViContext& ctx, size_t chunk,
+                                              size_t cell_count) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const ViChunkDir* dir = ctx.dir.load(std::memory_order_relaxed);
+  if (dir != nullptr && chunk - dir->first < dir->count) {
+    // Another thread may have created the table since the lock-free load.
+    if (ViCell* cells = dir->slot[chunk - dir->first].load(std::memory_order_relaxed)) {
+      return cells;
+    }
+  } else {
+    // Grow the directory to cover `chunk`, at least doubling it so a
+    // context that walks a video grows O(log chunks) times. The copy is
+    // filled, then published; the old directory stays alive for readers
+    // still holding it.
+    size_t first = chunk;
+    size_t end = chunk + 1;
+    if (dir != nullptr) {
+      first = std::min(first, dir->first);
+      end = std::max(std::max(end, dir->first + dir->count), first + 2 * dir->count);
+    }
+    // A context of depth D serves chunks up to num_chunks - D only.
+    const size_t n = ctx.video->num_chunks();
+    end = std::min(end, std::max(chunk + 1, n > ctx.depth_count ? n - ctx.depth_count + 1 : 1));
+    auto grown = std::make_unique<ViChunkDir>();
+    grown->first = first;
+    grown->count = end - first;
+    grown->slot.reset(new std::atomic<ViCell*>[grown->count]);
+    for (size_t i = 0; i < grown->count; ++i) {
+      grown->slot[i].store(nullptr, std::memory_order_relaxed);
+    }
+    if (dir != nullptr) {
+      for (size_t i = 0; i < dir->count; ++i) {
+        grown->slot[dir->first + i - first].store(
+            dir->slot[i].load(std::memory_order_relaxed), std::memory_order_relaxed);
+      }
+    }
+    dir = grown.get();
+    vi_dirs_.push_back(std::move(grown));
+    ctx.dir.store(dir, std::memory_order_release);
   }
+  std::unique_ptr<ViCell[]> cells(new ViCell[cell_count]);
+  for (size_t c = 0; c < cell_count; ++c) cells[c].store(kUnfilled, std::memory_order_relaxed);
+  ViCell* t = cells.get();
+  vi_tables_.push_back(std::move(cells));
+  vi_cell_count_ += cell_count;
+  dir->slot[chunk - dir->first].store(t, std::memory_order_release);
+  return t;
 }
 
 size_t PlanBatch::num_videos() const {
@@ -228,7 +271,7 @@ size_t PlanBatch::num_videos() const {
 
 size_t PlanBatch::num_vi_tables() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return vi_list_.size();
+  return vi_tables_.size();
 }
 
 size_t PlanBatch::table_bytes() const {
@@ -237,12 +280,10 @@ size_t PlanBatch::table_bytes() const {
   for (const auto& t : tables_) {
     b += (t->bits_kb.capacity() + t->vq.capacity() + t->qn.capacity()) * sizeof(double);
   }
-  for (const auto& t : vi_list_) {
-    b += t->key.capacity() * sizeof(double) + t->cell_count * sizeof(uint64_t);
-  }
-  b += vi_ht_hash_.capacity() * sizeof(uint64_t) +
-       vi_ht_slot_.capacity() * sizeof(uint32_t);
-  return b;
+  for (const auto& c : vi_contexts_) b += c->key.capacity() * sizeof(double);
+  for (const auto& i : vi_indexes_) b += (i->mask + 1) * sizeof(ViContext*);
+  for (const auto& d : vi_dirs_) b += d->count * sizeof(ViCell*);
+  return b + vi_cell_count_ * sizeof(uint64_t);
 }
 
 // ---------------------------------------------------------------------------
@@ -861,21 +902,14 @@ void ViPlanner::precompute(const PlanQuery& q, size_t depth_count) {
 
   // The planner's actual throughput inputs are the quantized scenarios: the
   // same discretization whether or not a batch is attached, so attaching
-  // can only move where tables live, never what they hold. A caller that
-  // already quantized its forecasts (FuguAbr does, once per decision) hands
-  // them over instead of paying the log2/exp2 bins again here.
+  // can only move where tables live, never what they hold.
   exact_kbps_.resize(S);
   qkbps_.resize(S);
   prob_.resize(S);
   for (size_t s = 0; s < S; ++s) {
     exact_kbps_[s] = q.scenarios[s].kbps;
+    qkbps_[s] = quantize_kbps(exact_kbps_[s]);
     prob_[s] = q.scenarios[s].probability;
-  }
-  if (q.quantized_kbps != nullptr) {
-    std::copy(q.quantized_kbps, q.quantized_kbps + S, qkbps_.begin());
-  } else {
-    util::kernels::quantize_kbps_row(exact_kbps_.data(), S, kViKbpsBinsPerOctave,
-                                     qkbps_.data());
   }
 
   w_.resize(depth_count);
@@ -1018,17 +1052,21 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
   // Multi-resolution grid: the root is evaluated at the continuous observed
   // buffer; depth d >= 1 lives on buckets of width quantum * 2^(d-1). The
   // dynamics cap the buffer at kMaxBufferS, so its bucket bounds each axis.
-  width_.assign(D_, 0.0);
-  bcount_.assign(D_, 0);
-  off_.assign(D_, 0);
-  cells_ = 0;
-  double wd = quantum_;
-  for (size_t d = 1; d < D_; ++d) {
-    width_[d] = wd;
-    bcount_[d] = static_cast<size_t>(buffer_bucket(kMaxBufferS, wd)) + 1;
-    off_[d] = cells_;
-    cells_ += bcount_[d] * L_;
-    wd *= 2.0;
+  if (D_ != grid_D_ || L_ != grid_L_) {
+    grid_D_ = D_;
+    grid_L_ = L_;
+    width_.assign(D_, 0.0);
+    bcount_.assign(D_, 0);
+    off_.assign(D_, 0);
+    cells_ = 0;
+    double wd = quantum_;
+    for (size_t d = 1; d < D_; ++d) {
+      width_[d] = wd;
+      bcount_[d] = static_cast<size_t>(buffer_bucket(kMaxBufferS, wd)) + 1;
+      off_[d] = cells_;
+      cells_ += bcount_[d] * L_;
+      wd *= 2.0;
+    }
   }
 
   precompute(q, D_);
@@ -1045,29 +1083,15 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
       key_.push_back(prob_[s]);
     }
     if (q.use_weights) key_.insert(key_.end(), w_.begin(), w_.end());
-    // Successor shortcut first: a steady session decides chunk n then
-    // n + 1 under an unchanged discretized context, so the table it needs
-    // is usually the one linked from the table it just used. The link is a
-    // hint — trust it only after re-verifying the complete identity the
-    // hash-table compare would have checked.
-    PlanBatch::ViValueTable* vt = nullptr;
-    if (last_vt_ != nullptr) {
-      PlanBatch::ViValueTable* c = last_vt_->succ.load(std::memory_order_acquire);
-      if (c != nullptr && same_vi_context(*c, video, q.chunk, q.obs->next_chunk, D_, L_,
-                                          quantum_, key_.data(), key_.size())) {
-        vt = c;
-      }
+    // A steady session decides chunk n then n + 1 under an unchanged
+    // context, so the context of the previous plan is compared first: a
+    // match skips the hash and the index probe, and leaves the table one
+    // directory load away.
+    if (ctx_ == nullptr || !same_vi_context(*ctx_, video, q.chunk, D_, L_, quantum_,
+                                            key_.data(), key_.size())) {
+      ctx_ = &batch_->vi_context(video, q.chunk, D_, L_, quantum_, key_.data(), key_.size());
     }
-    if (vt == nullptr) {
-      vt = &batch_->vi_table(video, q.chunk, q.obs->next_chunk, D_, L_, quantum_,
-                             key_.data(), key_.size(), cells_);
-      if (last_vt_ != nullptr && last_vt_->video == &video &&
-          last_vt_->next_chunk + 1 == q.obs->next_chunk) {
-        last_vt_->succ.store(vt, std::memory_order_release);
-      }
-    }
-    last_vt_ = vt;
-    v_cells_ = vt->v.get();
+    v_cells_ = batch_->vi_table(*ctx_, q.obs->next_chunk, cells_);
   } else {
     if (local_v_cap_ < cells_) {
       local_v_.reset(new std::atomic<uint64_t>[cells_]);

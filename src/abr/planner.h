@@ -73,9 +73,11 @@
 //    rounded the throughput up. (3) Values are memoized lazily
 //    from the root — no hashing, zero steady-state allocation — and, when
 //    a PlanBatch is attached, the whole value table is shared across
-//    sessions (and threads) keyed by (video, chunk, horizon, discretized
-//    scenarios, weights): viewers with similar forecasts at the same chunk
-//    reuse each other's lookahead instead of re-iterating it.
+//    sessions (and threads) keyed by a context (video, lookahead depth,
+//    discretized scenarios, weights) and a chunk: viewers with similar
+//    forecasts at the same chunk reuse each other's lookahead instead of
+//    re-iterating it, and a session whose context holds from one chunk to
+//    the next finds its next table without a lock or a hash.
 //    The relaxation is closed-loop: deeper decisions may adapt to the
 //    throughput scenario realized so far (the exact planners commit to one
 //    open-loop level sequence shared by every scenario), so its values and
@@ -90,6 +92,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -122,11 +125,32 @@ inline constexpr double kDefaultViBufferQuantumS = 2.0;
 // PlanBatch share whole value tables across sessions whose predictors land
 // in the same bins.
 inline constexpr double kViKbpsBinsPerOctave = 0.5;
+static_assert(kViKbpsBinsPerOctave == 0.5,
+              "quantize_kbps reads the half-octave bin off the exponent bits");
+// The bin is exp2(2 * llround(log2(k) / 2)) for k = max(1, kbps), computed
+// from k's exponent instead of three libm calls. For k = m * 2^e (m in
+// [1, 2), e >= 0), log2(k) / 2 lies in [e/2, (e+1)/2), which rounds half
+// away from zero to n = ceil(e/2), and the bin is 2^(2n), built directly as
+// the double's exponent field (2^1024 is +inf, as exp2 gives). The one band
+// where that differs from the libm expression is an even e with m so close
+// to 2 that log2 rounds up to the odd power e + 1: there, and for a
+// non-finite k, the expression itself answers.
 inline double quantize_kbps(double kbps) {
   const double k = std::max(1.0, kbps);
-  return std::exp2(
-      static_cast<double>(std::llround(std::log2(k) * kViKbpsBinsPerOctave)) /
-      kViKbpsBinsPerOctave);
+  uint64_t u;
+  std::memcpy(&u, &k, sizeof(u));
+  const uint64_t e = (u >> 52) - 1023;  // k >= 1: sign clear, exponent >= 0
+  const uint64_t frac = u & ((uint64_t{1} << 52) - 1);
+  constexpr uint64_t kNearTwo = (uint64_t{1} << 52) - (uint64_t{1} << 12);  // m >= 2 - 2^-40
+  if (e == 1024 || ((e & 1) == 0 && frac >= kNearTwo)) {
+    return std::exp2(
+        static_cast<double>(std::llround(std::log2(k) * kViKbpsBinsPerOctave)) /
+        kViKbpsBinsPerOctave);
+  }
+  const uint64_t bin = (((e + 1) / 2) * 2 + 1023) << 52;
+  double out;
+  std::memcpy(&out, &bin, sizeof(out));
+  return out;
 }
 
 // ViPlanner's buffer-discretization rule (the exact planners have none):
@@ -159,11 +183,6 @@ struct PlanQuery {
   // Visual quality of the previously played chunk (seeds the smoothness
   // penalty of the first lookahead step).
   double prev_visual_quality = 0.0;
-  // Optional caller-precomputed quantized forecasts, length num_scenarios:
-  // quantized_kbps[s] must equal quantize_kbps(scenarios[s].kbps). When set,
-  // ViPlanner reads them instead of re-deriving the log2/exp2 bins per
-  // decide(); when null it computes them itself — identical either way.
-  const double* quantized_kbps = nullptr;
 };
 
 struct PlanResult {
@@ -209,17 +228,22 @@ inline double weighted_step_quality(double w, double expected_q, double expected
 // (tests/test_planner_accuracy.cpp pins this).
 //
 // Thread safety. Planners on different threads may share one batch:
-//  - tables() and vi_table() serialize lookups and inserts on one mutex. A
-//    table is fully built (identity, key, every cell unfilled) before it is
-//    published, and it never moves or changes identity afterwards, so the
-//    returned reference may be read without the lock for the batch's life.
-//  - ViValueTable cells are atomics read and written with relaxed order
-//    (plain moves on x86-64). A cell is a pure function of its table's key,
+//  - mu_ serializes every insert: a VideoTables, a vi context, a chunk
+//    table, a grown context index or chunk directory. tables() also looks
+//    up under it (planners memoize its answer).
+//  - vi lookups take no lock. Every vi object is fully built before it is
+//    published with a release store (a context into an index slot, a grown
+//    index into vi_index_, a chunk table into a directory slot, a grown
+//    directory into its context), and readers load those pointers with
+//    acquire. Nothing published ever moves, changes identity or is freed
+//    before the batch: a grown index or directory keeps the old one alive
+//    for readers still probing it. A reader that finds nothing in an old
+//    copy falls through to the locked path, which re-probes the current one.
+//  - Value cells are atomics read and written with relaxed order (plain
+//    moves on x86-64). A cell is a pure function of its table's identity,
 //    so two threads that race to fill one cell store identical bits; a
 //    reader sees either kUnfilled (and computes the cell itself) or the
 //    final value, never a torn or different one.
-//  - The successor hint is published with release and read with acquire,
-//    and it is re-verified field by field before use.
 class PlanBatch {
  public:
   // Bit pattern of an unfilled value cell: a signalling NaN. Floating-point
@@ -245,65 +269,88 @@ class PlanBatch {
   const VideoTables& tables(const media::EncodedVideo& video,
                             const qoe::ChunkQualityParams& params);
 
-  // One shared discretized-VI value table (ViPlanner). Every cell of the VI
-  // table is root-independent — it depends only on the discretized decision
-  // context (video window, horizon, quantized scenarios, weights, params),
-  // never on the querying session's observed buffer — so once filled a cell
-  // never changes and any session planning the same context reuses it.
-  struct ViValueTable {
+  // ViPlanner's shared value tables. Every cell of a vi table is root-
+  // independent — it depends only on the discretized decision context
+  // (video window, lookahead depth, quantized scenarios, weights, params),
+  // never on the querying session's observed buffer — so once filled a
+  // cell never changes and any session planning the same context reuses
+  // it. A table's identity splits into a ViContext and a chunk: the context
+  // holds everything but the chunk, and its directory maps chunks to
+  // tables. A steady session keeps its context from chunk to chunk, so
+  // finding its next table is a key compare and a directory load.
+  //
+  // A table is ViCell[cell_count] in ViPlanner's multi-resolution
+  // [depth][bucket][level] layout, each cell a double's bit pattern or
+  // kUnfilled. Relaxed loads and stores only (see the class comment).
+  using ViCell = std::atomic<uint64_t>;
+
+  // Tables of one context for chunks [first, first + count): slot[c - first]
+  // is chunk c's table, or null before its first use. Sized lazily: a
+  // weighted context's key holds a per-depth weight window that shifts
+  // every chunk, so most contexts only ever serve one chunk.
+  struct ViChunkDir {
+    size_t first = 0;
+    size_t count = 0;
+    std::unique_ptr<std::atomic<ViCell*>[]> slot;
+  };
+
+  struct ViContext {
     // Identity, verified field-for-field on lookup (the hash only routes).
-    // Immutable once the table is published.
+    // Immutable once published.
     const media::EncodedVideo* video = nullptr;
     qoe::ChunkQualityParams params;
-    size_t next_chunk = 0;
     size_t depth_count = 0;
     size_t levels = 0;
     double quantum = 0.0;
     // Quantized kbps + probability per scenario, then effective per-depth
     // weights when the query uses them.
     std::vector<double> key;
-    // Lazily filled value cells (multi-resolution [depth][bucket][level]
-    // layout, see ViPlanner), each holding a double's bit pattern or
-    // kUnfilled. Relaxed loads and stores only (see the class comment).
-    std::unique_ptr<std::atomic<uint64_t>[]> v;
-    size_t cell_count = 0;
-    // Intrusive successor hint: the table a planner moved to for this
-    // video's next chunk right after using this one. Steady sessions walk
-    // chunk n -> n+1 with an unchanged discretized context, so following
-    // the link (and re-verifying the full identity — it is a hint, never a
-    // key) skips the locked hash probe. Entries are append-only
-    // unique_ptrs, so the pointer stays valid for the batch's lifetime.
-    std::atomic<ViValueTable*> succ{nullptr};
+    uint64_t hash = 0;
+    // Null until the context's first table.
+    std::atomic<const ViChunkDir*> dir{nullptr};
   };
 
-  // Returns the shared VI table for the given discretized context, creating
-  // it on first use with `cell_count` cells, all kUnfilled. The reference
-  // stays valid for the batch's lifetime.
-  ViValueTable& vi_table(const media::EncodedVideo& video,
-                         const qoe::ChunkQualityParams& params, size_t next_chunk,
-                         size_t depth_count, size_t levels, double quantum,
-                         const double* key, size_t key_len, size_t cell_count);
+  // Returns the context with this identity, creating it on first use. The
+  // reference stays valid for the batch's lifetime.
+  ViContext& vi_context(const media::EncodedVideo& video, const qoe::ChunkQualityParams& params,
+                        size_t depth_count, size_t levels, double quantum, const double* key,
+                        size_t key_len);
+
+  // Returns `ctx`'s table for `chunk`, creating it on first use with
+  // `cell_count` cells, all kUnfilled. Valid for the batch's lifetime.
+  ViCell* vi_table(ViContext& ctx, size_t chunk, size_t cell_count) {
+    const ViChunkDir* dir = ctx.dir.load(std::memory_order_acquire);
+    if (dir != nullptr && chunk - dir->first < dir->count) {
+      ViCell* cells = dir->slot[chunk - dir->first].load(std::memory_order_acquire);
+      if (cells != nullptr) return cells;
+    }
+    return create_vi_table(ctx, chunk, cell_count);
+  }
 
   size_t num_videos() const;
   size_t num_vi_tables() const;
   size_t table_bytes() const;
 
  private:
-  void vi_rehash(size_t new_cap);
+  // Open-addressed (linear-probe, power-of-2) context index. A slot holds a
+  // context or null; contexts are never removed, so a null ends a probe.
+  struct ViIndex {
+    size_t mask = 0;
+    std::unique_ptr<std::atomic<ViContext*>[]> slot;
+  };
 
-  // Guards every container below (not the tables' cells: see above).
+  ViCell* create_vi_table(ViContext& ctx, size_t chunk, size_t cell_count);
+
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<VideoTables>> tables_;
-  // Open-addressed (linear-probe, power-of-2) hash routing into vi_list_:
-  // a slot holds entry index + 1 (0 = empty) beside the entry's full hash.
-  // A probe hit compares the stored hash first, then the entry's complete
-  // identity, so a hash collision can never alias two contexts onto one
-  // table — it just probes on. Replaces the per-hash chain vectors of an
-  // unordered_map, whose node + chain-vector allocations dominated the
-  // vi_table miss path at fleet scale.
-  std::vector<std::unique_ptr<ViValueTable>> vi_list_;
-  std::vector<uint64_t> vi_ht_hash_;
-  std::vector<uint32_t> vi_ht_slot_;
+  // Owners of every vi object ever published, current and outgrown alike
+  // (see the class comment). Appended under mu_.
+  std::vector<std::unique_ptr<ViContext>> vi_contexts_;
+  std::vector<std::unique_ptr<ViIndex>> vi_indexes_;
+  std::vector<std::unique_ptr<ViChunkDir>> vi_dirs_;
+  std::vector<std::unique_ptr<ViCell[]>> vi_tables_;
+  size_t vi_cell_count_ = 0;
+  std::atomic<const ViIndex*> vi_index_{nullptr};
 };
 
 class Planner {
@@ -459,9 +506,9 @@ class DpPlanner : public Planner {
 // root, so only buckets actually reachable from the observed buffer are
 // evaluated. Unbatched, the table lives in a local arena reset to
 // PlanBatch::kUnfilled at every decide() (zero steady-state allocation).
-// With a PlanBatch attached, the table is the shared per-context
-// ViValueTable and survives across sessions, decisions and threads: a cache
-// hit reduces decide() to the root evaluation. Both modes read and fill
+// With a PlanBatch attached, the table is the shared (context, chunk) table
+// and survives across sessions, decisions and threads: a cache hit reduces
+// decide() to the root evaluation. Both modes read and fill
 // cells through one code path.
 class ViPlanner : public Planner {
  public:
@@ -474,7 +521,7 @@ class ViPlanner : public Planner {
     batch_ = batch;
     // Table pointers are only valid within one batch.
     video_tables_ = nullptr;
-    last_vt_ = nullptr;
+    ctx_ = nullptr;
   }
 
   double quantum_s() const { return quantum_; }
@@ -488,12 +535,11 @@ class ViPlanner : public Planner {
   double quantum_;
   PlanBatch* batch_ = nullptr;
   // The batch's static tables for the video/params of the previous plan(),
-  // so a decide() that follows the successor hint takes no lock.
+  // and the vi context it planned in, so a decide() for the same video
+  // under an unchanged discretized key takes no lock and hashes nothing.
+  // Both are cleared on every batch change.
   const PlanBatch::VideoTables* video_tables_ = nullptr;
-  // The shared table the previous batched plan() used — seed of the
-  // ViValueTable::succ successor shortcut. Both are cleared on every batch
-  // change.
-  PlanBatch::ViValueTable* last_vt_ = nullptr;
+  PlanBatch::ViContext* ctx_ = nullptr;
 
   // Per-decide context (set by plan(), read by value_of).
   const PlanQuery* q_ = nullptr;
@@ -502,11 +548,13 @@ class ViPlanner : public Planner {
 
   // Multi-resolution grid geometry for depths [1, D): bucket width per
   // depth, bucket count per depth, and the cell offset of each depth's
-  // [bucket][level] slab in the value table.
+  // [bucket][level] slab in the value table. A function of (D, L) alone,
+  // rebuilt only when either changes (at a video's tail, or a new ladder).
   std::vector<double> width_;
   std::vector<size_t> bcount_;
   std::vector<size_t> off_;
   size_t cells_ = 0;
+  size_t grid_D_ = 0, grid_L_ = 0;
 
   // The exact and quantized forecast kbps (quantize_kbps bins) as
   // contiguous rows — the planner's actual throughput inputs, batched or
@@ -550,7 +598,7 @@ class ViPlanner : public Planner {
   // Chunk-quality params cached as scalars for the kernel calls.
   double br_ = 0.0, sat_ = 0.0, bsw_ = 0.0, floor_ = 0.0;
 
-  // Value cells for this decide(): the shared ViValueTable's, or the local
+  // Value cells for this decide(): the shared batch table's, or the local
   // arena's. Either way a cell holds a double's bits or kUnfilled.
   std::atomic<uint64_t>* v_cells_ = nullptr;
   std::unique_ptr<std::atomic<uint64_t>[]> local_v_;

@@ -1,11 +1,12 @@
 // Ground-truth user QoE oracle — the stand-in for real viewers.
 //
-// Substitution rationale (DESIGN.md §1): the paper's experiments only consume
-// MOS values; what matters is that the latent rating process (a) weights
-// incidents by the content's hidden per-chunk sensitivity, (b) is largely
-// agnostic to incident type given position (§2.3), and (c) is *not* exactly
-// representable by SENSEI's linear model class, so model accuracies stay
-// realistic rather than saturating at 1.0.
+// Substitution rationale (README.md, "Substitutions and fidelity"): the
+// paper's experiments only consume MOS values; what matters is that the
+// latent rating process (a) weights incidents by the content's hidden
+// per-chunk sensitivity, (b) is largely agnostic to incident type given
+// position (§2.3), and (c) is *not* exactly representable by SENSEI's
+// linear model class, so model accuracies stay realistic rather than
+// saturating at 1.0.
 //
 // The oracle scores a rendered video as a blend of
 //   M: the sensitivity-weighted mean of per-chunk qualities, and

@@ -1,5 +1,6 @@
 // The 16-video test set of the paper's Table 1 (names, genres, lengths and
-// source datasets reproduced; content is synthesized — see DESIGN.md §1).
+// source datasets reproduced; content is synthesized — see README.md,
+// "Substitutions and fidelity").
 #pragma once
 
 #include <string>

@@ -103,8 +103,9 @@ size_t SharedLink::begin(double bytes, double start_s) {
     throw std::runtime_error("shared link: transfer must carry a finite, positive byte count");
   }
   // Joins happen at the link's current instant: the driver advances the link
-  // to each event time before letting sessions act at it.
-  if (std::abs(start_s - now_s_) > 1e-9 * std::max(1.0, std::abs(now_s_))) {
+  // to each event time before letting sessions act at it. Written as a
+  // negated <= so a NaN instant fails the same compare.
+  if (!(std::abs(start_s - now_s_) <= 1e-9 * std::max(1.0, std::abs(now_s_)))) {
     throw std::runtime_error("shared link: transfer must join at the link's current instant");
   }
   Transfer transfer;
@@ -151,9 +152,10 @@ double SharedLink::next_completion_s() const {
 void SharedLink::advance_to(double t) {
   // Engine event times are start + accumulated per-chunk deltas, so they can
   // land an ulp before the link's absolutely-indexed clock. Tolerate the
-  // same relative drift begin() accepts; a real backwards step still throws.
-  if (t < now_s_) {
-    if (now_s_ - t > 1e-9 * std::max(1.0, std::abs(now_s_))) {
+  // same relative drift begin() accepts; a real backwards step still throws,
+  // and so does a NaN instant, which fails both negated compares.
+  if (!(t >= now_s_)) {
+    if (!(now_s_ - t <= 1e-9 * std::max(1.0, std::abs(now_s_)))) {
       throw std::runtime_error("shared link: time may not run backwards");
     }
     t = now_s_;

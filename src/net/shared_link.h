@@ -73,6 +73,7 @@ class SharedLink {
   // to an event time, then lets sessions join at it). Returns the
   // transfer's id. Throws for a non-finite or non-positive byte count: an
   // infinite transfer would never finish, and the link would look dead.
+  // Also throws for a start instant off the link's clock, NaN included.
   size_t begin(double bytes, double start_s);
 
   // Earliest absolute time at which an active transfer completes if the
@@ -87,7 +88,7 @@ class SharedLink {
   // next_completion_s() + the completion instant itself): every active
   // transfer receives an equal share of the trace capacity over [now, t].
   // Transfers whose remaining bits reach zero at `t` complete and leave the
-  // link.
+  // link. Throws when `t` runs backwards past the drift tolerance or is NaN.
   void advance_to(double t);
 
   // Removes an *active* transfer from the link at its current instant — the

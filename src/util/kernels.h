@@ -9,7 +9,7 @@
 // layout and one call per row instead of one call per element.
 //
 // Each row is the exact scalar expression of the helper it batches
-// (qoe::chunk_quality, abr::quantize_kbps, WhittleIndexAbr::level_index,
+// (qoe::chunk_quality, WhittleIndexAbr::level_index,
 // the planners' buffer dynamics, net::triangular_scenarios), so swapping a
 // per-element loop for a row changes no bits; tests/test_kernels.cpp pins
 // every row against its helper. Ternary min/max spells out the exact
@@ -188,19 +188,6 @@ inline size_t argmax_strict_row(const double* x, size_t n) {
     best = gt ? i : best;
   }
   return best;
-}
-
-// Relative log2-binned kbps quantizer (abr::quantize_kbps batched):
-//   out[i] = exp2(llround(log2(max(1, kbps[i])) * bins_per_octave)
-//                 / bins_per_octave)
-inline void quantize_kbps_row(const double* kbps, size_t n, double bins_per_octave,
-                              double* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const double k = 1.0 < kbps[i] ? kbps[i] : 1.0;  // max(1, kbps)
-    out[i] = std::exp2(
-        static_cast<double>(std::llround(std::log2(k) * bins_per_octave)) /
-        bins_per_octave);
-  }
 }
 
 }  // namespace kernels

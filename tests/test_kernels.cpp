@@ -1,6 +1,6 @@
 // Kernel-row gates (util/kernels.h): every row cross-checked bit-for-bit
 // against the scalar helper or production statement it batches
-// (qoe::chunk_quality, abr::quantize_kbps, WhittleIndexAbr::level_index,
+// (qoe::chunk_quality, WhittleIndexAbr::level_index,
 // the planners' download-time and buffer dynamics,
 // net::triangular_scenarios), plus the order-pinned reductions.
 // The download-time, normalization and no-stall rows run at every length
@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "abr/planner.h"
 #include "abr/whittle.h"
 #include "media/dataset.h"
 #include "media/encoder.h"
@@ -168,17 +167,6 @@ TEST(KernelCrossCheck, StepBufferMatchesPlannerDynamics) {
       EXPECT_EQ(buf[i], b) << "i=" << i << " extra=" << extra;
       EXPECT_EQ(stall[i], s) << "i=" << i << " extra=" << extra;
     }
-  }
-}
-
-TEST(KernelCrossCheck, QuantizeRowMatchesPlannerHelper) {
-  ValueGen gen(23);
-  std::vector<double> kbps(kMaxLen), qout(kMaxLen);
-  for (size_t i = 0; i < kMaxLen; ++i) kbps[i] = gen.positive(-10.0, 20000.0);
-  kernels::quantize_kbps_row(kbps.data(), kMaxLen, abr::kViKbpsBinsPerOctave,
-                             qout.data());
-  for (size_t i = 0; i < kMaxLen; ++i) {
-    EXPECT_EQ(qout[i], abr::quantize_kbps(kbps[i])) << "i=" << i;
   }
 }
 

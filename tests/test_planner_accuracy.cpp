@@ -16,10 +16,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "abr/fugu.h"
@@ -221,16 +224,32 @@ TEST_F(PlannerAccuracy, BatchedDecideBitIdenticalToUnbatched) {
   EXPECT_GT(batch.num_vi_tables(), 0u);
 }
 
-// Planners on four threads share one PlanBatch, as the fleet's cells do, and
-// plan one query grid in four different orders, so threads race to create
-// the same tables, fill the same cells and follow successor hints into
-// tables another thread is still filling. Every result must match an
-// unbatched planner bit for bit, and the batch must end up holding exactly
-// the tables a serial run creates: one per distinct discretized context.
+// Planners on four threads share one PlanBatch, as the fleet's cells do.
+// Each first walks one steady session that every thread enters at once, at
+// its own quarter of the video, so threads race to create one context,
+// grow its chunk directory from different ends and read tables another
+// thread is still filling. Then each plans one query grid in its own
+// order. Every result must match an unbatched planner bit for bit, and the
+// batch must end up holding exactly the tables a serial run creates: one
+// per distinct (context, chunk).
 TEST_F(PlannerAccuracy, SharedBatchAcrossThreadsBitIdenticalToUnbatched) {
-  std::vector<GridCase> grid = seeded_grid(video_, 0x7417ead, 3);
+  std::vector<GridCase> grid;
+  // The raced walk: rows [0, chunks) under one forecast.
+  const size_t chunks = video_.num_chunks();
+  for (size_t chunk = 0; chunk < chunks; ++chunk) {
+    GridCase c;
+    c.rebuffer_options = {0.0, 1.0};
+    c.obs.video = &video_;
+    c.obs.num_chunks = chunks;
+    c.obs.next_chunk = chunk;
+    c.obs.buffer_s = static_cast<double>(chunk % 11) * 2.3;
+    c.obs.last_level = (chunk * 3) % video_.ladder().level_count();
+    c.scenarios = net::triangular_scenarios(3, 1500.0, 0.25);
+    grid.push_back(std::move(c));
+  }
+  for (GridCase& c : seeded_grid(video_, 0x7417ead, 3)) grid.push_back(std::move(c));
   // Steady sessions: consecutive chunks under one forecast, the pattern the
-  // successor hint serves.
+  // context directory serves without a lock.
   for (double kbps : {900.0, 2400.0, 5200.0}) {
     for (size_t chunk = 0; chunk < video_.num_chunks(); ++chunk) {
       GridCase c;
@@ -255,25 +274,36 @@ TEST_F(PlannerAccuracy, SharedBatchAcrossThreadsBitIdenticalToUnbatched) {
   serial.set_batch(&serial_batch);
   for (size_t i = 0; i < n; ++i) serial.plan(make_query(grid[i]));
 
-  // Forward, reversed, rotated by half, and a seeded shuffle.
+  // Thread t walks the raced rows from chunk t * chunks / 4, wrapping, then
+  // the rest forward, reversed, rotated by half, or in a seeded shuffle.
   constexpr size_t kThreads = 4;
-  std::vector<std::vector<size_t>> orders(kThreads, std::vector<size_t>(n));
-  for (size_t i = 0; i < n; ++i) {
-    orders[0][i] = i;
+  const size_t rest = n - chunks;
+  std::vector<std::vector<size_t>> orders(kThreads, std::vector<size_t>(rest));
+  for (size_t i = 0; i < rest; ++i) {
+    orders[0][i] = chunks + i;
     orders[1][i] = n - 1 - i;
-    orders[2][i] = (i + n / 2) % n;
-    orders[3][i] = i;
+    orders[2][i] = chunks + (i + rest / 2) % rest;
+    orders[3][i] = chunks + i;
   }
   util::Rng rng(0x5eed);
   rng.shuffle(orders[3]);
+  for (size_t t = 0; t < kThreads; ++t) {
+    std::vector<size_t> walk(chunks);
+    for (size_t i = 0; i < chunks; ++i) walk[i] = (t * chunks / kThreads + i) % chunks;
+    orders[t].insert(orders[t].begin(), walk.begin(), walk.end());
+  }
 
   PlanBatch batch;
   std::vector<std::vector<PlanResult>> got(kThreads, std::vector<PlanResult>(n));
   std::vector<std::thread> threads;
+  std::atomic<size_t> ready{0};
   for (size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       ViPlanner vi;
       vi.set_batch(&batch);
+      // Start together, so the first plans race on the walk's context.
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
       for (size_t i : orders[t]) got[t][i] = vi.plan(make_query(grid[i]));
     });
   }
@@ -291,6 +321,94 @@ TEST_F(PlannerAccuracy, SharedBatchAcrossThreadsBitIdenticalToUnbatched) {
   }
   EXPECT_EQ(batch.num_vi_tables(), serial_batch.num_vi_tables());
   EXPECT_GT(batch.num_vi_tables(), 0u);
+}
+
+// One batched ViPlanner against an unbatched one over a stream that moves
+// its vi context every way a session can: two videos alternate (so the
+// held context misses and is found again in the index), two horizons
+// alternate and the walks run into tail chunks where the lookahead depth
+// shrinks (so the grid geometry is rebuilt), weights switch on and off
+// (weighted contexts carry a shifting window and serve one chunk), and the
+// batch is detached and re-attached mid-stream. Every decision must match
+// bit for bit, and the batch must hold one table per distinct
+// (context, chunk) the attached plans asked for.
+TEST_F(PlannerAccuracy, ContextDirectoryStreamBitIdenticalToUnbatched) {
+  const media::EncodedVideo video_b = media::Encoder().encode(
+      media::SourceVideo::generate("PlannerCtxB", media::Genre::kNature, 56));
+  const media::EncodedVideo* videos[2] = {&video_, &video_b};
+  util::Rng rng(0xc0e7e47);
+  // Per-video sensitivity weights, read through a window that shifts with
+  // the chunk, as a manifest's are.
+  std::vector<double> weights[2];
+  for (size_t v = 0; v < 2; ++v) {
+    for (size_t c = 0; c < videos[v]->num_chunks(); ++c) {
+      weights[v].push_back(rng.chance(0.5) ? 1.0 : rng.uniform(0.5, 2.5));
+    }
+  }
+  size_t next_chunk[2] = {0, 0};
+
+  PlanBatch batch;
+  ViPlanner batched, plain;
+  batched.set_batch(&batch);
+  bool attached = true;
+  // (video, depth, key, chunk) of every table an attached plan reads.
+  std::set<std::tuple<size_t, size_t, std::vector<double>, size_t>> identities;
+  for (size_t step = 0; step < 600; ++step) {
+    if (step == 230 || step == 260) {
+      attached = !attached;
+      batched.set_batch(attached ? &batch : nullptr);
+    }
+    const size_t v = (step / 9) % 2;
+    const media::EncodedVideo& video = *videos[v];
+    GridCase c;
+    c.horizon = (step / 18) % 2 == 0 ? 5 : 3;
+    c.use_weights = (step / 13) % 3 == 1;
+    c.rebuffer_options = {0.0, 1.0, 2.0};
+    c.obs.video = &video;
+    c.obs.num_chunks = video.num_chunks();
+    c.obs.next_chunk = next_chunk[v];
+    next_chunk[v] = (next_chunk[v] + 1) % video.num_chunks();
+    c.obs.buffer_s = rng.uniform(0.0, 28.0);
+    c.obs.last_level =
+        static_cast<size_t>(rng.uniform_int(0, static_cast<int>(video.ladder().level_count()) - 1));
+    // Two forecasts most of the time, so contexts recur across the stream.
+    const double kbps = rng.chance(0.9) ? ((step / 5) % 2 == 0 ? 1100.0 : 3300.0)
+                                        : rng.uniform(300.0, 6000.0);
+    c.scenarios = net::triangular_scenarios(3, kbps, 0.3);
+    if (c.use_weights) {
+      for (size_t d = 0; d < c.horizon; ++d) {
+        c.obs.future_weights.push_back(
+            weights[v][std::min(c.obs.next_chunk + d, video.num_chunks() - 1)]);
+      }
+    }
+    const PlanQuery q = make_query(c);
+    const PlanResult a = batched.plan(q);
+    const PlanResult b = plain.plan(q);
+    SCOPED_TRACE("step " + std::to_string(step));
+    EXPECT_EQ(a.best_level, b.best_level);
+    EXPECT_EQ(a.best_rebuffer_s, b.best_rebuffer_s);
+    EXPECT_EQ(a.best_value, b.best_value);
+    EXPECT_EQ(a.nostall_level, b.nostall_level);
+    EXPECT_EQ(a.nostall_value, b.nostall_value);
+
+    if (!attached) continue;
+    const size_t depth = std::min(c.horizon, video.num_chunks() - c.obs.next_chunk);
+    std::vector<double> key;
+    for (const auto& sc : c.scenarios) {
+      key.push_back(quantize_kbps(sc.kbps));
+      key.push_back(sc.probability);
+    }
+    if (c.use_weights) {
+      for (size_t d = 0; d < depth; ++d) {
+        key.push_back(d < c.obs.future_weights.size()
+                          ? 1.0 + q.weight_shrinkage * (c.obs.future_weights[d] - 1.0)
+                          : 1.0);
+      }
+    }
+    identities.emplace(v, depth, std::move(key), c.obs.next_chunk);
+  }
+  EXPECT_EQ(batch.num_vi_tables(), identities.size());
+  EXPECT_GT(identities.size(), 0u);
 }
 
 // The same invariant at the event-loop level: a multi-session Simulator run

@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
 
 #include "abr/fugu.h"
 #include "core/experiments.h"
@@ -522,6 +527,53 @@ TEST(QuantizeKbps, BinSanity) {
     EXPECT_LE(b / k, half_bin) << "k=" << k;
     EXPECT_GE(b / k, 1.0 / half_bin) << "k=" << k;
     prev = b;
+  }
+}
+
+// quantize_kbps reads the bin off the exponent bits; it must return exactly
+// what the libm expression it replaced returns. The risky band sits just
+// below each odd power of two, where log2 may round up onto the power and
+// flip the half-octave rounding, so every odd power in [1, 2^40] is walked
+// 256 ulps either side; seeded log-uniform samples and the edge values
+// cover the rest.
+TEST(QuantizeKbps, ExponentBinsMatchLibmReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto reference = [](double kbps) {
+    const double k = std::max(1.0, kbps);
+    return std::exp2(static_cast<double>(std::llround(std::log2(k) * kViKbpsBinsPerOctave)) /
+                     kViKbpsBinsPerOctave);
+  };
+  const auto check = [&](double k) {
+    const double got = quantize_kbps(k);
+    const double want = reference(k);
+    uint64_t a, b;
+    std::memcpy(&a, &got, sizeof(a));
+    std::memcpy(&b, &want, sizeof(b));
+    return a == b;
+  };
+  for (int e = 1; e <= 39; e += 2) {
+    double below = std::ldexp(1.0, e);
+    double above = below;
+    for (int u = 0; u <= 256; ++u) {
+      EXPECT_TRUE(check(below)) << std::hexfloat << below;
+      EXPECT_TRUE(check(above)) << std::hexfloat << above;
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, kInf);
+    }
+  }
+  std::mt19937_64 gen(0x9a4b1e5);
+  std::uniform_real_distribution<double> log2_kbps(-4.0, 44.0);
+  size_t mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double k = std::exp2(log2_kbps(gen));
+    if (!check(k)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  for (double k : {0.0, -0.0, -1.0, 1.0, 2.0, 3.0, 4.0, std::nextafter(4.0, 0.0),
+                   std::numeric_limits<double>::max(), std::numeric_limits<double>::min(),
+                   std::numeric_limits<double>::denorm_min(), kInf, -kInf,
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_TRUE(check(k)) << std::hexfloat << k;
   }
 }
 

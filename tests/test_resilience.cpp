@@ -331,6 +331,33 @@ TEST(SharedLinkAbort, BeginRejectsNonFiniteByteCounts) {
   EXPECT_EQ(link.active_count(), 0u);
 }
 
+TEST(SharedLinkAbort, BeginRejectsNanStartInstant) {
+  net::ThroughputTrace trace("flat", {8000.0}, 1.0);
+  net::SharedLink link(trace);
+  EXPECT_THROW(link.begin(1000.0, std::nan("")), std::runtime_error);
+  EXPECT_EQ(link.active_count(), 0u);
+  link.advance_to(2.0);
+  EXPECT_THROW(link.begin(1000.0, std::nan("")), std::runtime_error);
+  EXPECT_THROW(link.begin(1000.0, kInf), std::runtime_error);
+  EXPECT_EQ(link.active_count(), 0u);
+  EXPECT_EQ(link.begin(1000.0, 2.0), 0u);
+}
+
+TEST(SharedLinkAbort, AdvanceRejectsNanInstant) {
+  net::ThroughputTrace trace("flat", {8000.0}, 1.0);
+  net::SharedLink link(trace);
+  EXPECT_THROW(link.advance_to(std::nan("")), std::runtime_error);
+  link.begin(1000.0 * 125.0, 0.0);  // 1 Mbit at 8 Mbps
+  link.advance_to(0.0625);
+  EXPECT_THROW(link.advance_to(std::nan("")), std::runtime_error);
+  // The rejected advance left the clock and the transfer alone.
+  EXPECT_EQ(link.now_s(), 0.0625);
+  EXPECT_EQ(link.active_count(), 1u);
+  EXPECT_EQ(link.next_completion_s(), 0.125);
+  link.advance_to(0.125);
+  EXPECT_EQ(link.active_count(), 0u);
+}
+
 // ---- LivelockError ----------------------------------------------------------
 
 TEST(LivelockErrorTest, NamesLoopStuckSessionAndInstant) {
