@@ -38,14 +38,6 @@ std::vector<double> qoe_per_scale(const Experiments::PolicyFactory& make_policy,
   return out;
 }
 
-const char* planner_text(abr::PlannerKind planner) {
-  switch (planner) {
-    case abr::PlannerKind::kExhaustive: return "exhaustive";
-    case abr::PlannerKind::kVi: return "vi";
-    default: return "dp";
-  }
-}
-
 // Linear interpolation of the scale needed to reach `target` QoE.
 double scale_for_target(const std::vector<double>& scales, const std::vector<double>& qoe,
                         double target) {
@@ -61,9 +53,10 @@ double scale_for_target(const std::vector<double>& scales, const std::vector<dou
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {"--threads", "--planner"}, {},
+                     "bench_fig12b_bandwidth [--threads N] [--planner dp|vi]");
   core::ExperimentRunner runner(bench::threads_arg(argc, argv));
   const abr::PlannerKind planner = bench::planner_arg(argc, argv);
-  bench::trace_integration_arg(argc, argv);
 
   net::ThroughputTrace base_trace = Experiments::traces()[6];  // ~2.7 Mbps broadband
   const std::vector<double> scales = {0.2, 0.35, 0.5, 0.65, 0.8, 1.0};
@@ -75,7 +68,7 @@ int main(int argc, char** argv) {
   // policies come from the registry via Experiments::policy_factory.
   Experiments::weights();
   Experiments::pensieve();
-  const std::string suffix = std::string(":planner=") + planner_text(planner);
+  const std::string suffix = std::string(":planner=") + bench::planner_text(planner);
 
   auto start = std::chrono::steady_clock::now();
   auto q_sensei =

@@ -24,22 +24,12 @@
 using namespace sensei;
 using core::Experiments;
 
-namespace {
-
-const char* planner_text(abr::PlannerKind planner) {
-  switch (planner) {
-    case abr::PlannerKind::kExhaustive: return "exhaustive";
-    case abr::PlannerKind::kVi: return "vi";
-    default: return "dp";
-  }
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  bench::check_flags(argc, argv, {"--threads", "--planner", "--construction"}, {},
+                     "bench_fig14_per_trace [--threads N] [--planner dp|vi] "
+                     "[--construction registry|direct]");
   core::ExperimentRunner runner(bench::threads_arg(argc, argv));
   const abr::PlannerKind planner = bench::planner_arg(argc, argv);
-  bench::trace_integration_arg(argc, argv);
   std::string construction = "registry";
   for (int i = 1; i + 1 < argc; ++i) {
     if (std::strcmp(argv[i], "--construction") == 0) construction = argv[i + 1];
@@ -62,7 +52,7 @@ int main(int argc, char** argv) {
     f_pen = [&trained_pensieve] { return std::make_unique<abr::PensieveAbr>(trained_pensieve); };
     f_fugu = [planner] { return core::Sensei::make_fugu({}, planner); };
   } else {
-    const std::string suffix = std::string(":planner=") + planner_text(planner);
+    const std::string suffix = std::string(":planner=") + bench::planner_text(planner);
     f_bba = Experiments::policy_factory("bba");
     f_sensei = Experiments::policy_factory("sensei-fugu" + suffix);
     f_pen = Experiments::policy_factory("pensieve");

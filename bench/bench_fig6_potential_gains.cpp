@@ -15,9 +15,7 @@ using namespace sensei;
 using core::Experiments;
 
 int main(int argc, char** argv) {
-  // plan_offline probes the trace at every DP node; the integration mode
-  // (`--trace-integration indexed|walker`) must not change a digit.
-  bench::trace_integration_arg(argc, argv);
+  bench::check_flags(argc, argv, {}, {}, "bench_fig6_potential_gains");
   const auto& videos = Experiments::videos();
   const auto& oracle = Experiments::oracle();
   const auto& weights = Experiments::weights();

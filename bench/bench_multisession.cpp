@@ -7,7 +7,6 @@
 //   ./bench_multisession --smoke               reduced sweep for CI (~5 s)
 //   ./bench_multisession --out FILE            JSON destination
 //   ./bench_multisession --threads N           ExperimentRunner pool size
-//   ./bench_multisession --trace-integration indexed|walker
 //   ./bench_multisession --baseline FILE       validate a pinned JSON's schema
 //
 // Three sections:
@@ -16,8 +15,8 @@
 //     tests/test_simulator.cpp gate, re-run here on every bench); any diff
 //     fails the process.
 //  2. grid — Experiments::run_multisession_grid cells printed as
-//     deterministic "grid ..." rows. CI diffs these across --threads 1/4
-//     and across --trace-integration modes: they must be byte-identical.
+//     deterministic "grid ..." rows. CI diffs these across --threads 1/4:
+//     they must be byte-identical.
 //  3. scale — staggered-arrival contention scenarios on one shared
 //     bottleneck sized N x a per-viewer fair share, up to >= 1000 concurrent
 //     sessions; reports wall time and sessions/s. Fugu runs twice, once per
@@ -117,11 +116,9 @@ size_t peak_concurrency(const std::vector<sim::MultiSessionResult>& results) {
 
 int main(int argc, char** argv) {
   bench::check_flags(argc, argv,
-                     {"--out", "--threads", "--trace-integration", "--baseline", "--policy"},
-                     {"--smoke"},
+                     {"--out", "--threads", "--baseline", "--policy"}, {"--smoke"},
                      "bench_multisession [--smoke] [--out FILE] [--threads N] "
-                     "[--trace-integration indexed|walker] [--baseline FILE] "
-                     "[--policy SPEC]...");
+                     "[--baseline FILE] [--policy SPEC]...");
   const bool smoke = bench::smoke_arg(argc, argv);
   const std::string out_path = bench::out_arg(argc, argv, "BENCH_multisession.json");
   const std::string baseline_path = bench::baseline_arg(argc, argv);
@@ -134,7 +131,6 @@ int main(int argc, char** argv) {
                                   "\"qoe_delta_vs_exact\"", "\"fugu_vi_sessions_per_s\"",
                                   "\"spec\"", "\"whittle\"", "\"backend\""});
   }
-  const net::TraceIntegration integration = bench::trace_integration_arg(argc, argv);
   core::ExperimentRunner runner(bench::threads_arg(argc, argv));
 
   // ---- 1. identity: Simulator (dedicated, single session) vs Player ------
@@ -328,12 +324,8 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"bench\": \"multisession\",\n");
   std::fprintf(f, "  \"schema_version\": 4,\n");
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(f,
-               "  \"config\": {\"threads\": %zu, \"trace_integration\": \"%s\", "
-               "\"backend\": \"%s\"},\n",
-               runner.num_threads(),
-               integration == net::TraceIntegration::kWalker ? "walker" : "indexed",
-               util::kernel_backend_name());
+  std::fprintf(f, "  \"config\": {\"threads\": %zu, \"backend\": \"%s\"},\n",
+               runner.num_threads(), util::kernel_backend_name());
   std::fprintf(f, "  \"identity\": {\"cells\": %zu, \"diffs\": %zu},\n", identity_cells,
                identity_diffs);
   std::fprintf(f, "  \"grid\": [\n");

@@ -11,8 +11,10 @@
 // The workload mirrors SENSEI-Fugu's production configuration: the default
 // 5-level ladder, 8 throughput scenarios, scheduled-rebuffer options
 // {0,1,2} s, sensitivity weights on. DP decisions are cross-checked against
-// the exhaustive reference while timing; any mismatch fails the process. The vi planner is lossy by design: its decision divergence
-// is counted and reported, never fatal.
+// the exhaustive reference (tests/oracles/, the test-only oracle library
+// this bench links) while timing; any mismatch fails the process. The vi
+// planner is lossy by design: its decision divergence is counted and
+// reported, never fatal.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -22,6 +24,7 @@
 #include "abr/planner.h"
 #include "bench_util.h"
 #include "media/dataset.h"
+#include "oracles/exhaustive_planner.h"
 #include "util/kernels.h"
 #include "util/rng.h"
 
@@ -119,7 +122,7 @@ int main(int argc, char** argv) {
   auto cases = make_cases(video, num_obs, num_scenarios, max_horizon, seed);
 
   abr::DpPlanner dp;
-  abr::ExhaustivePlanner exhaustive;
+  oracles::ExhaustivePlanner exhaustive;
   abr::ViPlanner vi;  // default quantum: the production discretization
 
   struct Row {

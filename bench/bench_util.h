@@ -14,7 +14,6 @@
 #include "crowd/campaign.h"
 #include "crowd/ground_truth.h"
 #include "media/encoder.h"
-#include "net/trace.h"
 #include "sim/render.h"
 #include "sim/session.h"
 #include "sim/timeline.h"
@@ -23,10 +22,9 @@
 
 namespace sensei::bench {
 
-// Parses `--planner dp|exhaustive|vi` for the Fugu-based grid benches.
-// dp and exhaustive produce identical decisions (enforced by the
-// equivalence tests), so bench output must not change between them — only
-// wall time does. vi is the lossy discretized value iteration: output may
+// Parses `--planner dp|vi` for the Fugu-based grid benches. dp is exact
+// (tests/test_oracle_grids.cpp holds it to the exhaustive reference on
+// these grids). vi is the lossy discretized value iteration: output may
 // legitimately shift within the accuracy bound pinned by
 // tests/test_planner_accuracy.cpp, so CI treats dp-vs-vi diffs as
 // informational, never as a determinism failure.
@@ -34,13 +32,17 @@ inline abr::PlannerKind planner_arg(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--planner") == 0 && i + 1 < argc) {
       if (std::strcmp(argv[i + 1], "dp") == 0) return abr::PlannerKind::kDp;
-      if (std::strcmp(argv[i + 1], "exhaustive") == 0) return abr::PlannerKind::kExhaustive;
       if (std::strcmp(argv[i + 1], "vi") == 0) return abr::PlannerKind::kVi;
-      std::fprintf(stderr, "error: --planner expects dp, exhaustive, or vi\n");
+      std::fprintf(stderr, "error: --planner expects dp or vi\n");
       std::exit(2);
     }
   }
   return abr::PlannerKind::kDp;
+}
+
+// The registry spelling of a planner kind ("fugu:planner=...").
+inline const char* planner_text(abr::PlannerKind planner) {
+  return planner == abr::PlannerKind::kVi ? "vi" : "dp";
 }
 
 // Parses `--baseline FILE`: a pinned bench JSON from an earlier run whose
@@ -99,29 +101,6 @@ inline void check_baseline_fields(const std::string& path, long min_schema_versi
   }
   std::printf("baseline %s: schema_version %ld ok, %zu required fields present\n",
               path.c_str(), version, required_fields.size());
-}
-
-// Parses `--trace-integration indexed|walker` and applies it as the
-// process-wide default (net::set_default_trace_integration). The two
-// integrators are bit-identical (tests/test_trace_index.cpp), so bench
-// output must not change with this flag — only wall time does.
-inline net::TraceIntegration trace_integration_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace-integration") == 0 && i + 1 < argc) {
-      net::TraceIntegration mode;
-      if (std::strcmp(argv[i + 1], "indexed") == 0) {
-        mode = net::TraceIntegration::kIndexed;
-      } else if (std::strcmp(argv[i + 1], "walker") == 0) {
-        mode = net::TraceIntegration::kWalker;
-      } else {
-        std::fprintf(stderr, "error: --trace-integration expects indexed or walker\n");
-        std::exit(2);
-      }
-      net::set_default_trace_integration(mode);
-      return mode;
-    }
-  }
-  return net::TraceIntegration::kIndexed;
 }
 
 // Parses `--threads N` for the grid benches. 0 (the default) lets
@@ -199,9 +178,9 @@ inline void check_flags(int argc, char** argv, std::initializer_list<const char*
       if (std::strcmp(argv[i], flag) == 0) {
         // A value flag with a missing value — or another flag where its
         // value belongs — must fail loudly: silently running the default
-        // would e.g. let a dropped `--trace-integration walker` turn CI's
-        // mode-diff into indexed-vs-indexed, and `--out --smoke` would be
-        // double-read as both an output path and the smoke switch.
+        // would e.g. let a dropped `--threads 4` turn CI's thread-count
+        // diff into 1-vs-1, and `--out --smoke` would be double-read as
+        // both an output path and the smoke switch.
         if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
           std::fprintf(stderr, "error: %s requires a value\nusage: %s\n", flag, usage);
           std::exit(2);
@@ -231,8 +210,8 @@ inline void check_flags(int argc, char** argv, std::initializer_list<const char*
 // sessions carry trajectories — any ChunkTrajectory field (stall placement
 // is the project's premise, so the bench gates must see it too). This is
 // the single comparator behind every bench-side bit-identity cross-check
-// (integration modes in bench_session_throughput, Simulator-vs-Player in
-// bench_multisession), so a new record/trajectory field only needs adding
+// (Simulator-vs-Player in bench_multisession, the paper_sweep identity gate
+// of the benchmark), so a new record/trajectory field only needs adding
 // here.
 inline bool sessions_differ(const sim::SessionResult& a, const sim::SessionResult& b) {
   if (a.chunks().size() != b.chunks().size() || a.outcome() != b.outcome() ||

@@ -3,23 +3,12 @@
 namespace sensei::abr {
 
 FuguAbr::FuguAbr(FuguConfig config)
+    : FuguAbr(config, make_planner(config.planner, config.dp_buffer_quantum_s)) {}
+
+FuguAbr::FuguAbr(FuguConfig config, std::unique_ptr<Planner> planner)
     : config_(std::move(config)),
       predictor_(config_.predictor_window),
-      planner_(make_planner(config_.planner, config_.dp_buffer_quantum_s)) {}
-
-FuguAbr::FuguAbr(const FuguAbr& other)
-    : config_(other.config_),
-      predictor_(other.predictor_),
-      planner_(make_planner(other.config_.planner, other.config_.dp_buffer_quantum_s)) {}
-
-FuguAbr& FuguAbr::operator=(const FuguAbr& other) {
-  if (this != &other) {
-    config_ = other.config_;
-    predictor_ = other.predictor_;
-    planner_ = make_planner(config_.planner, config_.dp_buffer_quantum_s);
-  }
-  return *this;
-}
+      planner_(std::move(planner)) {}
 
 void FuguAbr::begin_session(const media::EncodedVideo& video) {
   (void)video;

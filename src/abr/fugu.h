@@ -8,11 +8,11 @@
 // The weighted variant (Eq. 4) and the scheduled-rebuffering action are
 // added by SENSEI-Fugu in src/core; this class keeps the vanilla objective.
 //
-// The lookahead itself is delegated to abr::Planner (src/abr/planner.h):
-// the exact branch-and-bound DpPlanner by default, or the reference
-// ExhaustivePlanner behind `FuguConfig::planner` — both return identical
-// decisions (see
-// tests/test_planner_equivalence.cpp); the DP is simply much faster.
+// The lookahead itself is delegated to abr::Planner (src/abr/planner.h),
+// chosen by `FuguConfig::planner`: the exact branch-and-bound DpPlanner by
+// default, or the discretized ViPlanner for fleet scale. The DP returns the
+// exhaustive reference recursion's decisions bit for bit
+// (tests/test_planner_equivalence.cpp, tests/test_oracle_grids.cpp).
 #pragma once
 
 #include "abr/planner.h"
@@ -41,29 +41,30 @@ struct FuguConfig {
   // stall risk often enough that an un-gated rebuffer action loses QoE.
   double rebuffer_margin = 0.35;
   // Which lookahead engine realizes the objective. kDp (default) is the
-  // exact branch and bound; kExhaustive is the reference recursion; kVi
-  // is the discretized value iteration — lossy but an order of magnitude
-  // faster, the fleet-scale mode (see planner.h).
+  // exact branch and bound; kVi is the discretized value iteration — lossy
+  // but an order of magnitude faster, the fleet-scale mode (see planner.h).
   PlannerKind planner = PlannerKind::kDp;
   // ViPlanner's value-table bucket width in seconds; <= 0 selects
-  // kDefaultViBufferQuantumS (2.0 s). The exact planners have no buffer
-  // discretization: kDp rejects any value but 0 (make_planner throws
-  // std::invalid_argument naming this key), kExhaustive ignores it.
+  // kDefaultViBufferQuantumS (2.0 s). The exact DP has no buffer
+  // discretization and rejects any value but 0 (make_planner throws
+  // std::invalid_argument naming this key).
   double dp_buffer_quantum_s = 0.0;
 };
 
 class FuguAbr : public sim::AbrPolicy {
  public:
+  // Builds the planner `config.planner` names (make_planner).
   explicit FuguAbr(FuguConfig config = FuguConfig());
-  FuguAbr(const FuguAbr& other);
-  FuguAbr& operator=(const FuguAbr& other);
+  // Runs `planner` in place of the one the config names; config.planner and
+  // config.dp_buffer_quantum_s are then unused. The seam through which the
+  // tests stream full sessions on the exhaustive reference planner.
+  FuguAbr(FuguConfig config, std::unique_ptr<Planner> planner);
 
   const char* name() const override { return config_.use_weights ? "Sensei-Fugu" : "Fugu"; }
   void begin_session(const media::EncodedVideo& video) override;
   sim::AbrDecision decide(const sim::AbrObservation& obs) override;
-  // Forwarded to the planner. Deliberately NOT copied by the copy
-  // operations above (they rebuild planner_ from config), so a policy
-  // cloned out of a Simulator run never carries a dangling batch pointer.
+  // Forwarded to the planner. FuguAbr is move-only: a copy could neither
+  // share the planner nor rebuild an injected one from the config.
   void attach_plan_batch(PlanBatch* batch) override { planner_->set_batch(batch); }
 
   const FuguConfig& config() const { return config_; }

@@ -1,17 +1,16 @@
 // MPC lookahead planners behind Fugu/SENSEI-Fugu (paper Eq. 3 / Eq. 4).
 //
-// All three planners maximize the same objective: the expected sum, over a
+// Both planners maximize the same objective: the expected sum, over a
 // discrete throughput-scenario distribution, of per-chunk qualities across
 // the next `horizon` chunks, optionally weighted by per-chunk sensitivity
 // and extended with a scheduled-rebuffering action for the first chunk.
+// The reference realization of that objective — a depth-first walk of the
+// full (levels x rebuffer_options)^horizon decision tree, exponential in the
+// horizon — lives in the test-only oracle library
+// (tests/oracles/exhaustive_planner.h).
 //
-//  - ExhaustivePlanner is the reference realization: a depth-first walk of
-//    the full (levels x rebuffer_options)^horizon decision tree, advancing a
-//    heap-allocated per-scenario state vector at every node. Exponential in
-//    the horizon; kept as the equivalence baseline behind a config flag.
-//
-//  - DpPlanner is the production planner: an exact depth-first branch and
-//    bound over the same tree. Per-(depth, level) download-time and quality
+//  - DpPlanner is the exact planner: a depth-first branch and bound over
+//    the same tree. Per-(depth, level) download-time and quality
 //    tables are precomputed once per decision instead of at every node, and
 //    every buffer it searches with lives in arenas reused across decide()
 //    calls (zero steady-state heap allocation). A search node is one
@@ -55,7 +54,8 @@
 //    pruning nor the cache can drop the leaf the reference picks, so the DP
 //    returns *bit-identical* values and decisions whatever the visiting
 //    order, the incumbents or the planner's history —
-//    tests/test_planner_equivalence.cpp asserts exactly that. The search is
+//    tests/test_planner_equivalence.cpp asserts exactly that per decision,
+//    tests/test_oracle_grids.cpp over the paper's grids. The search is
 //    exact and still exponential in the worst case; long horizons belong to
 //    ViPlanner.
 //
@@ -104,9 +104,8 @@
 namespace sensei::abr {
 
 enum class PlannerKind {
-  kDp,          // exact depth-first branch and bound (default)
-  kExhaustive,  // reference exhaustive recursion
-  kVi,          // discretized value iteration (Puffer-style, lossy)
+  kDp,  // exact depth-first branch and bound (default)
+  kVi,  // discretized value iteration (Puffer-style, lossy)
 };
 
 // Default buffer bucket width for ViPlanner (Puffer's UNIT_BUF_LENGTH) at
@@ -362,29 +361,6 @@ class Planner {
   // their static per-video tables from it do, others ignore it. Attaching
   // never changes any planner's output, only where the tables live.
   virtual void set_batch(PlanBatch* batch) { (void)batch; }
-};
-
-// The original Fugu recursion, verbatim: the correctness baseline the DP is
-// gated against, and the "before" side of bench_planner.
-class ExhaustivePlanner : public Planner {
- public:
-  const char* name() const override { return "exhaustive"; }
-  PlanResult plan(const PlanQuery& query) override;
-
- private:
-  struct PlanState {
-    double buffer_s = 0.0;
-    double prev_vq = 0.0;
-  };
-
-  double walk(const PlanQuery& q, size_t depth, size_t chunk,
-              std::vector<PlanState>& states, double prev_weighted_sum);
-
-  // Best first action found by the current walk, tracked separately for
-  // stall-free plans so the caller can apply the rebuffer margin.
-  PlanResult result_;
-  size_t plan_first_level_ = 0;
-  double plan_first_rebuffer_ = 0.0;
 };
 
 class DpPlanner : public Planner {

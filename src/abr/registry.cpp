@@ -94,9 +94,7 @@ qoe::ChunkQualityParams chunk_params_from(const PolicySpec& spec) {
 
 PlannerKind planner_from(const PolicySpec& spec) {
   const std::string& v = spec_value(spec, "planner");
-  if (v == "dp") return PlannerKind::kDp;
-  if (v == "exhaustive") return PlannerKind::kExhaustive;
-  return PlannerKind::kVi;
+  return v == "dp" ? PlannerKind::kDp : PlannerKind::kVi;
 }
 
 using KeyInfo = PolicyRegistry::KeyInfo;
@@ -114,7 +112,7 @@ std::vector<KeyInfo> chunk_keys() {
 
 std::vector<KeyInfo> fugu_keys() {
   std::vector<KeyInfo> keys = chunk_keys();
-  keys.push_back({"planner", KeyType::kEnum, "dp", {"dp", "exhaustive", "vi"}});
+  keys.push_back({"planner", KeyType::kEnum, "dp", {"dp", "vi"}});
   keys.push_back({"horizon", KeyType::kSize, "5", {}});
   keys.push_back({"predictor_window", KeyType::kSize, "8", {}});
   keys.push_back({"dp_buffer_quantum_s", KeyType::kDouble, "0", {}});

@@ -23,15 +23,7 @@ ProfileOutput Sensei::profile(const media::EncodedVideo& video) const {
 namespace {
 
 const char* planner_text(abr::PlannerKind planner) {
-  switch (planner) {
-    case abr::PlannerKind::kExhaustive:
-      return "exhaustive";
-    case abr::PlannerKind::kVi:
-      return "vi";
-    case abr::PlannerKind::kDp:
-      break;
-  }
-  return "dp";
+  return planner == abr::PlannerKind::kVi ? "vi" : "dp";
 }
 
 void add_chunk_keys(abr::PolicySpec& spec, const qoe::ChunkQualityParams& params) {

@@ -37,9 +37,8 @@ class Sensei {
   // --- ABR factory helpers -------------------------------------------------
   //
   // The Fugu factories take the lookahead engine as a parameter: the exact
-  // branch-and-bound DP by default, or the reference exhaustive recursion
-  // for equivalence/regression runs. Both yield identical decisions (see
-  // tests/test_planner_equivalence.cpp).
+  // branch-and-bound DP by default, or the discretized value iteration
+  // (abr/planner.h).
 
   // Vanilla baselines.
   static std::unique_ptr<abr::FuguAbr> make_fugu(

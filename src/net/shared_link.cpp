@@ -150,10 +150,13 @@ double SharedLink::next_completion_s() const {
 }
 
 void SharedLink::advance_to(double t) {
+  // No event lies at +inf (the event loop stops before advancing there), and
+  // a clock at +inf would make the drift tolerance below infinite: every
+  // later backwards step and join would pass. NaN fails this check too.
+  if (!std::isfinite(t)) throw std::runtime_error("shared link: time must be finite");
   // Engine event times are start + accumulated per-chunk deltas, so they can
   // land an ulp before the link's absolutely-indexed clock. Tolerate the
-  // same relative drift begin() accepts; a real backwards step still throws,
-  // and so does a NaN instant, which fails both negated compares.
+  // same relative drift begin() accepts; a real backwards step still throws.
   if (!(t >= now_s_)) {
     if (!(now_s_ - t <= 1e-9 * std::max(1.0, std::abs(now_s_)))) {
       throw std::runtime_error("shared link: time may not run backwards");

@@ -88,7 +88,8 @@ class SharedLink {
   // next_completion_s() + the completion instant itself): every active
   // transfer receives an equal share of the trace capacity over [now, t].
   // Transfers whose remaining bits reach zero at `t` complete and leave the
-  // link. Throws when `t` runs backwards past the drift tolerance or is NaN.
+  // link. Throws when `t` runs backwards past the drift tolerance or is not
+  // finite.
   void advance_to(double t);
 
   // Removes an *active* transfer from the link at its current instant — the

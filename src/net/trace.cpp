@@ -1,6 +1,5 @@
 #include "net/trace.h"
 
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -14,8 +13,6 @@ namespace sensei::net {
 
 namespace {
 
-std::atomic<int> g_default_integration{static_cast<int>(TraceIntegration::kIndexed)};
-
 TransferResult dead_link() {
   TransferResult result;
   result.completed = false;
@@ -25,28 +22,21 @@ TransferResult dead_link() {
 
 // Smallest k in (p, n] with prefix[k] - prefix[p] >= target, given that
 // k = n satisfies it. The predicate is monotone in k (prefix is
-// nondecreasing and rounding is order-preserving), so the linear reference
-// scan and the bracketed binary search provably return the same k — this
-// single shared expression is what makes the two integration modes
-// bit-identical. `hint` (a phase from a cursor's previous finish) only
-// seeds the gallop that brackets the answer.
+// nondecreasing and rounding is order-preserving), so the bracketed binary
+// search returns the same k as a linear scan of the same expression (the
+// reference in tests/oracles/walker.h). `hint` (a phase from a cursor's
+// previous finish) only seeds the gallop that brackets the answer.
 // Chunk-scale transfers finish within a few intervals of their start, where
 // a cache-hot linear scan beats binary search; session-scale transfers and
 // long fades span thousands, where binary search wins by orders of
-// magnitude. The indexed mode scans this many intervals exactly before
+// magnitude. The search scans this many intervals exactly before
 // switching — the hybrid returns the same minimal k either way, so the
 // constant is pure tuning, never semantics.
 constexpr size_t kLinearScanSpan = 64;
 
 size_t find_finish(const std::vector<double>& prefix, size_t p, size_t n, double target,
-                   TraceIntegration mode, size_t* hint) {
+                   size_t* hint) {
   auto consumed_reaches = [&](size_t k) { return prefix[k] - prefix[p] >= target; };
-
-  if (mode == TraceIntegration::kWalker) {
-    size_t k = p + 1;
-    while (!consumed_reaches(k)) ++k;
-    return k;
-  }
 
   // Short exact linear scan first (the common chunk-download case).
   size_t linear_end = n - p > kLinearScanSpan ? p + kLinearScanSpan : n;
@@ -78,14 +68,6 @@ size_t find_finish(const std::vector<double>& prefix, size_t p, size_t n, double
 }
 
 }  // namespace
-
-TraceIntegration default_trace_integration() {
-  return static_cast<TraceIntegration>(g_default_integration.load(std::memory_order_relaxed));
-}
-
-void set_default_trace_integration(TraceIntegration mode) {
-  g_default_integration.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
 
 ThroughputTrace::ThroughputTrace(std::string name, std::vector<double> samples_kbps,
                                  double interval_s, bool finite)
@@ -136,7 +118,7 @@ double ThroughputTrace::mean_kbps() const { return util::mean(samples_); }
 
 double ThroughputTrace::stddev_kbps() const { return util::stddev(samples_); }
 
-TransferResult ThroughputTrace::integrate(double bytes, double start_s, TraceIntegration mode,
+TransferResult ThroughputTrace::integrate(double bytes, double start_s,
                                           TraceCursor* cursor) const {
   TransferResult result;
   if (bytes <= 0.0) return result;
@@ -209,9 +191,8 @@ TransferResult ThroughputTrace::integrate(double bytes, double start_s, TraceInt
 
   // --- full intervals, one period window at a time -------------------------
   // The finishing interval is the smallest k with "capacity consumed since
-  // the window's phase >= bits remaining" — evaluated from the shared prefix
-  // sums, so the walker's linear scan and the indexed binary search agree
-  // exactly. Looping traces consume whole periods in O(1) between windows.
+  // the window's phase >= bits remaining", evaluated from the shared prefix
+  // sums. Looping traces consume whole periods in O(1) between windows.
   const size_t b = idx + 1;  // absolute index of the first full interval
   const double period_bits = prefix[n];
   size_t base;   // absolute index of the current window's phase 0
@@ -238,7 +219,7 @@ TransferResult ThroughputTrace::integrate(double bytes, double start_s, TraceInt
     double window_bits = prefix[n] - prefix[phase];
     if (window_bits >= remaining_bits) {
       size_t* hint = cursor != nullptr ? &cursor->hint_ : nullptr;
-      size_t k = find_finish(prefix, phase, n, remaining_bits, mode, hint);
+      size_t k = find_finish(prefix, phase, n, remaining_bits, hint);
       if (hint != nullptr) *hint = k;
       size_t finish = base + k - 1;  // absolute finishing interval
       double r = remaining_bits - (prefix[k - 1] - prefix[phase]);
@@ -262,25 +243,23 @@ TransferResult ThroughputTrace::integrate(double bytes, double start_s, TraceInt
   }
 }
 
-TransferResult ThroughputTrace::advance(double bytes, double start_s,
-                                        TraceIntegration mode) const {
-  return integrate(bytes, start_s, mode, nullptr);
+TransferResult ThroughputTrace::advance(double bytes, double start_s) const {
+  return integrate(bytes, start_s, nullptr);
 }
 
-double ThroughputTrace::download_time_s(double bytes, double start_s, double rtt_s,
-                                        TraceIntegration mode) const {
+double ThroughputTrace::download_time_s(double bytes, double start_s, double rtt_s) const {
   // RTT is request dead time: it burns wall clock *before* the first byte
   // and consumes no trace capacity, so the transfer integrates from
   // start_s + rtt_s (not from start_s, which would let the request "use"
   // link capacity it never touched).
   if (bytes <= 0.0) return rtt_s;
-  TransferResult transfer = advance(bytes, start_s + rtt_s, mode);
+  TransferResult transfer = advance(bytes, start_s + rtt_s);
   if (!transfer.completed) return std::numeric_limits<double>::infinity();
   return rtt_s + transfer.elapsed_s;
 }
 
 TransferResult TraceCursor::advance(double bytes, double start_s) {
-  return trace_->integrate(bytes, start_s, mode_, this);
+  return trace_->integrate(bytes, start_s, this);
 }
 
 double TraceCursor::download_time_s(double bytes, double start_s, double rtt_s) {
@@ -310,6 +289,8 @@ ThroughputTrace ThroughputTrace::with_noise(double sigma_kbps, uint64_t seed,
 
 std::string ThroughputTrace::to_csv() const {
   std::ostringstream os;
+  // max_digits10 significant digits: every double reads back bit for bit.
+  os.precision(std::numeric_limits<double>::max_digits10);
   os << "time_s,throughput_kbps\n";
   for (size_t i = 0; i < samples_.size(); ++i) {
     os << static_cast<double>(i) * interval_s_ << ',' << samples_[i] << '\n';
@@ -375,10 +356,17 @@ ThroughputTrace ThroughputTrace::from_csv(const std::string& name, const std::st
     samples.push_back(kbps);
     line_of_row.push_back(line_no);
   }
-  if (samples.empty()) throw std::runtime_error("trace: empty csv");
+  if (samples.empty()) {
+    ++line_no;  // where a data row was expected: the end of the input
+    fail("no data rows");
+  }
   double interval = 1.0;
   if (times.size() >= 2) {
     interval = times[1] - times[0];
+    if (!std::isfinite(interval)) {
+      line_no = line_of_row[1];
+      fail("timestamp spacing overflows");
+    }
     // The step-function model needs uniform spacing; a single irregular gap
     // would silently mistime every later sample, so reject it loudly.
     for (size_t i = 2; i < times.size(); ++i) {

@@ -9,20 +9,14 @@
 //
 // Transfers are integrated exactly by `advance()` against a cumulative-
 // capacity index built at construction (prefix sums of each interval's bits
-// over one period). Both integration modes evaluate the *same* monotone
-// predicate "capacity consumed through interval k >= bits remaining", so
-// they are bit-identical by construction:
+// over one period): a binary search for the finishing interval inside the
+// current period, whole periods consumed in O(1) each, dead links
+// classified in O(1). A transfer costs O(log n + periods spanned)
+// regardless of how many intervals it crosses. The tests hold it bit for
+// bit to a linear interval-by-interval scan of the same monotone predicate
+// (tests/oracles/walker.h).
 //
-//  - kIndexed (default): binary search for the finishing interval inside
-//    the current period, whole periods consumed in O(1) each, dead links
-//    classified in O(1). A transfer costs O(log n + periods spanned)
-//    regardless of how many intervals it crosses.
-//  - kWalker: the retained reference — a linear interval-by-interval scan
-//    of the identical predicate, O(intervals spanned), kept behind the mode
-//    flag (mirroring FuguConfig::planner / PlayerConfig::engine) purely as
-//    the equivalence baseline for tests/test_trace_index.cpp.
-//
-// Either way a transfer completes exactly or reports an *outage* — the link
+// A transfer completes exactly or reports an *outage* — the link
 // has no capacity left, ever (an all-zero looping trace, or a finite trace
 // exhausted mid-transfer). There is no walk cap that could silently fake a
 // completed download.
@@ -50,28 +44,14 @@ struct TransferResult {
   bool completed = true;
 };
 
-// Which integration engine advance()/download_time_s() use. The two are
-// bit-identical (same elapsed_s, same dead-link classification); only the
-// complexity differs.
-enum class TraceIntegration {
-  kIndexed,  // binary search over the cumulative-capacity index (default)
-  kWalker,   // linear reference scan of the same predicate
-};
-
-// Process-wide default mode. Set once at startup (e.g. from a bench's
-// `--trace-integration indexed|walker` flag); every call that does not pass
-// an explicit mode reads it.
-TraceIntegration default_trace_integration();
-void set_default_trace_integration(TraceIntegration mode);
-
 // Cumulative-capacity index over one period of the step function, built at
 // construction (traces are immutable and shared across ExperimentRunner
 // workers, so laziness would need synchronization for no gain; construction
 // already walks the samples once to validate them).
 struct TraceIndex {
   // prefix_bits[k] = bits deliverable by intervals [0, k), accumulated
-  // left-to-right in double precision — the scan order both integration
-  // modes share. Monotone nondecreasing; prefix_bits[n] is the capacity of
+  // left-to-right in double precision — the scan order every integration
+  // reuses. Monotone nondecreasing; prefix_bits[n] is the capacity of
   // one full period.
   std::vector<double> prefix_bits;
 };
@@ -107,14 +87,12 @@ class ThroughputTrace {
   // `start_s`, locating the last byte (or an outage) on the step function.
   // RTT is *not* included — request dead time consumes wall clock but no
   // trace capacity, so callers place it before the transfer start.
-  TransferResult advance(double bytes, double start_s,
-                         TraceIntegration mode = default_trace_integration()) const;
+  TransferResult advance(double bytes, double start_s) const;
 
   // Convenience wrapper: rtt_s of request dead time, then the transfer
   // (starting at start_s + rtt_s). Returns total elapsed seconds, or
   // +infinity if the transfer hits an outage.
-  double download_time_s(double bytes, double start_s, double rtt_s = 0.08,
-                         TraceIntegration mode = default_trace_integration()) const;
+  double download_time_s(double bytes, double start_s, double rtt_s = 0.08) const;
 
   // The cumulative-capacity index (shared between plain copies since it
   // depends only on the samples). Throws on a default-constructed trace,
@@ -130,10 +108,14 @@ class ThroughputTrace {
   ThroughputTrace with_noise(double sigma_kbps, uint64_t seed,
                              double floor_kbps = 50.0) const;
 
-  // CSV persistence: one "time_s,kbps" row per sample. from_csv validates
-  // the file: timestamps must be strictly increasing and uniformly spaced,
-  // cells must parse as numbers; violations raise with the 1-based line
-  // number. Blank lines and '#' comments are skipped.
+  // CSV persistence: one "time_s,kbps" row per sample, written with
+  // max_digits10 significant digits so samples and the interval read back
+  // bit for bit. The CSV carries no `finite` flag: from_csv always returns a
+  // looping trace, and callers that need finite semantics apply as_finite().
+  // from_csv validates the file: timestamps must be strictly increasing and
+  // uniformly spaced, cells must parse as numbers; every violation, an input
+  // without data rows included, raises std::runtime_error naming the
+  // 1-based line number. Blank lines and '#' comments are skipped.
   std::string to_csv() const;
   static ThroughputTrace from_csv(const std::string& name, const std::string& csv);
 
@@ -143,8 +125,7 @@ class ThroughputTrace {
   // The shared integration core. `cursor` (nullable) supplies a warm-start
   // phase for the finishing-interval search and the start-interval segment
   // memo; both only affect speed, never the result.
-  TransferResult integrate(double bytes, double start_s, TraceIntegration mode,
-                           TraceCursor* cursor) const;
+  TransferResult integrate(double bytes, double start_s, TraceCursor* cursor) const;
 
   std::string name_;
   std::vector<double> samples_;  // Kbps
@@ -170,9 +151,7 @@ class ThroughputTrace {
 class TraceCursor {
  public:
   TraceCursor() = default;
-  explicit TraceCursor(const ThroughputTrace& trace,
-                       TraceIntegration mode = default_trace_integration())
-      : trace_(&trace), mode_(mode) {}
+  explicit TraceCursor(const ThroughputTrace& trace) : trace_(&trace) {}
 
   TransferResult advance(double bytes, double start_s);
   double download_time_s(double bytes, double start_s, double rtt_s = 0.08);
@@ -181,7 +160,6 @@ class TraceCursor {
 
  private:
   const ThroughputTrace* trace_ = nullptr;
-  TraceIntegration mode_ = TraceIntegration::kIndexed;
   friend class ThroughputTrace;
 
   // Every start in [lo, hi) has start / interval_s truncating to idx.

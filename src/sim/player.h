@@ -12,14 +12,12 @@
 // (exactly how SENSEI-Pensieve's "increment the buffer state" is described).
 //
 // Session timing is owned by the exact event-driven timeline engine
-// (sim/timeline.h), the default — itself a thin run-to-completion drive of
-// the resumable sim::SessionEngine state machine (sim/session_engine.h),
-// which sim::Simulator interleaves for multi-session contention scenarios.
-// The pre-timeline accounting loop is kept frozen behind
-// `PlayerConfig::engine = TimingEngine::kLegacy` purely as the reference
-// for the bit-identity equivalence gate (tests/test_timeline.cpp); it
-// retains the old bugs by design (RTT folded into the goodput estimate, no
-// outage detection, no trajectory).
+// (sim/timeline.h) — itself a thin run-to-completion drive of the resumable
+// sim::SessionEngine state machine (sim/session_engine.h), which
+// sim::Simulator interleaves for multi-session contention scenarios. The
+// pre-timeline accounting loop survives only as a test oracle
+// (tests/oracles/legacy_player.h), the reference for the bit-identity gate
+// in tests/test_timeline.cpp.
 #pragma once
 
 #include <cstdint>
@@ -52,13 +50,14 @@ struct AbrObservation {
   // the manifest carries none (weight-unaware ABRs simply ignore it).
   std::vector<double> future_weights;
 
-  // --- session trajectory context (timeline engine only; the legacy
-  // engine leaves these at their defaults) ---------------------------------
+  // --- session trajectory context (the legacy test oracle leaves these at
+  // their defaults) ---------------------------------------------------------
   double wall_clock_s = 0.0;     // seconds since the session began
   double playhead_s = 0.0;       // media seconds rendered so far
   double total_stall_s = 0.0;    // cumulative stall (unscheduled + scheduled)
   double last_rtt_s = 0.0;       // request dead time of the last download
-  // The exact per-chunk trajectory so far (nullptr under the legacy engine).
+  // The exact per-chunk trajectory so far (nullptr when record_timeline is
+  // off, and under the legacy test oracle).
   const SessionTimeline* timeline = nullptr;
 };
 
@@ -113,19 +112,12 @@ struct ResilienceConfig {
   }
 };
 
-// Which accounting loop realizes the session timing.
-enum class TimingEngine {
-  kTimeline,  // exact event-driven engine (sim/timeline.h) — the default
-  kLegacy,    // frozen pre-timeline loop, kept as the equivalence baseline
-};
-
 struct PlayerConfig {
   double max_buffer_s = 30.0;
   double rtt_s = 0.08;
   size_t throughput_history_len = 8;
   // Sensitivity look-ahead horizon handed to the ABR (paper picks h = 5).
   size_t weight_horizon = 5;
-  TimingEngine engine = TimingEngine::kTimeline;
   // Multi-session runs only (sim::Simulator, and sim::FleetSimulator across
   // all of its cells and worker threads): share one abr::PlanBatch of
   // planning tables across all sessions' policies for the duration of the
@@ -147,19 +139,15 @@ class Player {
 
   // Streams `video` over `trace` under `policy`. `weights` (optional) is the
   // per-chunk sensitivity vector distributed via the manifest; slices of it
-  // are exposed to the policy each decision. Under the timeline engine the
-  // returned session carries the exact trajectory (SessionResult::timeline())
-  // and, on a dead link, truncates with SessionOutcome::kOutage.
+  // are exposed to the policy each decision. The returned session carries
+  // the exact trajectory (SessionResult::timeline(), unless record_timeline
+  // is off) and, on a dead link, truncates with SessionOutcome::kOutage.
   SessionResult stream(const media::EncodedVideo& video, const net::ThroughputTrace& trace,
                        AbrPolicy& policy, const std::vector<double>& weights = {}) const;
 
   const PlayerConfig& config() const { return config_; }
 
  private:
-  SessionResult stream_legacy(const media::EncodedVideo& video,
-                              const net::ThroughputTrace& trace, AbrPolicy& policy,
-                              const std::vector<double>& weights) const;
-
   PlayerConfig config_;
 };
 

@@ -69,7 +69,7 @@ class SessionResult {
   // chunk records cover everything downloaded before the outage.
   SessionOutcome outcome() const { return outcome_; }
   // The coarse setter keeps the legacy mapping (kOutage -> kDeadLink) for
-  // callers that predate typed causes (offline optimal, legacy engine).
+  // callers that predate typed causes (offline optimal, the legacy oracle).
   void set_outcome(SessionOutcome outcome) {
     outcome_ = outcome;
     outcome_cause_ =
@@ -88,7 +88,7 @@ class SessionResult {
   size_t failed_chunk() const { return failed_chunk_; }
 
   // The full playhead/buffer trajectory, when the session was produced by
-  // the timeline engine (nullptr from the frozen legacy engine). Shared so
+  // the timeline engine (nullptr from the legacy test oracle). Shared so
   // copying grid results stays cheap.
   const SessionTimeline* timeline() const { return timeline_.get(); }
   void set_timeline(std::shared_ptr<const SessionTimeline> timeline) {

@@ -3,9 +3,10 @@
 // The timeline engine is the simulator's single source of truth for *when*
 // things happen in a streaming session: every download, stall, scheduled
 // pause, buffer-cap idle, and RTT wait is an explicit, ordered, exactly
-// placed span of wall clock. It replaces the ad-hoc per-chunk accounting
-// the legacy `Player::stream` loop carried, and fixes its two timing bugs
-// by construction:
+// placed span of wall clock. It replaced the ad-hoc per-chunk accounting
+// of the legacy player loop (kept only as a test oracle,
+// tests/oracles/legacy_player.h), and fixes its two timing bugs by
+// construction:
 //
 //  * RTT is request dead time — it burns wall clock *before* the first
 //    byte and consumes no trace capacity, so goodput estimates exclude it
@@ -31,8 +32,8 @@
 //                requesting while playback drains the excess in real time.
 //
 // On well-behaved traces (no outage) with rtt_s = 0 the engine is
-// bit-identical to the legacy accounting, field for field — the
-// equivalence gate in tests/test_timeline.cpp enforces it on a seeded
+// bit-identical to the legacy oracle, field for field — the equivalence
+// gate in tests/test_timeline.cpp enforces it on a seeded
 // (video × trace × policy) grid at 1 and 4 runner threads.
 #pragma once
 

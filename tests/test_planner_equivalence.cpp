@@ -1,5 +1,6 @@
 // Equivalence gate for the MPC planner swap: the branch-and-bound DpPlanner
-// must reproduce the reference ExhaustivePlanner exactly — same (level,
+// must reproduce the reference exhaustive recursion
+// (tests/oracles/exhaustive_planner.h) exactly — same (level,
 // scheduled_rebuffer) decision and bit-identical value — across a seeded
 // grid of observations, weights, and scenario sets, and whole experiment
 // grids must stay bit-identical before/after the swap at any thread count.
@@ -19,6 +20,7 @@
 #include "core/runner.h"
 #include "media/dataset.h"
 #include "net/trace_gen.h"
+#include "oracles/exhaustive_planner.h"
 #include "sim/player.h"
 #include "util/rng.h"
 
@@ -137,7 +139,7 @@ void expect_same_plan(const PlanResult& a, const PlanResult& b) {
 // The exact DP must return the reference's decision and value bit for bit
 // on every case of `grid`.
 void expect_dp_matches_exhaustive(const std::vector<GridCase>& grid) {
-  ExhaustivePlanner reference;
+  oracles::ExhaustivePlanner reference;
   DpPlanner dp;
   for (size_t i = 0; i < grid.size(); ++i) {
     PlanQuery q = make_query(grid[i]);
@@ -341,15 +343,11 @@ TEST_F(PlannerEquivalence, FullSessionsIdenticalAcrossPlanners) {
 
   for (bool sensei_mode : {false, true}) {
     for (const auto& trace : traces) {
-      FuguConfig dp_cfg, ex_cfg;
-      dp_cfg.use_weights = ex_cfg.use_weights = sensei_mode;
-      if (sensei_mode) {
-        dp_cfg.rebuffer_options = std::vector<double>{0.0, 1.0, 2.0};
-        ex_cfg.rebuffer_options = std::vector<double>{0.0, 1.0, 2.0};
-      }
-      dp_cfg.planner = PlannerKind::kDp;
-      ex_cfg.planner = PlannerKind::kExhaustive;
-      FuguAbr dp_abr(dp_cfg), ex_abr(ex_cfg);
+      FuguConfig cfg;
+      cfg.use_weights = sensei_mode;
+      if (sensei_mode) cfg.rebuffer_options = std::vector<double>{0.0, 1.0, 2.0};
+      FuguAbr dp_abr(cfg);
+      FuguAbr ex_abr(cfg, std::make_unique<oracles::ExhaustivePlanner>());
       sim::Player player;
       auto s_dp = player.stream(video_, trace, dp_abr, sensei_mode ? weights : std::vector<double>{});
       auto s_ex = player.stream(video_, trace, ex_abr, sensei_mode ? weights : std::vector<double>{});
@@ -387,17 +385,25 @@ TEST(PlannerGridDeterminism, GridBitIdenticalAcrossPlannersAndThreads) {
     weights.push_back(std::move(w));
   }
 
-  auto run = [&](abr::PlannerKind kind, size_t threads) {
+  // The exhaustive side runs the DP policy's own config on the reference
+  // planner.
+  auto run = [&](bool exhaustive, size_t threads) {
     core::ExperimentRunner runner(threads);
     return core::Experiments::run_grid(
-        videos, traces, [kind] { return core::Sensei::make_sensei_fugu({}, kind); },
+        videos, traces,
+        [exhaustive]() -> std::unique_ptr<sim::AbrPolicy> {
+          std::unique_ptr<FuguAbr> dp = core::Sensei::make_sensei_fugu({});
+          if (!exhaustive) return dp;
+          return std::make_unique<FuguAbr>(dp->config(),
+                                           std::make_unique<oracles::ExhaustivePlanner>());
+        },
         weights, runner);
   };
 
-  auto base = run(abr::PlannerKind::kExhaustive, 1);
-  for (auto kind : {abr::PlannerKind::kExhaustive, abr::PlannerKind::kDp}) {
+  auto base = run(true, 1);
+  for (bool exhaustive : {true, false}) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
-      auto got = run(kind, threads);
+      auto got = run(exhaustive, threads);
       ASSERT_EQ(got.size(), base.size());
       for (size_t i = 0; i < base.size(); ++i) {
         SCOPED_TRACE("cell " + std::to_string(i) + " threads " + std::to_string(threads));
@@ -422,7 +428,7 @@ TEST(PlannerGridDeterminism, GridBitIdenticalAcrossPlannersAndThreads) {
 // scheduled stall, zero value. A -1e18 "no leaf found" sentinel leaking out
 // of any of these was the original bug this pins.
 TEST_F(PlannerEquivalence, DegenerateQueriesNoOpAcrossAllPlanners) {
-  ExhaustivePlanner exhaustive;
+  oracles::ExhaustivePlanner exhaustive;
   DpPlanner dp;
   ViPlanner vi;
   Planner* planners[] = {&exhaustive, &dp, &vi};

@@ -358,6 +358,24 @@ TEST(SharedLinkAbort, AdvanceRejectsNanInstant) {
   EXPECT_EQ(link.active_count(), 0u);
 }
 
+TEST(SharedLinkAbort, AdvanceRejectsInfiniteInstant) {
+  net::ThroughputTrace trace("flat", {8000.0}, 1.0);
+  net::SharedLink link(trace);
+  link.begin(1000.0 * 125.0, 0.0);  // 1 Mbit at 8 Mbps
+  link.advance_to(0.0625);
+  EXPECT_THROW(link.advance_to(kInf), std::runtime_error);
+  EXPECT_THROW(link.advance_to(-kInf), std::runtime_error);
+  // The rejected advance left the clock finite, so the drift tolerance
+  // still holds: a backwards step and a join away from the clock throw.
+  EXPECT_EQ(link.now_s(), 0.0625);
+  EXPECT_THROW(link.advance_to(0.01), std::runtime_error);
+  EXPECT_THROW(link.begin(1000.0, 5.0), std::runtime_error);
+  EXPECT_EQ(link.active_count(), 1u);
+  EXPECT_EQ(link.next_completion_s(), 0.125);
+  link.advance_to(0.125);
+  EXPECT_EQ(link.active_count(), 0u);
+}
+
 // ---- LivelockError ----------------------------------------------------------
 
 TEST(LivelockErrorTest, NamesLoopStuckSessionAndInstant) {

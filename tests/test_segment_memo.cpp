@@ -2,16 +2,19 @@
 // behind SharedLink::cumulative_bits, SharedLink::next_completion_s and
 // TraceCursor::advance. The memos skip the division / floor / modulo that
 // map an instant to its interval only for instants whose key they already
-// hold, so their values must equal the reference formulas bit for bit. The
-// reference formulas live on here as the oracle: cumulative_bits and the
-// start of integrate() exactly as they read before the memo, with the
-// finishing interval found by the linear walker scan.
+// hold, so their values must equal the reference formulas bit for bit: the
+// pre-memo cumulative_bits kept here, and the walker integration of
+// tests/oracles/walker.h (the start of integrate() exactly as it read
+// before the memo, the finishing interval found by a linear scan).
 //
 // Probe instants sit on every interval boundary and period wrap of eight
 // periods, +-4 ulps around each, plus interval midpoints, for intervals
 // {1.0, 0.1, 1/3, 2.5} s on looping and finite traces. Lookups run in
 // increasing order (the event loop's order, the only one a link's clock
-// allows) and, for the const lookup and the cursor, in shuffled order.
+// allows) and, for the const lookup and the cursor, in shuffled order. The
+// next-completion gate also runs on the traces bench_fig6_potential_gains
+// and bench_multisession build (tests/oracles/bench_traces.h), at +-1 ulp
+// around every boundary of two of their periods.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +26,8 @@
 
 #include "net/shared_link.h"
 #include "net/trace.h"
+#include "oracles/bench_traces.h"
+#include "oracles/walker.h"
 #include "util/rng.h"
 
 namespace sensei::net {
@@ -52,82 +57,6 @@ double reference_cumulative_bits(const ThroughputTrace& trace, double t) {
   return whole * period_bits + prefix[idx] + trace.samples_kbps()[idx] * 1000.0 * span;
 }
 
-// ThroughputTrace::integrate as computed before the memo, with the walker's
-// linear scan for the finishing interval.
-TransferResult reference_integrate(const ThroughputTrace& trace, double bytes, double start_s) {
-  TransferResult dead;
-  dead.completed = false;
-  dead.elapsed_s = kInf;
-  TransferResult result;
-  if (bytes <= 0.0) return result;
-  if (!std::isfinite(start_s)) return dead;
-  if (start_s < 0.0) start_s = 0.0;
-  const double interval_s = trace.interval_s();
-  if (start_s / interval_s >= 9.0e15) return dead;
-  const bool finite = trace.finite();
-  const std::vector<double>& samples = trace.samples_kbps();
-  const size_t n = samples.size();
-  const std::vector<double>& prefix = trace.index().prefix_bits;
-  double remaining_bits = bytes * 8.0;
-
-  auto idx = static_cast<size_t>(start_s / interval_s);
-  double span;
-  while (true) {
-    if (finite && idx >= n) return dead;
-    double interval_end = static_cast<double>(idx + 1) * interval_s;
-    span = interval_end - start_s;
-    if (span > 0.0) break;
-    ++idx;
-  }
-  double kbps = samples[idx % n];
-  if (kbps > 0.0) {
-    double bps = kbps * 1000.0;
-    double capacity_bits = bps * span;
-    if (capacity_bits >= remaining_bits) {
-      result.elapsed_s = remaining_bits / bps;
-      return result;
-    }
-    remaining_bits -= capacity_bits;
-  }
-
-  const size_t b = idx + 1;
-  const double period_bits = prefix[n];
-  size_t base;
-  size_t phase;
-  if (finite) {
-    base = 0;
-    phase = b;
-  } else {
-    phase = b % n;
-    base = b - phase;
-    if (period_bits > 0.0 &&
-        remaining_bits > period_bits * (9.0e15 / static_cast<double>(n))) {
-      return dead;
-    }
-  }
-  while (true) {
-    if (finite && phase >= n) return dead;
-    double window_bits = prefix[n] - prefix[phase];
-    if (window_bits >= remaining_bits) {
-      size_t k = phase + 1;
-      while (!(prefix[k] - prefix[phase] >= remaining_bits)) ++k;
-      size_t finish = base + k - 1;
-      double r = remaining_bits - (prefix[k - 1] - prefix[phase]);
-      double bps = samples[k - 1] * 1000.0;
-      double interval_start = static_cast<double>(finish) * interval_s;
-      result.elapsed_s = (interval_start - start_s) + r / bps;
-      return result;
-    }
-    if (finite) return dead;
-    if (period_bits <= 0.0) return dead;
-    double next_remaining = remaining_bits - window_bits;
-    if (!(next_remaining < remaining_bits)) return dead;
-    remaining_bits = next_remaining;
-    base += n;
-    phase = 0;
-  }
-}
-
 bool same_result(const TransferResult& a, const TransferResult& b) {
   return a.completed == b.completed && a.elapsed_s == b.elapsed_s;
 }
@@ -146,17 +75,21 @@ std::vector<ThroughputTrace> memo_traces() {
 }
 
 // Sorted, distinct, positive probe instants: every boundary k * interval
-// and every period-relative boundary whole * period + i * interval, +-4
-// ulps, plus the midpoint of every interval, over the first four periods
-// and two pairs of later periods (coarser ulps, other rounding).
-std::vector<double> probe_instants(const ThroughputTrace& trace) {
+// and every period-relative boundary whole * period + i * interval, +-ulps
+// ulps, plus the midpoint of every interval, over `periods[j]` periods from
+// period `first_periods[j]`. The default covers the first four periods and
+// two pairs of later periods (coarser ulps, other rounding).
+std::vector<double> probe_instants(const ThroughputTrace& trace,
+                                   const std::vector<size_t>& first_periods = {0, 97, 1013},
+                                   const std::vector<size_t>& periods = {4, 2, 2},
+                                   int ulps = 4) {
   const double interval = trace.interval_s();
   const size_t n = trace.sample_count();
   const double period_s = interval * static_cast<double>(n);
   std::vector<double> out;
   auto around = [&](double b) {
     double lo = b, hi = b;
-    for (int k = 0; k < 4; ++k) {
+    for (int k = 0; k < ulps; ++k) {
       lo = std::nextafter(lo, -kInf);
       hi = std::nextafter(hi, kInf);
     }
@@ -164,9 +97,9 @@ std::vector<double> probe_instants(const ThroughputTrace& trace) {
       if (x > 0.0) out.push_back(x);
     }
   };
-  for (size_t first_period : {0u, 97u, 1013u}) {
-    const size_t periods = first_period == 0 ? 4 : 2;
-    for (size_t k = first_period * n; k <= (first_period + periods) * n; ++k) {
+  for (size_t j = 0; j < first_periods.size(); ++j) {
+    const size_t first_period = first_periods[j];
+    for (size_t k = first_period * n; k <= (first_period + periods[j]) * n; ++k) {
       around(static_cast<double>(k) * interval);
       const double whole = static_cast<double>(k / n);
       around(whole * period_s + static_cast<double>(k % n) * interval);
@@ -224,7 +157,8 @@ TEST(SegmentMemo, CursorAdvanceMatchesReferenceAtUlpAdjacentStarts) {
       TraceCursor in_order(trace);
       TraceCursor any_order(trace);
       for (double t : instants) {
-        const TransferResult expected = reference_integrate(trace, bytes * trace.interval_s(), t);
+        const TransferResult expected =
+            oracles::reference_integrate(trace, bytes * trace.interval_s(), t);
         ASSERT_TRUE(same_result(in_order.advance(bytes * trace.interval_s(), t), expected))
             << hex(t);
         ASSERT_TRUE(same_result(trace.advance(bytes * trace.interval_s(), t), expected))
@@ -232,8 +166,9 @@ TEST(SegmentMemo, CursorAdvanceMatchesReferenceAtUlpAdjacentStarts) {
         ++lookups;
       }
       for (double t : shuffled(instants, 0xc0de)) {
-        ASSERT_TRUE(same_result(any_order.advance(bytes * trace.interval_s(), t),
-                                reference_integrate(trace, bytes * trace.interval_s(), t)))
+        ASSERT_TRUE(
+            same_result(any_order.advance(bytes * trace.interval_s(), t),
+                        oracles::reference_integrate(trace, bytes * trace.interval_s(), t)))
             << hex(t);
         ++lookups;
       }
@@ -248,25 +183,41 @@ TEST(SegmentMemo, CursorAdvanceMatchesReferenceAtUlpAdjacentStarts) {
 // must be the reference integration of the transfer's remaining bits from
 // the link's clock. With a single transfer joined at time 0 the remaining
 // bits are total - granted, the link's own min_remaining expression.
+size_t expect_next_completion_matches_reference(const ThroughputTrace& trace,
+                                                const std::vector<double>& instants) {
+  SCOPED_TRACE(trace.name() + (trace.finite() ? " finite" : " looping"));
+  SharedLink link(trace);
+  const double period_bits = trace.index().prefix_bits.back();
+  const size_t id = link.begin(1100.0 * period_bits / 8.0, 0.0);
+  size_t lookups = 0;
+  for (double t : instants) {
+    link.advance_to(t);
+    const SharedLink::TransferView view = link.view(id);
+    EXPECT_FALSE(view.finished);
+    if (view.finished) break;
+    const double remaining = view.total_bits - view.granted_bits;
+    const TransferResult r = oracles::reference_integrate(trace, remaining / 8.0, link.now_s());
+    const double expected = r.completed ? link.now_s() + r.elapsed_s : kInf;
+    EXPECT_EQ(link.next_completion_s(), expected) << hex(t);
+    if (link.next_completion_s() != expected) break;
+    ++lookups;
+  }
+  return lookups;
+}
+
 TEST(SegmentMemo, NextCompletionMatchesReferenceAtUlpAdjacentInstants) {
   size_t lookups = 0;
   for (const ThroughputTrace& trace : memo_traces()) {
-    SCOPED_TRACE(trace.name() + (trace.finite() ? " finite" : " looping"));
-    SharedLink link(trace);
-    const double period_bits = trace.index().prefix_bits.back();
-    const size_t id = link.begin(1100.0 * period_bits / 8.0, 0.0);
-    for (double t : probe_instants(trace)) {
-      link.advance_to(t);
-      const SharedLink::TransferView view = link.view(id);
-      ASSERT_FALSE(view.finished);
-      const double remaining = view.total_bits - view.granted_bits;
-      const TransferResult r = reference_integrate(trace, remaining / 8.0, link.now_s());
-      const double expected = r.completed ? link.now_s() + r.elapsed_s : kInf;
-      ASSERT_EQ(link.next_completion_s(), expected) << hex(t);
-      ++lookups;
-    }
+    lookups += expect_next_completion_matches_reference(trace, probe_instants(trace));
   }
   EXPECT_GT(lookups, 4000u);
+  // The benches' traces: the first period and period 97, +-1 ulp.
+  size_t bench_lookups = 0;
+  for (const ThroughputTrace& trace : oracles::bench_trace_families()) {
+    bench_lookups += expect_next_completion_matches_reference(
+        trace, probe_instants(trace, {0, 97}, {1, 1}, 1));
+  }
+  EXPECT_GT(bench_lookups, 70000u);
 }
 
 }  // namespace

@@ -86,70 +86,52 @@ class SessionAllocation : public ::testing::Test {
   net::ThroughputTrace trace_ = net::TraceGenerator::cellular("alloc-cell", 1100, 600.0, 31);
 };
 
+// "OnBothEngines" in these names dates from when the legacy loop was a
+// second production engine; the timeline engine is now the only one.
 TEST_F(SessionAllocation, BbaStreamsWithoutAllocatingOnBothEngines) {
-  for (auto engine : {TimingEngine::kTimeline, TimingEngine::kLegacy}) {
-    abr::BbaAbr bba;
-    AllocationProbePolicy probe(bba);
-    PlayerConfig config;
-    config.engine = engine;
-    SessionResult s = Player(config).stream(video_, trace_, probe);
-    ASSERT_EQ(s.chunks().size(), video_.num_chunks());
-    ASSERT_GT(probe.decisions(), 10u);
-    EXPECT_EQ(probe.steady_state_allocations(), 0u)
-        << (engine == TimingEngine::kTimeline ? "timeline" : "legacy");
-  }
+  abr::BbaAbr bba;
+  AllocationProbePolicy probe(bba);
+  SessionResult s = Player().stream(video_, trace_, probe);
+  ASSERT_EQ(s.chunks().size(), video_.num_chunks());
+  ASSERT_GT(probe.decisions(), 10u);
+  EXPECT_EQ(probe.steady_state_allocations(), 0u);
 }
 
 TEST_F(SessionAllocation, RateBasedStreamsWithoutAllocatingOnBothEngines) {
-  for (auto engine : {TimingEngine::kTimeline, TimingEngine::kLegacy}) {
-    abr::RateBasedAbr rate;
-    AllocationProbePolicy probe(rate);
-    PlayerConfig config;
-    config.engine = engine;
-    SessionResult s = Player(config).stream(video_, trace_, probe);
-    ASSERT_EQ(s.chunks().size(), video_.num_chunks());
-    EXPECT_EQ(probe.steady_state_allocations(), 0u)
-        << (engine == TimingEngine::kTimeline ? "timeline" : "legacy");
-  }
+  abr::RateBasedAbr rate;
+  AllocationProbePolicy probe(rate);
+  SessionResult s = Player().stream(video_, trace_, probe);
+  ASSERT_EQ(s.chunks().size(), video_.num_chunks());
+  EXPECT_EQ(probe.steady_state_allocations(), 0u);
 }
 
 TEST_F(SessionAllocation, WhittleStreamsWithoutAllocatingOnBothEngines) {
   // The Whittle index is O(levels) arithmetic per decide over a fixed-ring
   // predictor: allocation-free from the first decision on.
-  for (auto engine : {TimingEngine::kTimeline, TimingEngine::kLegacy}) {
-    abr::WhittleIndexAbr whittle;
-    AllocationProbePolicy probe(whittle);
-    PlayerConfig config;
-    config.engine = engine;
-    SessionResult s = Player(config).stream(video_, trace_, probe);
-    ASSERT_EQ(s.chunks().size(), video_.num_chunks());
-    EXPECT_EQ(probe.steady_state_allocations(), 0u)
-        << (engine == TimingEngine::kTimeline ? "timeline" : "legacy");
-  }
+  abr::WhittleIndexAbr whittle;
+  AllocationProbePolicy probe(whittle);
+  SessionResult s = Player().stream(video_, trace_, probe);
+  ASSERT_EQ(s.chunks().size(), video_.num_chunks());
+  EXPECT_EQ(probe.steady_state_allocations(), 0u);
 }
 
 TEST_F(SessionAllocation, FuguSteadyStateStopsAllocatingOnceArenaIsWarm) {
   // The DP planner's arena is grow-only: the first identical session
   // reaches its high-water mark, so a repeat session must stream without a
   // single allocation after chunk 1.
-  for (auto engine : {TimingEngine::kTimeline, TimingEngine::kLegacy}) {
-    abr::FuguConfig cfg;
-    cfg.use_weights = true;
-    cfg.rebuffer_options = {0.0, 1.0, 2.0};
-    abr::FuguAbr fugu(cfg);
-    AllocationProbePolicy probe(fugu);
-    PlayerConfig config;
-    config.engine = engine;
-    std::vector<double> weights(video_.num_chunks(), 1.0);
-    for (size_t i = 4; i < weights.size(); i += 9) weights[i] = 2.3;
+  abr::FuguConfig cfg;
+  cfg.use_weights = true;
+  cfg.rebuffer_options = {0.0, 1.0, 2.0};
+  abr::FuguAbr fugu(cfg);
+  AllocationProbePolicy probe(fugu);
+  std::vector<double> weights(video_.num_chunks(), 1.0);
+  for (size_t i = 4; i < weights.size(); i += 9) weights[i] = 2.3;
 
-    Player player(config);
-    player.stream(video_, trace_, probe, weights);  // warm the arena
-    SessionResult s = player.stream(video_, trace_, probe, weights);
-    ASSERT_EQ(s.chunks().size(), video_.num_chunks());
-    EXPECT_EQ(probe.steady_state_allocations(), 0u)
-        << (engine == TimingEngine::kTimeline ? "timeline" : "legacy");
-  }
+  Player player;
+  player.stream(video_, trace_, probe, weights);  // warm the arena
+  SessionResult s = player.stream(video_, trace_, probe, weights);
+  ASSERT_EQ(s.chunks().size(), video_.num_chunks());
+  EXPECT_EQ(probe.steady_state_allocations(), 0u);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // session timeline (sim/timeline.h).
 //
 // The gate: on well-behaved traces (no outage) with rtt_s = 0, the timeline
-// engine must reproduce the frozen legacy accounting loop bit for bit —
+// engine must reproduce the frozen legacy accounting loop
+// (tests/oracles/legacy_player.h) bit for bit —
 // every ChunkRecord field, the startup delay, and whole ExperimentRunner
 // grids at 1 and 4 threads. The regressions pin the *corrected* semantics:
 // RTT as dead time excluded from goodput, outages surfaced instead of the
@@ -19,6 +20,7 @@
 #include "core/runner.h"
 #include "media/dataset.h"
 #include "net/trace_gen.h"
+#include "oracles/legacy_player.h"
 #include "qoe/metrics.h"
 #include "sim/player.h"
 #include "util/rng.h"
@@ -61,11 +63,18 @@ void expect_sessions_bit_identical(const SessionResult& a, const SessionResult& 
 
 class TimelineEquivalence : public ::testing::Test {
  protected:
-  static PlayerConfig engine_config(TimingEngine engine) {
+  static PlayerConfig gate_config() {
     PlayerConfig config;
     config.rtt_s = 0.0;  // the gate's precondition: no RTT, no outage
-    config.engine = engine;
     return config;
+  }
+
+  // One session on the legacy oracle or on the timeline engine.
+  static SessionResult stream(bool legacy, const media::EncodedVideo& video,
+                              const net::ThroughputTrace& trace, AbrPolicy& policy,
+                              const std::vector<double>& weights = {}) {
+    if (legacy) return oracles::stream_legacy(gate_config(), video, trace, policy, weights);
+    return Player(gate_config()).stream(video, trace, policy, weights);
   }
 };
 
@@ -105,10 +114,8 @@ TEST_F(TimelineEquivalence, BitIdenticalToLegacyOnSeededGrid) {
         };
         auto legacy_policy = make_policy();
         auto timeline_policy = make_policy();
-        SessionResult legacy = Player(engine_config(TimingEngine::kLegacy))
-                                   .stream(video, traces[t], *legacy_policy, weights);
-        SessionResult timeline = Player(engine_config(TimingEngine::kTimeline))
-                                     .stream(video, traces[t], *timeline_policy, weights);
+        SessionResult legacy = stream(true, video, traces[t], *legacy_policy, weights);
+        SessionResult timeline = stream(false, video, traces[t], *timeline_policy, weights);
         expect_sessions_bit_identical(legacy, timeline);
         EXPECT_EQ(timeline.outcome(), SessionOutcome::kCompleted);
         ASSERT_NE(timeline.timeline(), nullptr);
@@ -133,7 +140,7 @@ TEST_F(TimelineEquivalence, GridBitIdenticalAcrossEnginesAndRunnerThreads) {
       net::TraceGenerator::broadband("tl-bb", 2800, 500.0, 12),
   };
 
-  auto run = [&](TimingEngine engine, size_t threads) {
+  auto run = [&](bool legacy, size_t threads) {
     core::ExperimentRunner runner(threads);
     std::vector<SessionResult> out(videos.size() * traces.size());
     runner.for_each(out.size(), [&](size_t i) {
@@ -142,15 +149,15 @@ TEST_F(TimelineEquivalence, GridBitIdenticalAcrossEnginesAndRunnerThreads) {
       abr::FuguConfig fugu;
       fugu.rebuffer_options = {0.0, 1.0};
       abr::FuguAbr policy(fugu);
-      out[i] = Player(engine_config(engine)).stream(videos[v], traces[t], policy);
+      out[i] = stream(legacy, videos[v], traces[t], policy);
     });
     return out;
   };
 
-  auto base = run(TimingEngine::kLegacy, 1);
-  for (auto engine : {TimingEngine::kLegacy, TimingEngine::kTimeline}) {
+  auto base = run(true, 1);
+  for (bool legacy : {true, false}) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
-      auto got = run(engine, threads);
+      auto got = run(legacy, threads);
       ASSERT_EQ(got.size(), base.size());
       for (size_t i = 0; i < base.size(); ++i) {
         SCOPED_TRACE("cell " + std::to_string(i) + " threads " + std::to_string(threads));

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace sensei::net {
 namespace {
@@ -179,12 +184,28 @@ TEST(Trace, CsvRoundTrip) {
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(back.samples_kbps()[i], t.samples_kbps()[i]);
   }
+
+  // Bit-exact: non-dyadic intervals and samples, short and long traces (a
+  // 200,000-row file's timestamps need every significant digit to stay
+  // uniformly spaced). The CSV carries no finite flag; from_csv loops.
+  util::Rng rng(0xc5f0);
+  for (double interval : {1.0, 0.1, 1.0 / 3.0, 2.5}) {
+    for (size_t count : {size_t{3}, size_t{200000}}) {
+      SCOPED_TRACE("interval " + std::to_string(interval) + " samples " +
+                   std::to_string(count));
+      std::vector<double> samples(count);
+      for (double& s : samples) s = rng.uniform(0.0, 9000.0);
+      samples[0] = 1234.5678;
+      const ThroughputTrace orig("orig", samples, interval, true);
+      const ThroughputTrace copy = ThroughputTrace::from_csv("copy", orig.to_csv());
+      ASSERT_EQ(copy.sample_count(), count);
+      EXPECT_EQ(copy.interval_s(), interval);
+      EXPECT_TRUE(copy.samples_kbps() == orig.samples_kbps());
+      EXPECT_FALSE(copy.finite());
+    }
+  }
 }
 
-TEST(Trace, FromCsvRejectsEmpty) {
-  EXPECT_THROW(ThroughputTrace::from_csv("x", "time_s,throughput_kbps\n"),
-               std::runtime_error);
-}
 
 TEST(Trace, FromCsvSkipsBlankAndCommentLines) {
   ThroughputTrace t = ThroughputTrace::from_csv(
@@ -215,10 +236,19 @@ TEST(Trace, FromCsvRejectsNonMonotonicTimestampsWithLineNumber) {
   expect_csv_error("0,100\n0,200\n", "non-monotonic");
 }
 
+TEST(Trace, FromCsvRejectsEmpty) {
+  // No data rows: the line named is where one was expected, the end of the
+  // input.
+  expect_csv_error("", "line 1");
+  expect_csv_error("time_s,throughput_kbps\n", "line 2");
+}
+
 TEST(Trace, FromCsvRejectsNonUniformSpacingWithLineNumber) {
   // 0,1,3: the second gap (2 s) disagrees with the first (1 s).
   expect_csv_error("0,100\n1,200\n3,300\n", "non-uniform");
   expect_csv_error("0,100\n1,200\n3,300\n", "line 3");
+  // Two finite timestamps whose spacing overflows a double.
+  expect_csv_error("-1.5e308,100\n1.5e308,200\n", "line 2");
 }
 
 TEST(Trace, FromCsvRejectsMalformedCellsWithLineNumber) {
@@ -232,6 +262,102 @@ TEST(Trace, FromCsvRejectsMalformedCellsWithLineNumber) {
   expect_csv_error("0,nan\n1,100\n", "line 1");
   expect_csv_error("0,100\n1,inf\n", "malformed throughput");
   expect_csv_error("0,100\ninf,200\n", "malformed timestamp");
+}
+
+namespace {
+
+// Whether `message` names a 1-based line: "line " followed by a digit.
+bool names_a_line(const std::string& message) {
+  for (size_t pos = message.find("line "); pos != std::string::npos;
+       pos = message.find("line ", pos + 1)) {
+    if (pos + 5 < message.size() && std::isdigit(static_cast<unsigned char>(message[pos + 5]))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  size_t start = 0;
+  while (start < text.size()) {
+    size_t end = text.find('\n', start);
+    if (end == std::string::npos) end = text.size();
+    lines.push_back(text.substr(start, end - start));
+    start = end + 1;
+  }
+  return lines;
+}
+
+// One random edit of `csv`: a bit flip, an inserted byte (usually one the
+// parser branches on), a deleted byte, two swapped lines, or a cut at a
+// random byte (which can leave no data row at all).
+void mutate(std::string& csv, util::Rng& rng) {
+  static const std::string kInteresting = "0123456789.,-+eE\n\r\t #xn";
+  const int kind = rng.uniform_int(0, 4);
+  if (kind == 3) {
+    std::vector<std::string> lines = split_lines(csv);
+    if (lines.size() < 2) return;
+    const auto a = static_cast<size_t>(rng.uniform_int(0, static_cast<int>(lines.size()) - 1));
+    const auto b = static_cast<size_t>(rng.uniform_int(0, static_cast<int>(lines.size()) - 1));
+    std::swap(lines[a], lines[b]);
+    csv.clear();
+    for (const std::string& line : lines) csv += line + "\n";
+    return;
+  }
+  if (kind == 1) {
+    const auto pos = static_cast<size_t>(rng.uniform_int(0, static_cast<int>(csv.size())));
+    const char byte =
+        rng.chance(0.8)
+            ? kInteresting[static_cast<size_t>(
+                  rng.uniform_int(0, static_cast<int>(kInteresting.size()) - 1))]
+            : static_cast<char>(rng.uniform_int(0, 255));
+    csv.insert(csv.begin() + static_cast<long>(pos), byte);
+    return;
+  }
+  if (csv.empty()) return;
+  const auto pos = static_cast<size_t>(rng.uniform_int(0, static_cast<int>(csv.size()) - 1));
+  if (kind == 0) {
+    csv[pos] = static_cast<char>(csv[pos] ^ (1 << rng.uniform_int(0, 7)));
+  } else if (kind == 2) {
+    csv.erase(pos, 1);
+  } else {
+    csv.resize(pos);
+  }
+}
+
+}  // namespace
+
+// Seeded mutation fuzzing of from_csv: every mutant of a valid CSV either
+// parses into a trace or is rejected by a std::runtime_error that names its
+// 1-based line. No other exception type may escape.
+TEST(TraceCsvMutation, EveryMutantParsesOrNamesItsLine) {
+  const std::vector<std::string> valid = {
+      ThroughputTrace("plain", {1200.0, 0.0, 3300.25, 850.0, 2700.0, 640.5}, 1.0).to_csv(),
+      ThroughputTrace("third", {90.125, 4000.0, 0.5, 77.0}, 1.0 / 3.0).to_csv(),
+      "# a captured trace\ntime_s,throughput_kbps\n0,100\n\n0.5,200\r\n1,300\n1.5,0\n",
+  };
+  size_t parsed = 0;
+  size_t rejected = 0;
+  for (uint64_t seed = 1; seed <= 3000; ++seed) {
+    util::Rng rng(seed);
+    std::string csv = valid[seed % valid.size()];
+    const int edits = rng.uniform_int(1, 4);
+    for (int e = 0; e < edits; ++e) mutate(csv, rng);
+    try {
+      ThroughputTrace trace = ThroughputTrace::from_csv("mutant", csv);
+      EXPECT_GT(trace.sample_count(), 0u);
+      ++parsed;
+    } catch (const std::runtime_error& e) {
+      EXPECT_TRUE(names_a_line(e.what())) << "seed " << seed << ": " << e.what();
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "seed " << seed << ": non-runtime_error escaped: " << e.what();
+    }
+  }
+  // Both outcomes occur, so the seeds exercise the parser and the checks.
+  EXPECT_GT(parsed, 100u);
+  EXPECT_GT(rejected, 100u);
 }
 
 }  // namespace
