@@ -1,5 +1,5 @@
-// Shared helpers for the bench binaries that regenerate the paper's tables
-// and figures. Each binary prints the same rows/series the paper reports.
+// Shared flag parsing, timing and session comparison for the bench binaries
+// and the benchmark (benchmark/ includes this header for sessions_differ).
 #pragma once
 
 #include <chrono>
@@ -10,40 +10,10 @@
 #include <string>
 #include <vector>
 
-#include "abr/planner.h"
-#include "crowd/campaign.h"
-#include "crowd/ground_truth.h"
-#include "media/encoder.h"
-#include "sim/render.h"
 #include "sim/session.h"
 #include "sim/timeline.h"
-#include "util/stats.h"
-#include "util/table.h"
 
 namespace sensei::bench {
-
-// Parses `--planner dp|vi` for the Fugu-based grid benches. dp is exact
-// (tests/test_oracle_grids.cpp holds it to the exhaustive reference on
-// these grids). vi is the lossy discretized value iteration: output may
-// legitimately shift within the accuracy bound pinned by
-// tests/test_planner_accuracy.cpp, so CI treats dp-vs-vi diffs as
-// informational, never as a determinism failure.
-inline abr::PlannerKind planner_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--planner") == 0 && i + 1 < argc) {
-      if (std::strcmp(argv[i + 1], "dp") == 0) return abr::PlannerKind::kDp;
-      if (std::strcmp(argv[i + 1], "vi") == 0) return abr::PlannerKind::kVi;
-      std::fprintf(stderr, "error: --planner expects dp or vi\n");
-      std::exit(2);
-    }
-  }
-  return abr::PlannerKind::kDp;
-}
-
-// The registry spelling of a planner kind ("fugu:planner=...").
-inline const char* planner_text(abr::PlannerKind planner) {
-  return planner == abr::PlannerKind::kVi ? "vi" : "dp";
-}
 
 // Parses `--baseline FILE`: a pinned bench JSON from an earlier run whose
 // schema this binary validates via check_baseline_fields. Empty when absent.
@@ -264,27 +234,6 @@ inline bool sessions_differ(const sim::SessionResult& a, const sim::SessionResul
     }
   }
   return false;
-}
-
-// Crowdsourced MOS for a set of renderings of one source video: runs a
-// simulated MTurk campaign against the pristine reference, as §4.1 does.
-inline std::vector<double> crowdsourced_mos(const crowd::GroundTruthQoE& oracle,
-                                            const media::EncodedVideo& video,
-                                            const std::vector<sim::RenderedVideo>& renderings,
-                                            size_t ratings_per_video, uint64_t seed) {
-  crowd::Campaign campaign(oracle, crowd::RaterConfig(), crowd::CampaignConfig(), seed);
-  auto reference = sim::RenderedVideo::pristine(video);
-  return campaign.run(renderings, reference, ratings_per_video).mos;
-}
-
-// Prints an empirical CDF as "value fraction" rows at the given quantiles.
-inline void print_cdf(const std::string& title, const std::vector<double>& values) {
-  std::printf("%s", util::banner(title).c_str());
-  util::Table table({"percentile", "value"});
-  for (double p : {0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0}) {
-    table.add_row(std::vector<double>{p, util::percentile(values, p)}, 2);
-  }
-  std::printf("%s\n", table.to_string().c_str());
 }
 
 }  // namespace sensei::bench

@@ -1,6 +1,7 @@
 #include "net/trace.h"
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -301,26 +302,28 @@ std::string ThroughputTrace::to_csv() const {
 namespace {
 
 // Parses one numeric cell or throws with the trace name, 1-based line
-// number, and the offending text.
+// number, and the offending text. std::strtod rather than std::stod: stod
+// throws on ERANGE, which strtod also sets when a subnormal sample (one
+// to_csv wrote) underflows on the way back. An underflow returns the
+// nearest representable value, so only overflow (+-HUGE_VAL, caught as
+// non-finite below) is an error.
 double parse_cell(const std::string& name, size_t line_no, const std::string& text,
                   const char* what) {
-  try {
-    size_t consumed = 0;
-    double value = std::stod(text, &consumed);
-    // Trailing garbage after the number ("1.5abc") is malformed too.
-    while (consumed < text.size() &&
-           (text[consumed] == ' ' || text[consumed] == '\t')) {
-      ++consumed;
-    }
-    if (consumed != text.size()) throw std::invalid_argument("trailing characters");
-    // std::stod happily parses "nan" and "inf"; both poison trace timing
-    // silently (NaN passes every ordered comparison downstream).
-    if (!std::isfinite(value)) throw std::invalid_argument("non-finite value");
-    return value;
-  } catch (const std::exception&) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  const double value = std::strtod(begin, &end);
+  size_t consumed = static_cast<size_t>(end - begin);
+  // Trailing garbage after the number ("1.5abc") is malformed too.
+  while (consumed < text.size() && (text[consumed] == ' ' || text[consumed] == '\t')) {
+    ++consumed;
+  }
+  // strtod happily parses "nan" and "inf"; both poison trace timing
+  // silently (NaN passes every ordered comparison downstream).
+  if (end == begin || consumed != text.size() || !std::isfinite(value)) {
     throw std::runtime_error("trace csv (" + name + ") line " + std::to_string(line_no) +
                              ": malformed " + what + " '" + text + "'");
   }
+  return value;
 }
 
 }  // namespace

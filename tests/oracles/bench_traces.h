@@ -2,7 +2,7 @@
 // (tests/test_trace_index.cpp, tests/test_segment_memo.cpp), so the indexed
 // integrator is held to the walker reference on exactly those inputs:
 //
-//  - bench_fig6_potential_gains: evaluation trace 4 at its five bandwidth
+//  - bench_figures --fig 6: evaluation trace 4 at its five bandwidth
 //    scalings (the offline DP probes them at every node);
 //  - bench_multisession: its three identity traces, the evaluation traces its
 //    grid contends on, and the scale bottleneck at every population size

@@ -5,8 +5,8 @@
 //  - fig12b: the same videos x the six bandwidth scalings of trace 6.
 //
 // On each grid, fugu and sensei-fugu are built from the registry exactly as
-// bench_fig14_per_trace and bench_fig12b_bandwidth build them (exact DP
-// planner), then run again with the exhaustive reference planner in place
+// bench_figures builds them for Figs. 14 and 12b (exact DP planner), then
+// run again with the exhaustive reference planner in place
 // of the DP, on the DP policy's own config. Every ChunkRecord field and the
 // oracle QoE must match bit for bit.
 //
@@ -19,10 +19,14 @@
 // so the replay also integrates, from each chunk's transfer start, the rest
 // of the session's bytes in one transfer: session-scale spans that take the
 // binary-search path, warm-started the way a session's cursor is.
+//
+// Those policies come from Experiments::policy_factory, so the Fugu-family
+// configs it builds are also checked field by field against hand-built ones.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "abr/fugu.h"
@@ -150,6 +154,42 @@ void expect_transfers_replay_on_walker(const std::vector<net::ThroughputTrace>& 
     transfers += session.chunks().size();
   }
   EXPECT_GT(transfers, 0u);
+}
+
+// Every FuguConfig field of fugu, sensei-fugu and sensei-fugu-bitrate-only,
+// as policy_factory builds them for the paper grids at either planner,
+// equals the FuguConfig a caller would write by hand.
+TEST(OracleGrids, PolicyFactoryBuildsHandBuiltFuguConfigs) {
+  for (abr::PlannerKind planner : {abr::PlannerKind::kDp, abr::PlannerKind::kVi}) {
+    abr::FuguConfig fugu;
+    fugu.planner = planner;
+    abr::FuguConfig sensei_fugu = fugu;
+    sensei_fugu.use_weights = true;
+    sensei_fugu.rebuffer_options = {0.0, 1.0, 2.0};
+    abr::FuguConfig bitrate_only = fugu;
+    bitrate_only.use_weights = true;
+    const std::pair<std::string, abr::FuguConfig> cases[] = {
+        {"fugu", fugu}, {"sensei-fugu", sensei_fugu}, {"sensei-fugu-bitrate-only", bitrate_only}};
+    for (const auto& [name, want] : cases) {
+      const std::string spec =
+          name + (planner == abr::PlannerKind::kVi ? ":planner=vi" : ":planner=dp");
+      SCOPED_TRACE(spec);
+      const std::unique_ptr<sim::AbrPolicy> policy = Experiments::policy_factory(spec)();
+      const abr::FuguConfig& got = dynamic_cast<const abr::FuguAbr&>(*policy).config();
+      EXPECT_EQ(got.horizon, want.horizon);
+      EXPECT_EQ(got.predictor_window, want.predictor_window);
+      EXPECT_EQ(got.chunk.beta_rebuf, want.chunk.beta_rebuf);
+      EXPECT_EQ(got.chunk.rebuf_saturation, want.chunk.rebuf_saturation);
+      EXPECT_EQ(got.chunk.beta_switch, want.chunk.beta_switch);
+      EXPECT_EQ(got.chunk.floor, want.chunk.floor);
+      EXPECT_EQ(got.use_weights, want.use_weights);
+      EXPECT_EQ(got.weight_shrinkage, want.weight_shrinkage);
+      EXPECT_EQ(got.rebuffer_options, want.rebuffer_options);
+      EXPECT_EQ(got.rebuffer_margin, want.rebuffer_margin);
+      EXPECT_EQ(got.planner, want.planner);
+      EXPECT_EQ(got.dp_buffer_quantum_s, want.dp_buffer_quantum_s);
+    }
+  }
 }
 
 TEST(OracleGrids, Fig14DpMatchesExhaustivePlanner) {

@@ -12,7 +12,7 @@
 // {1.0, 0.1, 1/3, 2.5} s on looping and finite traces. Lookups run in
 // increasing order (the event loop's order, the only one a link's clock
 // allows) and, for the const lookup and the cursor, in shuffled order. The
-// next-completion gate also runs on the traces bench_fig6_potential_gains
+// next-completion gate also runs on the traces `bench_figures --fig 6`
 // and bench_multisession build (tests/oracles/bench_traces.h), at +-1 ulp
 // around every boundary of two of their periods.
 #include <gtest/gtest.h>

@@ -204,6 +204,12 @@ TEST(Trace, CsvRoundTrip) {
       EXPECT_FALSE(copy.finite());
     }
   }
+
+  // A subnormal sample reads back as itself: its decimal form underflows
+  // in strtod, which is not a malformed cell.
+  const ThroughputTrace tiny("tiny", {1000.0, 4.9e-320, 2000.0}, 1.0);
+  EXPECT_TRUE(ThroughputTrace::from_csv("copy", tiny.to_csv()).samples_kbps() ==
+              tiny.samples_kbps());
 }
 
 
