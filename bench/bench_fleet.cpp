@@ -1,29 +1,23 @@
-// Fleet-scale bench: how many sessions/s the sharded multi-bottleneck
-// FleetSimulator sustains, at what peak memory, and the determinism rows
-// that make the numbers trustworthy. Emits machine-readable
-// BENCH_fleet.json (schema in bench/README.md).
+// Fleet-scale bench: the sharded multi-bottleneck FleetSimulator's
+// aggregates on city- to million-session scenarios, as determinism and
+// accuracy rows. Emits machine-readable BENCH_fleet.json (schema in
+// bench/README.md). Speed is measured by benchmark/, not here.
 //
 //   ./bench_fleet                    full sweep, headline >= 1,000,000 sessions
 //   ./bench_fleet --smoke            reduced sweep for CI (~seconds)
 //   ./bench_fleet --out FILE         JSON destination
 //   ./bench_fleet --threads N        ExperimentRunner pool size
 //   ./bench_fleet --shards N         cells per fan-out block (0 = one per cell)
-//   ./bench_fleet --cells N          override the headline scenario's cell count
-//   ./bench_fleet --baseline FILE    validate a pinned JSON's schema
 //   ./bench_fleet --policy SPEC      replace the workload's policy mix with the
 //                                    given registry specs (repeatable, equal
 //                                    weights) — see abr/registry.h
 //
-// Two kinds of output lines:
-//  - "fleet ..." rows: per-scenario aggregates printed with %.9g and no
-//    timing — CI diffs these byte-for-byte across --threads 1/4 and across
-//    --shards values (the fleet's bit-identity contract, also pinned by
-//    tests/test_fleet.cpp).
-//  - "perf ..." rows: wall time, sessions/s, and peak RSS — informational,
-//    never diffed.
-#include <algorithm>
+// Stdout is a pure function of the flags: one "fleet ..." row per scenario
+// (aggregates printed with %.9g) and the JSON path. CI diffs it
+// byte-for-byte across --threads 1/4 and across --shards values (the
+// fleet's bit-identity contract, also pinned by tests/test_fleet.cpp). The
+// thread and shard counts go to stderr.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -31,44 +25,10 @@
 #include "core/runner.h"
 #include "media/dataset.h"
 #include "sim/fleet.h"
-#include "util/kernels.h"
 
 using namespace sensei;
 
 namespace {
-
-// Parses `--shards N` / `--cells N`: non-negative integers, 0 = automatic.
-size_t count_arg(int argc, char** argv, const char* flag, size_t fallback) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      char* end = nullptr;
-      long n = (i + 1 < argc) ? std::strtol(argv[i + 1], &end, 10) : -1;
-      if (i + 1 >= argc || end == argv[i + 1] || *end != '\0' || n < 0) {
-        std::fprintf(stderr, "error: %s requires a non-negative integer\n", flag);
-        std::exit(2);
-      }
-      return static_cast<size_t>(n);
-    }
-  }
-  return fallback;
-}
-
-// Peak resident set size in MiB, from /proc/self/status VmHWM (Linux).
-// Returns 0 where the file or the field is unavailable.
-double peak_rss_mib() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (!f) return 0.0;
-  char line[256];
-  double kib = 0.0;
-  while (std::fgets(line, sizeof(line), f)) {
-    if (std::strncmp(line, "VmHWM:", 6) == 0) {
-      kib = std::strtod(line + 6, nullptr);
-      break;
-    }
-  }
-  std::fclose(f);
-  return kib / 1024.0;
-}
 
 struct Scenario {
   std::string name;
@@ -78,39 +38,23 @@ struct Scenario {
 struct Row {
   std::string name;
   sim::FleetAggregates agg;
-  double wall_s = 0.0;
-  double rss_mib = 0.0;  // VmHWM after the scenario ran
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::check_flags(argc, argv,
-                     {"--out", "--threads", "--shards", "--cells", "--baseline", "--policy"},
-                     {"--smoke"},
+                     {"--out", "--threads", "--shards", "--policy"}, {"--smoke"},
                      "bench_fleet [--smoke] [--out FILE] [--threads N] [--shards N] "
-                     "[--cells N] [--baseline FILE] [--policy SPEC]...");
+                     "[--policy SPEC]...");
   const bool smoke = bench::smoke_arg(argc, argv);
   const std::string out_path = bench::out_arg(argc, argv, "BENCH_fleet.json");
-  const std::string baseline_path = bench::baseline_arg(argc, argv);
-  if (!baseline_path.empty()) {
-    // Schema v3: v2's spec-keyed sessions_by_policy plus the typed outcome
-    // split (completed/abandoned per policy) and the resilience counters.
-    // v4 added the kernel backend dimension (util/kernels).
-    bench::check_baseline_fields(baseline_path, 4,
-                                 {"\"sessions_per_s\"", "\"peak_rss_mib\"", "\"qoe_p99\"",
-                                  "\"total_sessions\"", "\"peak_concurrent\"",
-                                  "\"sessions_by_policy\"", "\"completed_by_policy\"",
-                                  "\"abandoned_by_policy\"", "\"timeouts\"",
-                                  "\"failovers\"", "whittle", "\"backend\""});
-  }
   // `--policy SPEC`... replaces the default workload mix (equal weights).
   std::vector<sim::PolicyMixEntry> mix_override;
   for (const std::string& spec : bench::policy_specs_arg(argc, argv)) {
     mix_override.push_back({spec, 1.0});
   }
-  const size_t num_shards = count_arg(argc, argv, "--shards", 0);
-  const size_t cells_override = count_arg(argc, argv, "--cells", 0);
+  const size_t num_shards = bench::count_arg(argc, argv, "--shards", 0);
   core::ExperimentRunner runner(bench::threads_arg(argc, argv));
 
   // Shared video pool: four genres, 120 s each (30 chunks), the same shape
@@ -149,24 +93,20 @@ int main(int argc, char** argv) {
     add("city", 64, sim::ArrivalProcess::kPoisson, 0.5, 600.0);
     add("region", 512, sim::ArrivalProcess::kDiurnal, 0.5, 600.0);
     // ~480 sessions/cell * 2200 cells ~ 1.05M sessions.
-    size_t headline_cells = cells_override != 0 ? cells_override : 2200;
-    add("million", headline_cells, sim::ArrivalProcess::kPoisson, 0.8, 600.0);
+    add("million", 2200, sim::ArrivalProcess::kPoisson, 0.8, 600.0);
   }
 
-  std::printf("bench_fleet: %zu thread(s), shards=%zu (0 = one per cell)\n\n",
-              runner.num_threads(), num_shards);
+  std::fprintf(stderr, "bench_fleet: %zu thread(s), shards=%zu (0 = one per cell)\n",
+               runner.num_threads(), num_shards);
 
   std::vector<Row> rows;
   std::vector<std::string> policy_specs;  // pool layout (same for every scenario)
   for (const Scenario& scenario : scenarios) {
     sim::FleetSimulator fleet(scenario.config);
     policy_specs = fleet.policy_specs();
-    double start = bench::now_s();
     Row row;
     row.name = scenario.name;
     row.agg = fleet.run(video_ptrs, runner, num_shards);
-    row.wall_s = bench::now_s() - start;
-    row.rss_mib = peak_rss_mib();
 
     const sim::FleetAggregates& a = row.agg;
     // Per-pool session counts, keyed by canonical registry spec: the specs
@@ -185,14 +125,14 @@ int main(int argc, char** argv) {
       split_policy += policy_specs[k] + '=' + std::to_string(a.completed_by_policy[k]) +
                       '/' + std::to_string(a.abandoned_by_policy[k]);
     }
-    // Determinism row: aggregates only, full precision, no timing. CI diffs
-    // these across thread and shard counts.
+    // Determinism row: aggregates only, full precision. CI diffs these
+    // across thread and shard counts.
     std::printf(
         "fleet name=%s cells=%zu sessions=%zu chunks=%zu outages=%zu abandoned=%zu "
         "peak=%zu policies=[%s] qoe_mean=%.9g qoe_p50=%.9g qoe_p90=%.9g "
         "qoe_p99=%.9g bitrate=%.9g rebuffer=%.9g startup=%.9g "
         "completed/abandoned=[%s] timeouts=%zu retries=%zu timeout_outages=%zu "
-        "failovers=%zu failed_cells=%zu disrupted=%zu recovered=%zu\n",
+        "failovers=%zu failed_cells=%zu disrupted=%zu recovered=%zu\n\n",
         row.name.c_str(), a.cells, a.sessions, a.chunks, a.outages, a.abandoned,
         a.peak_concurrent, by_policy.c_str(), a.session_qoe.mean(),
         a.qoe_sketch.quantile(0.5), a.qoe_sketch.quantile(0.9), a.qoe_sketch.quantile(0.99),
@@ -200,11 +140,6 @@ int main(int argc, char** argv) {
         a.startup_delay_s.mean(), split_policy.c_str(), a.timeouts, a.retries,
         a.timeout_outages, a.failovers, a.failed_cells, a.disrupted_sessions,
         a.recovered_sessions);
-    std::printf("perf  name=%s wall_s=%.3f sessions_per_s=%.0f chunks_per_s=%.0f "
-                "peak_rss_mib=%.1f\n\n",
-                row.name.c_str(), row.wall_s,
-                static_cast<double>(a.sessions) / row.wall_s,
-                static_cast<double>(a.chunks) / row.wall_s, row.rss_mib);
     rows.push_back(std::move(row));
   }
 
@@ -215,22 +150,17 @@ int main(int argc, char** argv) {
     return 1;
   }
   size_t total_sessions = 0;
-  double peak_rate = 0.0;
-  double max_rss = 0.0;
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"fleet\",\n");
-  std::fprintf(f, "  \"schema_version\": 4,\n");
+  std::fprintf(f, "  \"schema_version\": 5,\n");
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(f, "  \"config\": {\"threads\": %zu, \"shards\": %zu, \"backend\": \"%s\"},\n",
-               runner.num_threads(), num_shards, util::kernel_backend_name());
+  std::fprintf(f, "  \"config\": {\"threads\": %zu, \"shards\": %zu},\n",
+               runner.num_threads(), num_shards);
   std::fprintf(f, "  \"scenarios\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     const sim::FleetAggregates& a = row.agg;
-    double rate = static_cast<double>(a.sessions) / row.wall_s;
     total_sessions += a.sessions;
-    peak_rate = std::max(peak_rate, rate);
-    max_rss = std::max(max_rss, row.rss_mib);
     // *_by_policy keys are the canonical registry specs of the mix.
     std::string by_policy_json, completed_json, abandoned_json;
     for (size_t k = 0; k < policy_specs.size(); ++k) {
@@ -257,23 +187,17 @@ int main(int argc, char** argv) {
         "\"recovered_sessions\": %zu, "
         "\"qoe_mean\": %.6f, \"qoe_p50\": %.6f, \"qoe_p90\": %.6f, \"qoe_p99\": %.6f, "
         "\"bitrate_mean_kbps\": %.3f, \"rebuffer_mean_s\": %.6f, "
-        "\"startup_mean_s\": %.6f, \"wall_s\": %.3f, \"sessions_per_s\": %.1f, "
-        "\"chunks_per_s\": %.0f, \"peak_rss_mib\": %.1f}%s\n",
+        "\"startup_mean_s\": %.6f}%s\n",
         row.name.c_str(), a.cells, a.sessions, a.chunks, a.outages, a.abandoned,
         a.peak_concurrent, by_policy_json.c_str(), completed_json.c_str(),
         abandoned_json.c_str(), a.timeouts, a.retries, a.timeout_outages, a.failovers,
         a.failed_cells, a.disrupted_sessions, a.recovered_sessions, a.session_qoe.mean(),
         a.qoe_sketch.quantile(0.5), a.qoe_sketch.quantile(0.9), a.qoe_sketch.quantile(0.99),
         a.session_bitrate_kbps.mean(), a.session_rebuffer_s.mean(),
-        a.startup_delay_s.mean(), row.wall_s, rate,
-        static_cast<double>(a.chunks) / row.wall_s, row.rss_mib,
-        i + 1 < rows.size() ? "," : "");
+        a.startup_delay_s.mean(), i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"summary\": {\"total_sessions\": %zu, \"peak_sessions_per_s\": %.1f, "
-               "\"peak_rss_mib\": %.1f}\n",
-               total_sessions, peak_rate, max_rss);
+  std::fprintf(f, "  \"summary\": {\"total_sessions\": %zu}\n", total_sessions);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s (total sessions %zu)\n", out_path.c_str(), total_sessions);

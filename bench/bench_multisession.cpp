@@ -1,13 +1,14 @@
-// Multi-session simulator bench: how many concurrent contending viewers the
-// event loop sustains, and the determinism/identity gates that make the
-// numbers trustworthy. Emits machine-readable BENCH_multisession.json
-// (schema in bench/README.md).
+// Multi-session simulator bench: identity, determinism and accuracy rows
+// for concurrent contending viewers on shared bottlenecks. Emits
+// machine-readable BENCH_multisession.json (schema in bench/README.md).
+// Stdout is a pure function of the flags; the thread count goes to stderr.
+// Speed is measured by benchmark/, not here.
 //
-//   ./bench_multisession                       full sweep (~1 min)
-//   ./bench_multisession --smoke               reduced sweep for CI (~5 s)
+//   ./bench_multisession                       full sweep
+//   ./bench_multisession --smoke               reduced sweep for CI
 //   ./bench_multisession --out FILE            JSON destination
 //   ./bench_multisession --threads N           ExperimentRunner pool size
-//   ./bench_multisession --baseline FILE       validate a pinned JSON's schema
+//   ./bench_multisession --policy SPEC         extra scale scenario (repeatable)
 //
 // Three sections:
 //  1. identity — single sessions driven through the Simulator on a
@@ -19,16 +20,14 @@
 //     they must be byte-identical.
 //  3. scale — staggered-arrival contention scenarios on one shared
 //     bottleneck sized N x a per-viewer fair share, up to >= 1000 concurrent
-//     sessions; reports wall time and sessions/s. Fugu runs twice, once per
-//     planner mode (dp = exact, vi = discretized value iteration), and the
-//     JSON pins both the sessions/s speedup and the vi-vs-dp mean-QoE delta
-//     ("fugu_compare"); the Whittle index policy runs the same population
-//     and is pinned against both ("whittle_compare").
+//     sessions. Fugu runs twice, once per planner mode (dp = exact, vi =
+//     discretized value iteration), and the JSON pins the vi-vs-dp
+//     mean-QoE delta ("fugu_compare"); the Whittle index policy runs the
+//     same population and is pinned against Fugu-vi ("whittle_compare").
 //
 // Every policy is built from an abr::PolicyRegistry spec string; extra
 // `--policy SPEC` flags append scale scenarios without recompiling.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -43,7 +42,6 @@
 #include "net/trace_gen.h"
 #include "sim/player.h"
 #include "sim/simulator.h"
-#include "util/kernels.h"
 
 using namespace sensei;
 
@@ -116,22 +114,16 @@ size_t peak_concurrency(const std::vector<sim::MultiSessionResult>& results) {
 
 int main(int argc, char** argv) {
   bench::check_flags(argc, argv,
-                     {"--out", "--threads", "--baseline", "--policy"}, {"--smoke"},
+                     {"--out", "--threads", "--policy"}, {"--smoke"},
                      "bench_multisession [--smoke] [--out FILE] [--threads N] "
-                     "[--baseline FILE] [--policy SPEC]...");
+                     "[--policy SPEC]...");
   const bool smoke = bench::smoke_arg(argc, argv);
   const std::string out_path = bench::out_arg(argc, argv, "BENCH_multisession.json");
-  const std::string baseline_path = bench::baseline_arg(argc, argv);
-  if (!baseline_path.empty()) {
-    // A baseline predating the planner modes (schema v2) or the registry
-    // specs + whittle rows (v3) must fail here, not silently diff clean.
-    // v4 added the kernel backend dimension (util/kernels).
-    bench::check_baseline_fields(baseline_path, 4,
-                                 {"\"planner\"", "\"fugu_compare\"", "\"whittle_compare\"",
-                                  "\"qoe_delta_vs_exact\"", "\"fugu_vi_sessions_per_s\"",
-                                  "\"spec\"", "\"whittle\"", "\"backend\""});
-  }
   core::ExperimentRunner runner(bench::threads_arg(argc, argv));
+  std::fprintf(stderr,
+               "bench_multisession: %zu thread(s) build the grid cells; the scale event "
+               "loop is serial\n",
+               runner.num_threads());
 
   // ---- 1. identity: Simulator (dedicated, single session) vs Player ------
   size_t identity_cells = 0;
@@ -213,7 +205,6 @@ int main(int argc, char** argv) {
     std::string planner;  // planner key for the fugu family, "-" otherwise
     size_t sessions = 0;
     double stagger_s = 0.0;
-    double wall_s = 0.0;
     CellAggregate agg;
     size_t peak_concurrent = 0;
     double sim_duration_s = 0.0;
@@ -238,8 +229,8 @@ int main(int argc, char** argv) {
       size_t sessions;
     };
     // Fugu runs the same population once per planner mode (dp = exact
-    // baseline, vi = discretized) so the JSON can pin the sessions/s
-    // speedup and the QoE delta; whittle runs it too for whittle_compare.
+    // baseline, vi = discretized) so the JSON can pin the QoE delta;
+    // whittle runs it too for whittle_compare.
     std::vector<ScenarioSpec> scenarios =
         smoke ? std::vector<ScenarioSpec>{{"bba", 50},
                                           {"bba", 200},
@@ -257,11 +248,9 @@ int main(int argc, char** argv) {
     for (const std::string& spec : bench::policy_specs_arg(argc, argv)) {
       scenarios.push_back({spec, smoke ? size_t{40} : size_t{100}});
     }
-    std::printf("scale: staggered arrivals on a shared bottleneck of N x 1700 Kbps "
-                "(%zu thread(s) build the cells; the event loop itself is serial)\n",
-                runner.num_threads());
-    std::printf("%18s %8s %9s %10s %12s %12s %10s %8s\n", "policy", "planner", "sessions",
-                "peak", "wall s", "sessions/s", "chunks/s", "outages");
+    std::printf("scale: staggered arrivals on a shared bottleneck of N x 1700 Kbps\n");
+    std::printf("%18s %8s %9s %10s %8s\n", "policy", "planner", "sessions", "peak",
+                "outages");
     const abr::PolicyRegistry& registry = abr::PolicyRegistry::instance();
     for (const ScenarioSpec& scenario : scenarios) {
       // Canonicalize once per scenario: the display columns (name, planner
@@ -286,9 +275,7 @@ int main(int argc, char** argv) {
       auto specs = sim::StaggeredSpecs{video_ptrs, policy_ptrs, {}, scenario.sessions,
                                        stagger_s}
                        .build();
-      double start = bench::now_s();
       auto results = sim::Simulator().run(specs, bottleneck, sim::LinkMode::kShared);
-      double wall = bench::now_s() - start;
 
       ScenarioRow row;
       row.spec = scenario.spec;
@@ -296,7 +283,6 @@ int main(int argc, char** argv) {
       row.planner = planner_value != nullptr ? *planner_value : "-";
       row.sessions = scenario.sessions;
       row.stagger_s = stagger_s;
-      row.wall_s = wall;
       row.agg = aggregate(results);
       row.peak_concurrent = peak_concurrency(results);
       row.mean_qoe = mean_chunk_qoe(results);
@@ -307,10 +293,8 @@ int main(int argc, char** argv) {
         }
       }
       scenario_rows.push_back(row);
-      std::printf("%18s %8s %9zu %10zu %12.3f %12.1f %10.0f %8zu\n", row.policy.c_str(),
-                  row.planner.c_str(), row.sessions, row.peak_concurrent, row.wall_s,
-                  static_cast<double>(row.sessions) / row.wall_s,
-                  static_cast<double>(row.agg.chunks) / row.wall_s, row.agg.outages);
+      std::printf("%18s %8s %9zu %10zu %8zu\n", row.policy.c_str(), row.planner.c_str(),
+                  row.sessions, row.peak_concurrent, row.agg.outages);
     }
   }
 
@@ -322,10 +306,9 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"multisession\",\n");
-  std::fprintf(f, "  \"schema_version\": 4,\n");
+  std::fprintf(f, "  \"schema_version\": 5,\n");
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(f, "  \"config\": {\"threads\": %zu, \"backend\": \"%s\"},\n",
-               runner.num_threads(), util::kernel_backend_name());
+  std::fprintf(f, "  \"config\": {\"threads\": %zu},\n", runner.num_threads());
   std::fprintf(f, "  \"identity\": {\"cells\": %zu, \"diffs\": %zu},\n", identity_cells,
                identity_diffs);
   std::fprintf(f, "  \"grid\": [\n");
@@ -343,28 +326,23 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"scenarios\": [\n");
   size_t max_sessions = 0;
-  double peak_rate = 0.0;
   for (size_t i = 0; i < scenario_rows.size(); ++i) {
     const ScenarioRow& row = scenario_rows[i];
-    double rate = static_cast<double>(row.sessions) / row.wall_s;
     max_sessions = std::max(max_sessions, row.peak_concurrent);
-    peak_rate = std::max(peak_rate, rate);
     std::fprintf(f,
                  "    {\"spec\": \"%s\", \"policy\": \"%s\", \"planner\": \"%s\", "
                  "\"sessions\": %zu, \"peak_concurrent\": %zu, "
-                 "\"stagger_s\": %.6g, \"link\": \"shared\", \"wall_s\": %.4f, "
-                 "\"sessions_per_s\": %.1f, \"chunks\": %zu, \"chunks_per_s\": %.0f, "
+                 "\"stagger_s\": %.6g, \"link\": \"shared\", \"chunks\": %zu, "
                  "\"outages\": %zu, \"sim_duration_s\": %.1f, \"mean_qoe\": %.6f}%s\n",
                  row.spec.c_str(), row.policy.c_str(), row.planner.c_str(), row.sessions,
-                 row.peak_concurrent, row.stagger_s, row.wall_s, rate, row.agg.chunks,
-                 static_cast<double>(row.agg.chunks) / row.wall_s, row.agg.outages,
+                 row.peak_concurrent, row.stagger_s, row.agg.chunks, row.agg.outages,
                  row.sim_duration_s, row.mean_qoe, i + 1 < scenario_rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
 
-  // Discretized-vs-exact comparison over the paired Fugu scenarios: the
-  // speedup the vi planner buys at fleet scale, and what it costs in mean
-  // per-chunk QoE against the bit-exact dp baseline.
+  // Discretized-vs-exact comparison over the paired Fugu scenarios: what
+  // the vi planner costs in mean per-chunk QoE against the bit-exact dp
+  // baseline.
   const ScenarioRow* dp_row = nullptr;
   const ScenarioRow* vi_row = nullptr;
   const ScenarioRow* whittle_row = nullptr;
@@ -376,51 +354,37 @@ int main(int argc, char** argv) {
   }
   {
     if (dp_row != nullptr && vi_row != nullptr) {
-      double dp_rate = static_cast<double>(dp_row->sessions) / dp_row->wall_s;
-      double vi_rate = static_cast<double>(vi_row->sessions) / vi_row->wall_s;
       std::fprintf(f,
                    "  \"fugu_compare\": {\"sessions\": %zu, "
-                   "\"fugu_dp_sessions_per_s\": %.1f, \"fugu_vi_sessions_per_s\": %.1f, "
-                   "\"vi_speedup\": %.2f, \"dp_mean_qoe\": %.6f, \"vi_mean_qoe\": %.6f, "
+                   "\"dp_mean_qoe\": %.6f, \"vi_mean_qoe\": %.6f, "
                    "\"qoe_delta_vs_exact\": %.6f, \"vi_quantum_s\": %g},\n",
-                   dp_row->sessions, dp_rate, vi_rate, vi_rate / dp_rate,
-                   dp_row->mean_qoe, vi_row->mean_qoe,
+                   dp_row->sessions, dp_row->mean_qoe, vi_row->mean_qoe,
                    vi_row->mean_qoe - dp_row->mean_qoe, abr::kDefaultViBufferQuantumS);
-      std::printf("\nfugu_compare: dp %.1f sessions/s, vi %.1f sessions/s (%.1fx), "
-                  "qoe delta vs exact %+.4f\n",
-                  dp_rate, vi_rate, vi_rate / dp_rate,
+      std::printf("\nfugu_compare: qoe delta vs exact %+.4f\n",
                   vi_row->mean_qoe - dp_row->mean_qoe);
     } else {
       std::fprintf(f, "  \"fugu_compare\": null,\n");
     }
   }
 
-  // The index-policy headline: Whittle's sessions/s against Fugu's exact
-  // planner (the >= 10x claim) and its mean-QoE delta against the
-  // fleet-scale Fugu-vi it displaces in the workload mix.
+  // The index policy's mean-QoE delta against the fleet-scale Fugu-vi it
+  // displaces in the workload mix.
   {
-    if (whittle_row != nullptr && dp_row != nullptr && vi_row != nullptr) {
-      double whittle_rate =
-          static_cast<double>(whittle_row->sessions) / whittle_row->wall_s;
-      double dp_rate = static_cast<double>(dp_row->sessions) / dp_row->wall_s;
+    if (whittle_row != nullptr && vi_row != nullptr) {
       std::fprintf(f,
                    "  \"whittle_compare\": {\"sessions\": %zu, "
-                   "\"whittle_sessions_per_s\": %.1f, \"speedup_vs_fugu_dp\": %.2f, "
                    "\"whittle_mean_qoe\": %.6f, \"qoe_delta_vs_fugu_vi\": %.6f},\n",
-                   whittle_row->sessions, whittle_rate, whittle_rate / dp_rate,
-                   whittle_row->mean_qoe, whittle_row->mean_qoe - vi_row->mean_qoe);
-      std::printf("whittle_compare: %.1f sessions/s (%.1fx fugu-dp), "
-                  "qoe delta vs fugu-vi %+.4f\n",
-                  whittle_rate, whittle_rate / dp_rate,
+                   whittle_row->sessions, whittle_row->mean_qoe,
+                   whittle_row->mean_qoe - vi_row->mean_qoe);
+      std::printf("whittle_compare: qoe delta vs fugu-vi %+.4f\n",
                   whittle_row->mean_qoe - vi_row->mean_qoe);
     } else {
       std::fprintf(f, "  \"whittle_compare\": null,\n");
     }
   }
   std::fprintf(f,
-               "  \"summary\": {\"max_concurrent_sessions\": %zu, "
-               "\"peak_sessions_per_s\": %.1f, \"identity_diffs\": %zu}\n",
-               max_sessions, peak_rate, identity_diffs);
+               "  \"summary\": {\"max_concurrent_sessions\": %zu, \"identity_diffs\": %zu}\n",
+               max_sessions, identity_diffs);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", out_path.c_str());

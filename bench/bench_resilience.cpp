@@ -13,19 +13,17 @@
 //   ./bench_resilience --out FILE      JSON destination
 //   ./bench_resilience --threads N     ExperimentRunner pool size
 //   ./bench_resilience --shards N      cells per fan-out block (0 = one per cell)
-//   ./bench_resilience --baseline FILE validate a pinned JSON's schema
 //   ./bench_resilience --policy SPEC   replace the default policy set with the
 //                                      given registry specs (repeatable)
 //
-// Two kinds of output lines, as in bench_fleet:
-//  - "resilience ..." rows: per-sweep aggregates printed with %.9g and no
-//    timing — CI diffs these byte-for-byte across --threads 1/4 and across
-//    --shards values (fault realizations are pure functions of (config,
-//    seed, cell), so they must survive any parallel decomposition).
-//  - "perf ..." rows: wall time and throughput — informational, never diffed.
+// Stdout is a pure function of the flags, as in bench_fleet: one
+// "resilience ..." row per sweep point (aggregates printed with %.9g) and
+// the JSON path. CI diffs it byte-for-byte across --threads 1/4 and across
+// --shards values (fault realizations are pure functions of (config, seed,
+// cell), so they must survive any parallel decomposition). The thread and
+// shard counts go to stderr.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -39,50 +37,23 @@ using namespace sensei;
 
 namespace {
 
-size_t count_arg(int argc, char** argv, const char* flag, size_t fallback) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      char* end = nullptr;
-      long n = (i + 1 < argc) ? std::strtol(argv[i + 1], &end, 10) : -1;
-      if (i + 1 >= argc || end == argv[i + 1] || *end != '\0' || n < 0) {
-        std::fprintf(stderr, "error: %s requires a non-negative integer\n", flag);
-        std::exit(2);
-      }
-      return static_cast<size_t>(n);
-    }
-  }
-  return fallback;
-}
-
 struct Row {
   std::string policy;
   double intensity = 0.0;
   sim::FleetAggregates agg;
   double recovery_rate = 1.0;
-  double wall_s = 0.0;
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::check_flags(argc, argv,
-                     {"--out", "--threads", "--shards", "--baseline", "--policy"},
-                     {"--smoke"},
+                     {"--out", "--threads", "--shards", "--policy"}, {"--smoke"},
                      "bench_resilience [--smoke] [--out FILE] [--threads N] [--shards N] "
-                     "[--baseline FILE] [--policy SPEC]...");
+                     "[--policy SPEC]...");
   const bool smoke = bench::smoke_arg(argc, argv);
   const std::string out_path = bench::out_arg(argc, argv, "BENCH_resilience.json");
-  const std::string baseline_path = bench::baseline_arg(argc, argv);
-  if (!baseline_path.empty()) {
-    // Schema v1: per-(policy, intensity) rows with the resilience counters
-    // and the recovery rate the sweep exists to measure.
-    bench::check_baseline_fields(baseline_path, 1,
-                                 {"\"intensity\"", "\"recovery_rate\"", "\"timeouts\"",
-                                  "\"timeout_outages\"", "\"failovers\"",
-                                  "\"failed_cells\"", "\"disrupted_sessions\"",
-                                  "\"recovered_sessions\"", "\"qoe_mean\""});
-  }
-  const size_t num_shards = count_arg(argc, argv, "--shards", 0);
+  const size_t num_shards = bench::count_arg(argc, argv, "--shards", 0);
   core::ExperimentRunner runner(bench::threads_arg(argc, argv));
 
   std::vector<std::string> policies = bench::policy_specs_arg(argc, argv);
@@ -132,8 +103,8 @@ int main(int argc, char** argv) {
   unit.rtt_spike_mean_duration_s = 12.0;
   unit.rtt_spike_extra_s = 0.8;
 
-  std::printf("bench_resilience: %zu thread(s), shards=%zu (0 = one per cell)\n\n",
-              runner.num_threads(), num_shards);
+  std::fprintf(stderr, "bench_resilience: %zu thread(s), shards=%zu (0 = one per cell)\n",
+               runner.num_threads(), num_shards);
 
   std::vector<Row> rows;
   for (const std::string& policy : policies) {
@@ -146,12 +117,10 @@ int main(int argc, char** argv) {
       config.faults.fallback_scale = 0.5;
 
       sim::FleetSimulator fleet(config);
-      double start = bench::now_s();
       Row row;
       row.policy = policy;
       row.intensity = intensity;
       row.agg = fleet.run(video_ptrs, runner, num_shards);
-      row.wall_s = bench::now_s() - start;
       const sim::FleetAggregates& a = row.agg;
       // Recovery rate: of the sessions that hit >= 1 timeout or failover,
       // the fraction that still did not end in an outage. 1 when nothing
@@ -167,16 +136,13 @@ int main(int argc, char** argv) {
           "outages=%zu timeout_outages=%zu abandoned=%zu timeouts=%zu retries=%zu "
           "failovers=%zu failed_cells=%zu disrupted=%zu recovered=%zu "
           "recovery_rate=%.9g qoe_mean=%.9g qoe_p50=%.9g qoe_p90=%.9g "
-          "rebuffer=%.9g startup=%.9g\n",
+          "rebuffer=%.9g startup=%.9g\n\n",
           policy.c_str(), intensity, a.cells, a.sessions, a.chunks, a.outages,
           a.timeout_outages, a.abandoned, a.timeouts, a.retries, a.failovers,
           a.failed_cells, a.disrupted_sessions, a.recovered_sessions,
           row.recovery_rate, a.session_qoe.mean(), a.qoe_sketch.quantile(0.5),
           a.qoe_sketch.quantile(0.9), a.session_rebuffer_s.mean(),
           a.startup_delay_s.mean());
-      std::printf("perf  policy=%s intensity=%.2f wall_s=%.3f sessions_per_s=%.0f\n\n",
-                  policy.c_str(), intensity, row.wall_s,
-                  static_cast<double>(a.sessions) / row.wall_s);
       rows.push_back(std::move(row));
     }
   }
@@ -190,7 +156,7 @@ int main(int argc, char** argv) {
   size_t total_sessions = 0;
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"resilience\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
+  std::fprintf(f, "  \"schema_version\": 2,\n");
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(f,
                "  \"config\": {\"threads\": %zu, \"shards\": %zu, \"cells\": %zu, "
@@ -212,13 +178,12 @@ int main(int argc, char** argv) {
         "\"retries\": %zu, \"failovers\": %zu, \"failed_cells\": %zu, "
         "\"disrupted_sessions\": %zu, \"recovered_sessions\": %zu, "
         "\"recovery_rate\": %.6f, \"qoe_mean\": %.6f, \"qoe_p50\": %.6f, "
-        "\"qoe_p90\": %.6f, \"rebuffer_mean_s\": %.6f, \"startup_mean_s\": %.6f, "
-        "\"wall_s\": %.3f}%s\n",
+        "\"qoe_p90\": %.6f, \"rebuffer_mean_s\": %.6f, \"startup_mean_s\": %.6f}%s\n",
         row.policy.c_str(), row.intensity, a.cells, a.sessions, a.chunks, a.outages,
         a.timeout_outages, a.abandoned, a.timeouts, a.retries, a.failovers,
         a.failed_cells, a.disrupted_sessions, a.recovered_sessions, row.recovery_rate,
         a.session_qoe.mean(), a.qoe_sketch.quantile(0.5), a.qoe_sketch.quantile(0.9),
-        a.session_rebuffer_s.mean(), a.startup_delay_s.mean(), row.wall_s,
+        a.session_rebuffer_s.mean(), a.startup_delay_s.mean(),
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");

@@ -15,64 +15,6 @@
 
 namespace sensei::bench {
 
-// Parses `--baseline FILE`: a pinned bench JSON from an earlier run whose
-// schema this binary validates via check_baseline_fields. Empty when absent.
-inline std::string baseline_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--baseline") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --baseline requires a file path\n");
-        std::exit(2);
-      }
-      return argv[i + 1];
-    }
-  }
-  return "";
-}
-
-// Guards the pinned-JSON comparisons against stale baselines: fails the
-// process unless the JSON at `path` declares a schema_version of at least
-// `min_schema_version` AND contains every string in `required_fields`. A
-// baseline written before a schema gained a dimension (e.g. the planner
-// mode) would otherwise let a diff "pass" against a file that never
-// recorded the dimension under test.
-inline void check_baseline_fields(const std::string& path, long min_schema_version,
-                                  std::initializer_list<const char*> required_fields) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) {
-    std::fprintf(stderr, "error: cannot read baseline %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::string text;
-  char buf[4096];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, got);
-  std::fclose(f);
-
-  const char* key = "\"schema_version\":";
-  size_t pos = text.find(key);
-  long version =
-      pos == std::string::npos ? 0 : std::strtol(text.c_str() + pos + std::strlen(key), nullptr, 10);
-  if (version < min_schema_version) {
-    std::fprintf(stderr,
-                 "error: baseline %s has schema_version %ld, this binary requires >= %ld "
-                 "(regenerate the pinned JSON)\n",
-                 path.c_str(), version, min_schema_version);
-    std::exit(1);
-  }
-  for (const char* field : required_fields) {
-    if (text.find(field) == std::string::npos) {
-      std::fprintf(stderr,
-                   "error: baseline %s is missing required field %s "
-                   "(regenerate the pinned JSON)\n",
-                   path.c_str(), field);
-      std::exit(1);
-    }
-  }
-  std::printf("baseline %s: schema_version %ld ok, %zu required fields present\n",
-              path.c_str(), version, required_fields.size());
-}
-
 // Parses `--threads N` for the grid benches. 0 (the default) lets
 // core::ExperimentRunner pick std::thread::hardware_concurrency(). A value
 // that is present but unparsable or non-positive aborts: falling back
@@ -93,6 +35,23 @@ inline size_t threads_arg(int argc, char** argv) {
   return 0;
 }
 
+// Parses a non-negative count flag such as `--shards N`; `fallback` when
+// absent. A present flag with a missing, unparsable or negative value aborts.
+inline size_t count_arg(int argc, char** argv, const char* flag, size_t fallback) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) == 0) {
+      char* end = nullptr;
+      long n = (i + 1 < argc) ? std::strtol(argv[i + 1], &end, 10) : -1;
+      if (i + 1 >= argc || end == argv[i + 1] || *end != '\0' || n < 0) {
+        std::fprintf(stderr, "error: %s requires a non-negative integer\n", flag);
+        std::exit(2);
+      }
+      return static_cast<size_t>(n);
+    }
+  }
+  return fallback;
+}
+
 // Collects every `--policy SPEC` occurrence: abr::PolicyRegistry spec
 // strings ("bba", "fugu:planner=vi", ... — grammar in abr/registry.h) the
 // spec-driven benches append to or substitute for their default policy
@@ -106,14 +65,14 @@ inline std::vector<std::string> policy_specs_arg(int argc, char** argv) {
   return specs;
 }
 
-// Monotonic wall clock in seconds, for the timing loops of the perf benches.
+// Monotonic wall clock in seconds, for bench_figures' stderr timing line.
 inline double now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
 
-// Parses `--smoke`: the reduced sweep the CI perf jobs run per push.
+// Parses `--smoke`: the reduced sweep CI runs per push.
 inline bool smoke_arg(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) return true;
@@ -169,7 +128,7 @@ inline void check_flags(int argc, char** argv, std::initializer_list<const char*
       }
     }
     if (!known) {
-      std::fprintf(stderr, "usage: %s\n", usage);
+      std::fprintf(stderr, "error: unknown flag '%s'\nusage: %s\n", argv[i], usage);
       std::exit(2);
     }
   }

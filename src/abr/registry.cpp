@@ -24,9 +24,26 @@ bool is_key_char(char c) {
   return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
 }
 
+// `text` with every byte outside printable ASCII written as \xNN, so an
+// error message that echoes user input keeps its tail: what() is a C
+// string, and an embedded NUL would cut off the position that follows.
+std::string printable(const std::string& text) {
+  std::string out;
+  for (char c : text) {
+    if (c >= 0x20 && c < 0x7f) {
+      out += c;
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\x%02x", static_cast<unsigned char>(c));
+      out += buf;
+    }
+  }
+  return out;
+}
+
 [[noreturn]] void spec_error(const std::string& text, size_t pos, const std::string& what) {
-  throw std::runtime_error("policy spec \"" + text + "\": " + what + " at position " +
-                           std::to_string(pos));
+  throw std::runtime_error("policy spec \"" + printable(text) + "\": " + what +
+                           " at position " + std::to_string(pos));
 }
 
 // Full-consumption finite strtod; false on trailing garbage / empty / inf/nan.
@@ -168,7 +185,8 @@ PolicySpec PolicySpec::parse(const std::string& text) {
   if (name_end == 0) spec_error(text, 0, "empty policy name");
   for (size_t i = 0; i < name_end; ++i) {
     if (!is_name_char(text[i])) {
-      spec_error(text, i, std::string("invalid character '") + text[i] + "' in policy name");
+      spec_error(text, i,
+                 "invalid character '" + printable(text.substr(i, 1)) + "' in policy name");
     }
   }
   spec.name = text.substr(0, name_end);
@@ -186,7 +204,7 @@ PolicySpec PolicySpec::parse(const std::string& text) {
     if (eq == pos) spec_error(text, pos, "empty key");
     for (size_t i = pos; i < eq; ++i) {
       if (!is_key_char(text[i])) {
-        spec_error(text, i, std::string("invalid character '") + text[i] + "' in key");
+        spec_error(text, i, "invalid character '" + printable(text.substr(i, 1)) + "' in key");
       }
     }
     std::string key = text.substr(pos, eq - pos);
@@ -381,7 +399,8 @@ PolicySpec PolicyRegistry::canonicalize(const PolicySpec& spec) const {
         double v = 0.0;
         if (!parse_finite_double(value, v)) {
           throw std::runtime_error("policy '" + spec.name + "' key '" + key +
-                                   "': expected a finite number, got \"" + value + "\"");
+                                   "': expected a finite number, got \"" + printable(value) +
+                                   "\"");
         }
         canonical_value = format_spec_double(v);
         break;
@@ -390,7 +409,8 @@ PolicySpec PolicyRegistry::canonicalize(const PolicySpec& spec) const {
         size_t v = 0;
         if (!parse_size(value, v)) {
           throw std::runtime_error("policy '" + spec.name + "' key '" + key +
-                                   "': expected a non-negative integer, got \"" + value + "\"");
+                                   "': expected a non-negative integer, got \"" +
+                                   printable(value) + "\"");
         }
         canonical_value = std::to_string(v);
         break;
@@ -398,8 +418,9 @@ PolicySpec PolicyRegistry::canonicalize(const PolicySpec& spec) const {
       case KeyType::kEnum: {
         if (std::find(info->enum_values.begin(), info->enum_values.end(), value) ==
             info->enum_values.end()) {
-          throw std::runtime_error("policy '" + spec.name + "' key '" + key + "': \"" + value +
-                                   "\" is not one of " + join(info->enum_values));
+          throw std::runtime_error("policy '" + spec.name + "' key '" + key + "': \"" +
+                                   printable(value) + "\" is not one of " +
+                                   join(info->enum_values));
         }
         canonical_value = value;
         break;

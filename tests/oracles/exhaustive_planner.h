@@ -2,11 +2,11 @@
 // (levels x rebuffer_options)^horizon decision tree, advancing a heap-
 // allocated per-scenario state vector at every node. Exponential in the
 // horizon and deliberately NOT optimized: it is the correctness baseline the
-// exact abr::DpPlanner must reproduce bit for bit
-// (tests/test_planner_equivalence.cpp, tests/test_oracle_grids.cpp) and the
-// "before" column of bench_planner. It lives in the test-only oracle
-// library; production Fugu runs abr::DpPlanner or abr::ViPlanner. Full
-// sessions run it through FuguAbr's planner-taking constructor.
+// exact abr::DpPlanner must reproduce bit for bit at horizons 1-7
+// (tests/test_planner_equivalence.cpp, tests/test_oracle_grids.cpp). It
+// lives in the test-only oracle library; production Fugu runs
+// abr::DpPlanner or abr::ViPlanner. Full sessions run it through FuguAbr's
+// planner-taking constructor.
 #pragma once
 
 #include <vector>

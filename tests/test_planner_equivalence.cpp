@@ -157,6 +157,17 @@ TEST_F(PlannerEquivalence, DpMatchesExhaustiveBitIdenticalOnSeededGrid) {
   expect_dp_matches_exhaustive(grid);
 }
 
+// Past the paper's horizon 5, where the exhaustive tree
+// ((levels x rebuffer_options)^horizon leaves) is largest and the DP prunes
+// the most: 48 cases at each of horizons 6 and 7, bit for bit.
+TEST_F(PlannerEquivalence, DpMatchesExhaustiveAtHorizonsSixAndSeven) {
+  GridRanges long_horizons;
+  long_horizons.horizons = {6, 7};
+  auto grid = seeded_grid(video_, 0x5e15e1, 12, long_horizons);
+  ASSERT_EQ(grid.size(), 96u);
+  expect_dp_matches_exhaustive(grid);
+}
+
 // On tight links chunk quality sits at its floor, and two prefixes reaching
 // one state can differ by an ulp yet round to the same leaf value: skipping
 // the smaller prefix as dominated loses the reference's lowest-rank

@@ -11,11 +11,14 @@
 //    behavior to a directly constructed one, for every registered name, on
 //    seeded session grids at 1 and 4 runner threads (compared with
 //    bench_util.h's sessions_differ, the same comparator the bench
-//    identity gates use).
+//    identity gates use);
+//  - seeded mutants of every registered canonical spec canonicalize to a
+//    fixed point that make() builds, or fail naming their offense.
 #include "abr/registry.h"
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -32,6 +35,7 @@
 #include "media/dataset.h"
 #include "net/trace_gen.h"
 #include "sim/player.h"
+#include "util/rng.h"
 
 namespace sensei::abr {
 namespace {
@@ -310,6 +314,139 @@ TEST_F(RegistryIdentity, RegistryMatchesDirectConstructionOnSeededGrids) {
       }
     }
   }
+}
+
+// ---- adversarial specs -------------------------------------------------------
+
+std::vector<std::string> split_pairs(const std::string& pairs) {
+  std::vector<std::string> out;
+  size_t start = 0;
+  while (true) {
+    size_t comma = pairs.find(',', start);
+    out.push_back(pairs.substr(start, comma == std::string::npos ? comma : comma - start));
+    if (comma == std::string::npos) return out;
+    start = comma + 1;
+  }
+}
+
+// One random edit of `spec`: a bit flip, an inserted byte (usually one the
+// grammar or a value parser branches on), a deleted byte, a duplicated or
+// swapped key=value pair, or a cut at a random byte.
+void mutate_spec(std::string& spec, util::Rng& rng) {
+  static const std::string kInteresting = ":,=_-.+0123456789eExpinfad ";
+  const int kind = rng.uniform_int(0, 5);
+  if (kind == 3 || kind == 4) {
+    const size_t colon = spec.find(':');
+    if (colon == std::string::npos) return;
+    std::vector<std::string> pairs = split_pairs(spec.substr(colon + 1));
+    const auto a = static_cast<size_t>(rng.uniform_int(0, static_cast<int>(pairs.size()) - 1));
+    const auto b = static_cast<size_t>(rng.uniform_int(0, static_cast<int>(pairs.size()) - 1));
+    if (kind == 3) {
+      pairs.insert(pairs.begin() + static_cast<long>(b), pairs[a]);
+    } else {
+      std::swap(pairs[a], pairs[b]);
+    }
+    spec.resize(colon + 1);
+    for (size_t i = 0; i < pairs.size(); ++i) spec += (i > 0 ? "," : "") + pairs[i];
+    return;
+  }
+  if (kind == 1) {
+    const auto pos = static_cast<size_t>(rng.uniform_int(0, static_cast<int>(spec.size())));
+    const char byte =
+        rng.chance(0.8)
+            ? kInteresting[static_cast<size_t>(
+                  rng.uniform_int(0, static_cast<int>(kInteresting.size()) - 1))]
+            : static_cast<char>(rng.uniform_int(0, 255));
+    spec.insert(spec.begin() + static_cast<long>(pos), byte);
+    return;
+  }
+  if (spec.empty()) return;
+  const auto pos = static_cast<size_t>(rng.uniform_int(0, static_cast<int>(spec.size()) - 1));
+  if (kind == 0) {
+    spec[pos] = static_cast<char>(spec[pos] ^ (1 << rng.uniform_int(0, 7)));
+  } else if (kind == 2) {
+    spec.erase(pos, 1);
+  } else {
+    spec.resize(pos);
+  }
+}
+
+bool names_a_position(const std::string& message) {
+  const size_t at = message.rfind("at position ");
+  return at != std::string::npos && at + 12 < message.size() &&
+         std::isdigit(static_cast<unsigned char>(message[at + 12]));
+}
+
+// True when `message` names the spec's policy name or one of its keys.
+bool names_name_or_key(const std::string& message, const PolicySpec& spec) {
+  if (message.find(spec.name) != std::string::npos) return true;
+  for (const auto& [key, value] : spec.kv) {
+    if (message.find(key) != std::string::npos) return true;
+  }
+  return false;
+}
+
+// Seeded mutation fuzzing of the spec grammar, the vocabulary checks and the
+// factories. Every mutant of a registered policy's canonical spec either
+// canonicalizes to a fixed point that make() builds, or fails with an
+// exception whose message names what is wrong: a parse error its position,
+// a vocabulary or factory error the policy name or a key.
+TEST(PolicySpecMutation, EveryMutantCanonicalizesOrNamesItsOffense) {
+  const PolicyRegistry& registry = PolicyRegistry::instance();
+  std::vector<std::string> canonical_specs;
+  for (const std::string& name : registry.names()) {
+    canonical_specs.push_back(registry.canonical_string(name));
+  }
+  size_t built = 0;
+  size_t parse_errors = 0;
+  size_t vocabulary_errors = 0;
+  for (uint64_t seed = 1; seed <= 3000; ++seed) {
+    util::Rng rng(seed);
+    std::string text = canonical_specs[seed % canonical_specs.size()];
+    const int edits = rng.uniform_int(1, 4);
+    for (int e = 0; e < edits; ++e) mutate_spec(text, rng);
+
+    PolicySpec parsed;
+    try {
+      parsed = PolicySpec::parse(text);
+    } catch (const std::runtime_error& e) {
+      EXPECT_TRUE(names_a_position(e.what())) << "seed " << seed << ": " << e.what();
+      ++parse_errors;
+      continue;
+    }
+    PolicySpec canonical;
+    try {
+      canonical = registry.canonicalize(parsed);
+    } catch (const std::runtime_error& e) {
+      EXPECT_TRUE(names_name_or_key(e.what(), parsed)) << "seed " << seed << ": " << e.what();
+      ++vocabulary_errors;
+      continue;
+    }
+    const std::string form = canonical.to_string();
+    EXPECT_EQ(registry.canonical_string(form), form) << "seed " << seed;
+    EXPECT_TRUE(registry.canonicalize(canonical) == canonical) << "seed " << seed;
+    try {
+      EXPECT_NE(registry.make(canonical), nullptr) << "seed " << seed;
+      ++built;
+    } catch (const std::exception& e) {
+      EXPECT_TRUE(names_name_or_key(e.what(), parsed)) << "seed " << seed << ": " << e.what();
+    }
+  }
+  // Every outcome occurs, so the seeds exercise each layer.
+  EXPECT_GT(built, 100u);
+  EXPECT_GT(parse_errors, 100u);
+  EXPECT_GT(vocabulary_errors, 100u);
+}
+
+// bench_util.h's check_flags names the argument it rejects, before the
+// usage text.
+TEST(BenchFlagsDeathTest, UnknownFlagIsNamed) {
+  char program[] = "bench";
+  char smoke[] = "--smoke";
+  char foo[] = "--foo";
+  char* argv[] = {program, smoke, foo};
+  EXPECT_EXIT(bench::check_flags(3, argv, {"--out"}, {"--smoke"}, "bench [--smoke] [--out FILE]"),
+              ::testing::ExitedWithCode(2), "error: unknown flag '--foo'");
 }
 
 }  // namespace
