@@ -4,8 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "util/kernels.h"
-
 namespace sensei::abr {
 
 namespace {
@@ -18,12 +16,6 @@ constexpr double kMaxBufferS = 30.0;
 // subtree that could still *tie* the incumbent is never dropped and the
 // reference tie-break is preserved.
 constexpr double kBoundSlack = 1e-9;
-
-// ViPlanner steps scenario rows narrower than this (the Fugu default is 3) in
-// one fused loop that keeps each scenario's buffer, stall and quality in
-// registers; wider rows go through the two row kernels, whose stores the
-// probability fold reloads. Same expressions in the same order, same bits.
-constexpr size_t kFusedScenarioCutoff = 8;
 
 inline uint64_t splitmix(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -65,16 +57,56 @@ inline bool same_vi_context(const PlanBatch::ViContext& ctx, const media::Encode
          ctx.key.size() == key_len && std::equal(ctx.key.begin(), ctx.key.end(), key);
 }
 
-// The batch's tables for (video, params), looked up through the planner's
-// memo of its previous lookup, so a decide() for the same video takes no
-// lock.
-const PlanBatch::VideoTables& memo_tables(PlanBatch& batch, const PlanBatch::VideoTables*& memo,
-                                          const media::EncodedVideo& video,
-                                          const qoe::ChunkQualityParams& params) {
-  if (memo == nullptr || memo->video != &video || !same_params(memo->params, params)) {
-    memo = &batch.tables(video, params);
+// The static planning rows of chunks [first, first + count), in the layout
+// PlanBatch::VideoTables and PlanRows share: bits_kb and vq at
+// [(c - first) * L + l], the no-stall chunk quality after level p of the
+// previous chunk at [((c - first) * L + l) * L + p]. The qn rows of chunk
+// `first` are left as they are: its previous chunk lies outside the range,
+// and the planners' root step uses the observed previous quality instead.
+void fill_static_rows(const media::EncodedVideo& video, const qoe::ChunkQualityParams& params,
+                      size_t first, size_t count, double* bits_kb, double* vq, double* qn) {
+  const size_t L = video.ladder().level_count();
+  for (size_t c = 0; c < count; ++c) {
+    for (size_t l = 0; l < L; ++l) {
+      const auto& rep = video.rep(first + c, l);
+      // Pre-scaled so a planner's download time is bits_kb / kbps + rtt.
+      bits_kb[c * L + l] = rep.size_bytes * 8.0 / 1000.0;
+      vq[c * L + l] = rep.visual_quality;
+    }
   }
-  return *memo;
+  for (size_t c = 1; c < count; ++c) {
+    for (size_t l = 0; l < L; ++l) {
+      for (size_t p = 0; p < L; ++p) {
+        qn[(c * L + l) * L + p] =
+            qoe::chunk_quality(vq[c * L + l], 0.0, vq[(c - 1) * L + p], params);
+      }
+    }
+  }
+}
+
+// Expected download time of a chunk of `bits_kb` at `kbps`, RTT included.
+inline double download_s(double bits_kb, double kbps) {
+  return bits_kb / std::max(1.0, kbps) + 0.08;
+}
+
+// One scenario's step through the buffer dynamics, statement for statement
+// the exhaustive walk's: the download drains `b` or stalls for the rest, a
+// scheduled rebuffer adds to both, then the chunk lands under the cap.
+// Returns the stall; `b` becomes the post-step buffer.
+inline double step_buffer(double& b, double dl, double sched, double tau) {
+  double stall = 0.0;
+  if (dl > b) {
+    stall = dl - b;
+    b = 0.0;
+  } else {
+    b -= dl;
+  }
+  if (sched > 0.0) {
+    b += sched;
+    stall += sched;
+  }
+  b = std::min(b + tau, kMaxBufferS);
+  return stall;
 }
 
 }  // namespace
@@ -114,24 +146,7 @@ const PlanBatch::VideoTables& PlanBatch::tables(const media::EncodedVideo& video
   t->bits_kb.resize(n * L);
   t->vq.resize(n * L);
   t->qn.resize(n * L * L);
-  for (size_t c = 0; c < n; ++c) {
-    for (size_t l = 0; l < L; ++l) {
-      const auto& rep = video.rep(c, l);
-      // Pre-scaled so a planner's download time is bits_kb / kbps + rtt —
-      // the same left-associated (size * 8 / 1000) / kbps the unbatched
-      // planners evaluate, hence bit-identical.
-      t->bits_kb[c * L + l] = rep.size_bytes * 8.0 / 1000.0;
-      t->vq[c * L + l] = rep.visual_quality;
-    }
-  }
-  for (size_t c = 1; c < n; ++c) {
-    for (size_t l = 0; l < L; ++l) {
-      for (size_t p = 0; p < L; ++p) {
-        t->qn[(c * L + l) * L + p] =
-            qoe::chunk_quality(t->vq[c * L + l], 0.0, t->vq[(c - 1) * L + p], params);
-      }
-    }
-  }
+  fill_static_rows(video, params, 0, n, t->bits_kb.data(), t->vq.data(), t->qn.data());
   tables_.push_back(std::move(t));
   return *tables_.back();
 }
@@ -287,14 +302,51 @@ size_t PlanBatch::table_bytes() const {
 }
 
 // ---------------------------------------------------------------------------
+// PlanRows
+// ---------------------------------------------------------------------------
+
+void PlanRows::bind(PlanBatch* batch, const PlanQuery& q, size_t depth_count) {
+  const media::EncodedVideo& video = *q.obs->video;
+  const size_t L = video.ladder().level_count();
+  const size_t base = q.obs->next_chunk;
+  if (batch != nullptr) {
+    if (memo_ == nullptr || memo_->video != &video || !same_params(memo_->params, q.chunk)) {
+      memo_ = &batch->tables(video, q.chunk);
+    }
+    bits_kb = &memo_->bits_kb[base * L];
+    vq = &memo_->vq[base * L];
+    qn = &memo_->qn[base * L * L];
+  } else {
+    local_bits_.resize(depth_count * L);
+    local_vq_.resize(depth_count * L);
+    local_qn_.resize(depth_count * L * L);
+    fill_static_rows(video, q.chunk, base, depth_count, local_bits_.data(), local_vq_.data(),
+                     local_qn_.data());
+    bits_kb = local_bits_.data();
+    vq = local_vq_.data();
+    qn = local_qn_.data();
+  }
+  root_qn.resize(L);
+  for (size_t l = 0; l < L; ++l) {
+    root_qn[l] = qoe::chunk_quality(vq[l], 0.0, q.prev_visual_quality, q.chunk);
+  }
+}
+
+size_t PlanRows::arena_bytes() const {
+  return (root_qn.capacity() + local_bits_.capacity() + local_vq_.capacity() +
+          local_qn_.capacity()) *
+         sizeof(double);
+}
+
+// ---------------------------------------------------------------------------
 // DpPlanner
 // ---------------------------------------------------------------------------
 
 size_t DpPlanner::arena_bytes() const {
-  return (dl_.capacity() + vq_.capacity() + qn_.capacity() + eqn_.capacity() + w_.capacity() +
-          root_qn_.capacity() + root_eqn_.capacity() + bmax_.capacity() + bp_.capacity() +
-          cub_.capacity() + root_cub_.capacity() + h_.capacity() + root_buf_.capacity() +
-          kid_buf_.capacity() + cache_buf_.capacity()) *
+  return rows_.arena_bytes() +
+         (dl_.capacity() + eqn_.capacity() + w_.capacity() + root_eqn_.capacity() +
+          bmax_.capacity() + bp_.capacity() + cub_.capacity() + root_cub_.capacity() +
+          h_.capacity() + root_buf_.capacity() + kid_buf_.capacity() + cache_buf_.capacity()) *
              sizeof(double) +
          kids_.capacity() * sizeof(Node) + cache_.capacity() * sizeof(CacheEntry) +
          warm_path_.capacity() * sizeof(uint32_t);
@@ -305,26 +357,14 @@ size_t DpPlanner::arena_bytes() const {
 // the folded results are bit-identical; the difference is that they are
 // evaluated once per (depth, level[, prev]) instead of at every tree node.
 void DpPlanner::precompute(const PlanQuery& q, size_t depth_count) {
-  const auto& video = *q.obs->video;
-  const size_t L = video.ladder().level_count();
+  const size_t L = q.obs->video->ladder().level_count();
   const size_t S = q.num_scenarios;
+  rows_.bind(batch_, q, depth_count);
 
   dl_.resize(depth_count * L * S);
-  vq_.resize(depth_count * L);
-  qn_.resize(depth_count * L * L);
   eqn_.resize(depth_count * L * L);
   w_.resize(depth_count);
-  root_qn_.resize(L);
   root_eqn_.resize(L);
-
-  // Static tables come from the shared batch when one is attached; the
-  // expressions below are the exact ones the batch builder ran (same
-  // left-associated scaling, same chunk_quality calls), so both sources
-  // yield bit-identical tables and the planner's output never depends on
-  // where they live.
-  const size_t base = q.obs->next_chunk;
-  const PlanBatch::VideoTables* vt =
-      batch_ != nullptr ? &memo_tables(*batch_, video_tables_, video, q.chunk) : nullptr;
 
   for (size_t d = 0; d < depth_count; ++d) {
     double w = 1.0;
@@ -332,44 +372,25 @@ void DpPlanner::precompute(const PlanQuery& q, size_t depth_count) {
       w = 1.0 + q.weight_shrinkage * (q.obs->future_weights[d] - 1.0);
     }
     w_[d] = w;
-
-    const size_t chunk = base + d;
     for (size_t l = 0; l < L; ++l) {
-      double bits;
-      if (vt != nullptr) {
-        bits = vt->bits_kb[chunk * L + l];
-        vq_[d * L + l] = vt->vq[chunk * L + l];
-      } else {
-        const auto& rep = video.rep(chunk, l);
-        bits = rep.size_bytes * 8.0 / 1000.0;
-        vq_[d * L + l] = rep.visual_quality;
-      }
       for (size_t s = 0; s < S; ++s) {
-        double kbps = std::max(1.0, q.scenarios[s].kbps);
-        dl_[(d * L + l) * S + s] = bits / kbps + 0.08;
+        dl_[(d * L + l) * S + s] = download_s(rows_.bits_kb[d * L + l], q.scenarios[s].kbps);
       }
     }
   }
 
   for (size_t l = 0; l < L; ++l) {
-    double qn = qoe::chunk_quality(vq_[l], 0.0, q.prev_visual_quality, q.chunk);
+    const double qn = rows_.root_qn[l];
     double eqn = 0.0;
     for (size_t s = 0; s < S; ++s) eqn += q.scenarios[s].probability * qn;
-    root_qn_[l] = qn;
     root_eqn_[l] = eqn;
   }
   for (size_t d = 1; d < depth_count; ++d) {
-    const size_t chunk = base + d;
-    for (size_t l = 0; l < L; ++l) {
-      for (size_t p = 0; p < L; ++p) {
-        double qn = vt != nullptr
-                        ? vt->qn[(chunk * L + l) * L + p]
-                        : qoe::chunk_quality(vq_[d * L + l], 0.0, vq_[(d - 1) * L + p], q.chunk);
-        double eqn = 0.0;
-        for (size_t s = 0; s < S; ++s) eqn += q.scenarios[s].probability * qn;
-        qn_[(d * L + l) * L + p] = qn;
-        eqn_[(d * L + l) * L + p] = eqn;
-      }
+    for (size_t t = d * L * L; t < (d + 1) * L * L; ++t) {
+      const double qn = rows_.qn[t];
+      double eqn = 0.0;
+      for (size_t s = 0; s < S; ++s) eqn += q.scenarios[s].probability * qn;
+      eqn_[t] = eqn;
     }
   }
 
@@ -424,7 +445,7 @@ void DpPlanner::precompute_bound(const PlanQuery& q, size_t depth_count) {
   // forced stall is max(floor, that - switch term).
   const auto bound = [&](size_t d, size_t l, double prev_vq, double eqn, const double* b) {
     const double* dl = &dl_[(d * L + l) * S];
-    const double vq = vq_[d * L + l];
+    const double vq = rows_.vq[d * L + l];
     const double sw = cp.beta_switch * std::abs(vq - prev_vq);
     double e = 0.0;
     for (size_t s = 0; s < S; ++s) {
@@ -444,7 +465,7 @@ void DpPlanner::precompute_bound(const PlanQuery& q, size_t depth_count) {
     for (size_t p = 0; p < L; ++p) {
       const double* dl = &dl_[((d - 1) * L + p) * S];
       for (size_t s = 0; s < S; ++s) bp_[s] = after(d - 1, bmax_[(d - 1) * S + s], dl[s]);
-      const double prev_vq = vq_[(d - 1) * L + p];
+      const double prev_vq = rows_.vq[(d - 1) * L + p];
       for (size_t l = 0; l < L; ++l) {
         const size_t t = (d * L + l) * L + p;
         cub_[t] = bound(d, l, prev_vq, eqn_[t], bp_.data());
@@ -475,23 +496,11 @@ double DpPlanner::step(size_t d, size_t level, double prev_vq, double qn, double
                        const double* in, double* out) {
   ++search_steps_;
   const double* dl_row = &dl_[(d * L_ + level) * S_];
-  const double vq = vq_[d * L_ + level];
+  const double vq = rows_.vq[d * L_ + level];
   double expected_q = 0.0;
   for (size_t s = 0; s < S_; ++s) {
     double b = in[s];
-    double dl = dl_row[s];
-    double stall = 0.0;
-    if (dl > b) {
-      stall = dl - b;
-      b = 0.0;
-    } else {
-      b -= dl;
-    }
-    if (sched > 0.0) {
-      b += sched;
-      stall += sched;
-    }
-    b = std::min(b + tau_, kMaxBufferS);
+    const double stall = step_buffer(b, dl_row[s], sched, tau_);
     out[s] = b;
     double qv = stall > 0.0 ? qoe::chunk_quality(vq, stall, prev_vq, q_->chunk) : qn;
     expected_q += q_->scenarios[s].probability * qv;
@@ -538,16 +547,16 @@ void DpPlanner::fold_warm_start(size_t fixed) {
   size_t prev = 0;
   for (size_t d = 0; d < D_; ++d) {
     double* rows = &kid_buf_[d * width_ * S_];
-    const double prev_vq = d == 0 ? q_->prev_visual_quality : vq_[(d - 1) * L + prev];
+    const double prev_vq = d == 0 ? q_->prev_visual_quality : rows_.vq[(d - 1) * L + prev];
     const auto contribution = [&](size_t l) {
       double* out = &rows[l * S_];
       if (d == 0) {
         return weighted_step_quality(
-            w_[0], step(0, l, prev_vq, root_qn_[l], q_->rebuffer_options[0], in, out),
+            w_[0], step(0, l, prev_vq, rows_.root_qn[l], q_->rebuffer_options[0], in, out),
             root_eqn_[l]);
       }
       const size_t t = (d * L + l) * L + prev;
-      return weighted_step_quality(w_[d], step(d, l, prev_vq, qn_[t], 0.0, in, out), eqn_[t]);
+      return weighted_step_quality(w_[d], step(d, l, prev_vq, rows_.qn[t], 0.0, in, out), eqn_[t]);
     };
     size_t arg = 0;
     double c = 0.0;
@@ -591,13 +600,13 @@ void DpPlanner::expand(size_t d, const Node& node, const double* buf) {
   const size_t L = L_;
   const bool leaf_depth = d + 1 == D_;
   const size_t options = d == 0 ? R_ : 1;
-  const double prev_vq = d == 0 ? q_->prev_visual_quality : vq_[(d - 1) * L + node.level];
+  const double prev_vq = d == 0 ? q_->prev_visual_quality : rows_.vq[(d - 1) * L + node.level];
   Node* kids = &kids_[d * width_];
   double* rows = &kid_buf_[d * width_ * S_];
   size_t count = 0;
   for (size_t level = 0; level < L; ++level) {
     const size_t t = (d * L + level) * L + node.level;
-    const double qn = d == 0 ? root_qn_[level] : qn_[t];
+    const double qn = d == 0 ? rows_.root_qn[level] : rows_.qn[t];
     const double eqn = d == 0 ? root_eqn_[level] : eqn_[t];
     const double cub = d == 0 ? root_cub_[level] : cub_[t];
     const double hb = (leaf_depth ? 0.0 : h_[(d + 1) * L + level]) + kBoundSlack;
@@ -752,62 +761,25 @@ ViPlanner::ViPlanner(double buffer_quantum_s)
     : quantum_(buffer_quantum_s > 0.0 ? buffer_quantum_s : kDefaultViBufferQuantumS) {}
 
 size_t ViPlanner::arena_bytes() const {
-  return (local_bits_.capacity() + local_vq_.capacity() + local_qn_.capacity() +
-          local_dl_.capacity() + prob_.capacity() + w_.capacity() + root_qn_.capacity() +
-          root_dl_.capacity() + exact_kbps_.capacity() + qkbps_.capacity() +
-          key_.capacity() + width_.capacity() + row_b_.capacity() + row_stall_.capacity() +
-          row_qv_.capacity()) *
+  return rows_.arena_bytes() +
+         (local_dl_.capacity() + prob_.capacity() + w_.capacity() + root_dl_.capacity() +
+          qkbps_.capacity() + key_.capacity() + width_.capacity()) *
              sizeof(double) +
          (local_v_cap_ + bcount_.capacity() + off_.capacity()) * sizeof(uint64_t);
 }
 
 void ViPlanner::precompute(const PlanQuery& q, size_t depth_count) {
-  const auto& video = *q.obs->video;
-  const size_t L = video.ladder().level_count();
+  const size_t L = q.obs->video->ladder().level_count();
   const size_t S = q.num_scenarios;
-  const size_t base = q.obs->next_chunk;
-
-  if (batch_ != nullptr) {
-    const PlanBatch::VideoTables& vt = memo_tables(*batch_, video_tables_, video, q.chunk);
-    bits_tab_ = &vt.bits_kb[base * L];
-    vq_tab_ = &vt.vq[base * L];
-    qn_tab_ = &vt.qn[base * L * L];
-  } else {
-    local_bits_.resize(depth_count * L);
-    local_vq_.resize(depth_count * L);
-    local_qn_.resize(depth_count * L * L);
-    for (size_t d = 0; d < depth_count; ++d) {
-      const size_t chunk = base + d;
-      for (size_t l = 0; l < L; ++l) {
-        const auto& rep = video.rep(chunk, l);
-        local_bits_[d * L + l] = rep.size_bytes * 8.0 / 1000.0;
-        local_vq_[d * L + l] = rep.visual_quality;
-      }
-    }
-    for (size_t d = 1; d < depth_count; ++d) {
-      // Row kernel over the previous-level axis: vq is fixed per (d, l) and
-      // stall is 0, so qn[p] = max(floor, vq - bsw * |vq - prev_vq[p]|) —
-      // the zero stall-penalty term drops out bit-exactly (x - 0.0 == x).
-      for (size_t l = 0; l < L; ++l) {
-        util::kernels::chunk_quality_nostall_prev_row(
-            local_vq_[d * L + l], &local_vq_[(d - 1) * L], L, bsw_, floor_,
-            &local_qn_[(d * L + l) * L]);
-      }
-    }
-    bits_tab_ = local_bits_.data();
-    vq_tab_ = local_vq_.data();
-    qn_tab_ = local_qn_.data();
-  }
+  rows_.bind(batch_, q, depth_count);
 
   // The planner's actual throughput inputs are the quantized scenarios: the
   // same discretization whether or not a batch is attached, so attaching
   // can only move where tables live, never what they hold.
-  exact_kbps_.resize(S);
   qkbps_.resize(S);
   prob_.resize(S);
   for (size_t s = 0; s < S; ++s) {
-    exact_kbps_[s] = q.scenarios[s].kbps;
-    qkbps_[s] = quantize_kbps(exact_kbps_[s]);
+    qkbps_[s] = quantize_kbps(q.scenarios[s].kbps);
     prob_[s] = q.scenarios[s].probability;
   }
 
@@ -820,10 +792,6 @@ void ViPlanner::precompute(const PlanQuery& q, size_t depth_count) {
     w_[d] = w;
   }
 
-  root_qn_.resize(L);
-  util::kernels::chunk_quality_nostall_row(vq_tab_, L, q.prev_visual_quality, bsw_,
-                                           floor_, root_qn_.data());
-
   // The root step is evaluated with the *exact* forecasts: the immediate
   // stall/no-stall tradeoff is the decision's dominant term, and judging it
   // on kbps rounded up a bin would schedule real stalls. Only the value
@@ -833,16 +801,18 @@ void ViPlanner::precompute(const PlanQuery& q, size_t depth_count) {
   // the irreducible root work, never the shared table.
   root_dl_.resize(L * S);
   for (size_t l = 0; l < L; ++l) {
-    util::kernels::div_add_row(bits_tab_[l], exact_kbps_.data(), S, 1.0, 0.08,
-                               &root_dl_[l * S]);
+    for (size_t s = 0; s < S; ++s) {
+      root_dl_[l * S + s] = download_s(rows_.bits_kb[l], q.scenarios[s].kbps);
+    }
   }
 }
 
 void ViPlanner::fill_dl() {
   for (size_t d = 0; d < D_; ++d) {
     for (size_t l = 0; l < L_; ++l) {
-      util::kernels::div_add_row(bits_tab_[d * L_ + l], qkbps_.data(), S_, 1.0, 0.08,
-                                 &local_dl_[(d * L_ + l) * S_]);
+      for (size_t s = 0; s < S_; ++s) {
+        local_dl_[(d * L_ + l) * S_ + s] = download_s(rows_.bits_kb[d * L_ + l], qkbps_[s]);
+      }
     }
   }
   dl_ready_ = true;
@@ -865,61 +835,23 @@ double ViPlanner::value_of(size_t depth, double buffer_s, size_t prev_level) {
   if (cell != PlanBatch::kUnfilled) return double_of(cell);
   if (!dl_ready_) fill_dl();
 
-  const double* dl_tab = local_dl_.data();
   const double b0 = static_cast<double>(bucket) * width;
-  const double prev_vq = vq_tab_[(depth - 1) * L_ + prev_level];
+  const double prev_vq = rows_.vq[(depth - 1) * L_ + prev_level];
   const double w = w_[depth];
   const double wstall = std::max(w, 1.0);
   double best = -1e18;
-  if (S_ < kFusedScenarioCutoff) {
-    // Narrow forecasts (the Fugu default is 3 scenarios) keep everything in
-    // registers: this fused loop is the exact composition of the two row
-    // kernels below — same step/penalty/select expressions in the same
-    // order — so both paths produce identical bits; the kernels just add
-    // row stores the recursion would immediately reload at these widths.
-    for (size_t l = 0; l < L_; ++l) {
-      const double vqv = vq_tab_[depth * L_ + l];
-      const double qn = qn_tab_[(depth * L_ + l) * L_ + prev_level];
-      const double* dl_row = &dl_tab[(depth * L_ + l) * S_];
-      double acc = 0.0;
-      for (size_t s = 0; s < S_; ++s) {
-        double b = b0;
-        const double dl = dl_row[s];
-        double stall = 0.0;
-        if (dl > b) {
-          stall = dl - b;
-          b = 0.0;
-        } else {
-          b -= dl;
-        }
-        b = std::min(b + tau_, kMaxBufferS);
-        const double qv =
-            stall > 0.0 ? qoe::chunk_quality(vqv, stall, prev_vq, q_->chunk) : qn;
-        acc += prob_[s] * (w * qn + wstall * (qv - qn) + value_of(depth + 1, b, l));
-      }
-      if (acc > best) best = acc;
+  for (size_t l = 0; l < L_; ++l) {
+    const double vq = rows_.vq[depth * L_ + l];
+    const double qn = rows_.qn[(depth * L_ + l) * L_ + prev_level];
+    const double* dl_row = &local_dl_[(depth * L_ + l) * S_];
+    double acc = 0.0;
+    for (size_t s = 0; s < S_; ++s) {
+      double b = b0;
+      const double stall = step_buffer(b, dl_row[s], 0.0, tau_);
+      const double qv = stall > 0.0 ? qoe::chunk_quality(vq, stall, prev_vq, q_->chunk) : qn;
+      acc += prob_[s] * (w * qn + wstall * (qv - qn) + value_of(depth + 1, b, l));
     }
-  } else {
-    // SoA sweep: one buffer/stall step kernel plus one chunk-quality kernel
-    // per candidate level, over the scenario row, then a sequential fold
-    // (probability weighting and the recursion must keep the scalar order).
-    double* row_b = &row_b_[depth * S_];
-    double* row_stall = &row_stall_[depth * S_];
-    double* row_qv = &row_qv_[depth * S_];
-    for (size_t l = 0; l < L_; ++l) {
-      const double qn = qn_tab_[(depth * L_ + l) * L_ + prev_level];
-      util::kernels::step_buffer_stall_row(b0, &dl_tab[(depth * L_ + l) * S_], S_, 0.0,
-                                           tau_, kMaxBufferS, row_b, row_stall);
-      util::kernels::chunk_quality_stall_row(vq_tab_[depth * L_ + l], prev_vq, qn,
-                                             row_stall, S_, br_, sat_, bsw_, floor_,
-                                             row_qv);
-      double acc = 0.0;
-      for (size_t s = 0; s < S_; ++s) {
-        acc += prob_[s] *
-               (w * qn + wstall * (row_qv[s] - qn) + value_of(depth + 1, row_b[s], l));
-      }
-      if (acc > best) best = acc;
-    }
+    if (acc > best) best = acc;
   }
   // A racing thread may have stored the same cell meanwhile: same key, same
   // bits, so overwriting it is harmless.
@@ -938,15 +870,6 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
   L_ = video.ladder().level_count();
   S_ = q.num_scenarios;
   tau_ = video.chunk_duration_s();
-  br_ = q.chunk.beta_rebuf;
-  sat_ = q.chunk.rebuf_saturation;
-  bsw_ = q.chunk.beta_switch;
-  floor_ = q.chunk.floor;
-  if (row_b_.size() < D_ * S_) {
-    row_b_.resize(D_ * S_);
-    row_stall_.resize(D_ * S_);
-    row_qv_.resize(D_ * S_);
-  }
 
   // Multi-resolution grid: the root is evaluated at the continuous observed
   // buffer; depth d >= 1 lives on buckets of width quantum * 2^(d-1). The
@@ -1004,7 +927,6 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
 
   const double w0 = w_[0];
   const double wstall0 = std::max(w0, 1.0);
-  const bool fused_root = S_ < kFusedScenarioCutoff;
   // Depth-1 memo read with the hit path inlined: the root fold makes L*S of
   // these, and funneling every one through the recursive value_of call kept
   // the loads serialized behind call/return; inline, the out-of-order core
@@ -1020,55 +942,19 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
     if (cell != PlanBatch::kUnfilled) return double_of(cell);
     return value_of(1, b, level);
   };
-  // Root rows live in the depth-0 scratch slice (value_of starts at 1).
-  double* row_b = row_b_.data();
-  double* row_stall = row_stall_.data();
-  double* row_qv = row_qv_.data();
   for (size_t level = 0; level < L_; ++level) {
-    const double qn = root_qn_[level];
-    const double vqv = vq_tab_[level];
+    const double qn = rows_.root_qn[level];
+    const double vq = rows_.vq[level];
     const double* dl_row = &root_dl_[level * S_];
     for (size_t si = 0; si < q.num_rebuffer_options; ++si) {
       const double scheduled = q.rebuffer_options[si];
       double acc = 0.0;
-      if (fused_root) {
-        // Register-resident twin of the kernel pair below (see value_of):
-        // identical expressions and order, so identical bits.
-        for (size_t s = 0; s < S_; ++s) {
-          double b = q.obs->buffer_s;
-          const double dl = dl_row[s];
-          double stall = 0.0;
-          if (dl > b) {
-            stall = dl - b;
-            b = 0.0;
-          } else {
-            b -= dl;
-          }
-          if (scheduled > 0.0) {
-            b += scheduled;
-            stall += scheduled;
-          }
-          b = std::min(b + tau_, kMaxBufferS);
-          const double qv =
-              stall > 0.0
-                  ? qoe::chunk_quality(vqv, stall, q.prev_visual_quality, q.chunk)
-                  : qn;
-          acc += prob_[s] * (w0 * qn + wstall0 * (qv - qn) + depth1_value(b, level));
-        }
-      } else {
-        // Folding the scheduled-rebuffer branch into the kernel's additive
-        // term is exact: a non-positive option contributes +0.0, and both the
-        // stall and the pre-tau buffer are non-negative there.
-        const double extra = scheduled > 0.0 ? scheduled : 0.0;
-        util::kernels::step_buffer_stall_row(q.obs->buffer_s, &root_dl_[level * S_], S_,
-                                             extra, tau_, kMaxBufferS, row_b, row_stall);
-        util::kernels::chunk_quality_stall_row(vq_tab_[level], q.prev_visual_quality, qn,
-                                               row_stall, S_, br_, sat_, bsw_, floor_,
-                                               row_qv);
-        for (size_t s = 0; s < S_; ++s) {
-          acc += prob_[s] * (w0 * qn + wstall0 * (row_qv[s] - qn) +
-                             depth1_value(row_b[s], level));
-        }
+      for (size_t s = 0; s < S_; ++s) {
+        double b = q.obs->buffer_s;
+        const double stall = step_buffer(b, dl_row[s], scheduled, tau_);
+        const double qv =
+            stall > 0.0 ? qoe::chunk_quality(vq, stall, q.prev_visual_quality, q.chunk) : qn;
+        acc += prob_[s] * (w0 * qn + wstall0 * (qv - qn) + depth1_value(b, level));
       }
       // Strict improvement only: level-major, stall-option-minor iteration
       // reproduces the exact planners' first-strictly-better tie-break.

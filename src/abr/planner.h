@@ -221,9 +221,9 @@ inline double weighted_step_quality(double w, double expected_q, double expected
 // Each attaches it to every session's policy (AbrPolicy::
 // attach_plan_batch), so sessions streaming the same ladder build these
 // tables once instead of once per session and decision. Tables are built
-// lazily per (video, chunk-quality params) pair and the planners read them
-// through the exact expressions they would otherwise compute locally, so
-// batched and per-session decide() are bit-identical
+// lazily per (video, chunk-quality params) pair by the same row builder an
+// unbatched planner runs over its lookahead window (PlanRows), so batched
+// and per-session decide() are bit-identical
 // (tests/test_planner_accuracy.cpp pins this).
 //
 // Thread safety. Planners on different threads may share one batch:
@@ -352,6 +352,34 @@ class PlanBatch {
   std::atomic<const ViIndex*> vi_index_{nullptr};
 };
 
+// A planner's static rows for one lookahead window, chunks [base, base +
+// depth_count): bits_kb and vq at [d * L + l], the no-stall chunk quality
+// after level p of the previous chunk at [(d * L + l) * L + p] for d >= 1,
+// and the root step's no-stall quality after the observed previous chunk.
+// With a PlanBatch the rows point into its whole-video tables; without one,
+// into local arenas that the batch's own builder fills for the window alone,
+// so both sources hold the same bits and the planners read them one way.
+class PlanRows {
+ public:
+  void bind(PlanBatch* batch, const PlanQuery& q, size_t depth_count);
+  // Drops the memo of the batch's tables; call on every batch change.
+  void forget_batch() { memo_ = nullptr; }
+  size_t arena_bytes() const;
+
+  const double* bits_kb = nullptr;
+  const double* vq = nullptr;
+  const double* qn = nullptr;
+  std::vector<double> root_qn;  // [l]
+
+ private:
+  // The batch's tables for the video/params of the previous bind(), so a
+  // decide() for the same video takes no lock.
+  const PlanBatch::VideoTables* memo_ = nullptr;
+  std::vector<double> local_bits_;
+  std::vector<double> local_vq_;
+  std::vector<double> local_qn_;
+};
+
 class Planner {
  public:
   virtual ~Planner() = default;
@@ -369,7 +397,7 @@ class DpPlanner : public Planner {
   PlanResult plan(const PlanQuery& query) override;
   void set_batch(PlanBatch* batch) override {
     batch_ = batch;
-    video_tables_ = nullptr;  // only valid within one batch
+    rows_.forget_batch();
   }
 
   // Bytes currently owned by the arenas/tables — exposed so tests and
@@ -419,17 +447,12 @@ class DpPlanner : public Planner {
   bool dominated(size_t d, const Node& node, const double* buf);
 
   PlanBatch* batch_ = nullptr;
-  // The batch's static tables for the video/params of the previous plan(),
-  // so a decide() for the same video takes no lock.
-  const PlanBatch::VideoTables* video_tables_ = nullptr;
+  PlanRows rows_;  // static rows of the decision's window
 
   // Precomputed per-decision tables (indexed [depth][level][...]).
-  std::vector<double> dl_;       // expected download time per scenario
-  std::vector<double> vq_;       // visual quality
-  std::vector<double> qn_;       // no-stall chunk quality per prev level
-  std::vector<double> eqn_;      // probability-folded no-stall quality
-  std::vector<double> w_;        // per-depth sensitivity weight
-  std::vector<double> root_qn_;  // depth-0 no-stall quality per level
+  std::vector<double> dl_;   // expected download time per scenario
+  std::vector<double> eqn_;  // probability-folded no-stall quality
+  std::vector<double> w_;    // per-depth sensitivity weight
   std::vector<double> root_eqn_;
   // Stall-aware step bound. bmax_[d * S + s] upper-bounds every buffer
   // reachable at depth d in scenario s; bp_[s] is the scratch row of the
@@ -496,7 +519,7 @@ class ViPlanner : public Planner {
   void set_batch(PlanBatch* batch) override {
     batch_ = batch;
     // Table pointers are only valid within one batch.
-    video_tables_ = nullptr;
+    rows_.forget_batch();
     ctx_ = nullptr;
   }
 
@@ -510,11 +533,10 @@ class ViPlanner : public Planner {
 
   double quantum_;
   PlanBatch* batch_ = nullptr;
-  // The batch's static tables for the video/params of the previous plan(),
-  // and the vi context it planned in, so a decide() for the same video
-  // under an unchanged discretized key takes no lock and hashes nothing.
-  // Both are cleared on every batch change.
-  const PlanBatch::VideoTables* video_tables_ = nullptr;
+  PlanRows rows_;  // static rows of the decision's window
+  // The vi context of the previous plan(), so a decide() for the same video
+  // under an unchanged discretized key hashes nothing. Cleared on every
+  // batch change.
   PlanBatch::ViContext* ctx_ = nullptr;
 
   // Per-decide context (set by plan(), read by value_of).
@@ -532,47 +554,20 @@ class ViPlanner : public Planner {
   size_t cells_ = 0;
   size_t grid_D_ = 0, grid_L_ = 0;
 
-  // The exact and quantized forecast kbps (quantize_kbps bins) as
-  // contiguous rows — the planner's actual throughput inputs, batched or
-  // not — and the cache key the quantized row induces.
-  std::vector<double> exact_kbps_;
+  // The quantized forecast kbps (quantize_kbps bins) the lookahead tail
+  // plans on, batched or not, and the cache key it induces.
   std::vector<double> qkbps_;
   std::vector<double> key_;
 
-  // Static tables for the lookahead window: pointers into the shared
-  // PlanBatch when attached, else into the local_* arenas filled with the
-  // identical values. Layout is [d * L + l] (vq, bits) and
-  // [(d * L + l) * L + p] (qn), d relative to the window start.
-  const double* bits_tab_ = nullptr;
-  const double* vq_tab_ = nullptr;
-  const double* qn_tab_ = nullptr;
-  std::vector<double> local_bits_;
-  std::vector<double> local_vq_;
-  std::vector<double> local_qn_;
-
-  // Per-decide scenario state, SoA so the inner scenario loops stream over
-  // contiguous rows: expected download times per (depth, level) on the
-  // quantized scenarios — filled at most once per decide(), and only when a
-  // cell miss needs them, so a decide that hits every cell skips them — and
-  // probabilities.
+  // Per-decide scenario state: expected download times per (depth, level)
+  // on the quantized scenarios — filled at most once per decide(), and only
+  // when a cell miss needs them, so a decide that hits every cell skips
+  // them — and probabilities.
   std::vector<double> local_dl_;  // [(d * L + l) * S + s]
   bool dl_ready_ = false;
-  std::vector<double> prob_;  // [s]
-  std::vector<double> w_;     // per-depth sensitivity weight
-  std::vector<double> root_qn_;
+  std::vector<double> prob_;     // [s]
+  std::vector<double> w_;        // per-depth sensitivity weight
   std::vector<double> root_dl_;  // depth-0 download times on *exact* kbps
-
-  // Per-depth scratch rows [depth * S + s] for the SoA step kernels
-  // (util/kernels): post-step buffer, stall seconds, and stalled chunk
-  // quality for one candidate level across all scenarios. Each depth owns
-  // its slice because the recursion at depth d + 1 fills rows d + 1 while
-  // depth d's rows are still being folded; the root uses slice 0 (value_of
-  // starts at depth 1).
-  std::vector<double> row_b_;
-  std::vector<double> row_stall_;
-  std::vector<double> row_qv_;
-  // Chunk-quality params cached as scalars for the kernel calls.
-  double br_ = 0.0, sat_ = 0.0, bsw_ = 0.0, floor_ = 0.0;
 
   // Value cells for this decide(): the shared batch table's, or the local
   // arena's. Either way a cell holds a double's bits or kUnfilled.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cmath>
@@ -63,8 +64,9 @@ bool parse_size(const std::string& text, size_t& out) {
     if (c < '0' || c > '9') return false;
   }
   char* end = nullptr;
+  errno = 0;
   unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size()) return false;
+  if (end != text.c_str() + text.size() || errno == ERANGE) return false;
   out = static_cast<size_t>(v);
   return true;
 }
@@ -130,8 +132,8 @@ std::vector<KeyInfo> chunk_keys() {
 std::vector<KeyInfo> fugu_keys() {
   std::vector<KeyInfo> keys = chunk_keys();
   keys.push_back({"planner", KeyType::kEnum, "dp", {"dp", "vi"}});
-  keys.push_back({"horizon", KeyType::kSize, "5", {}});
-  keys.push_back({"predictor_window", KeyType::kSize, "8", {}});
+  keys.push_back({"horizon", KeyType::kCount, "5", {}});
+  keys.push_back({"predictor_window", KeyType::kCount, "8", {}});
   keys.push_back({"dp_buffer_quantum_s", KeyType::kDouble, "0", {}});
   keys.push_back({"rebuffer_margin", KeyType::kDouble, "0.35", {}});
   keys.push_back({"weight_shrinkage", KeyType::kDouble, "0.8", {}});
@@ -257,7 +259,7 @@ PolicyRegistry::PolicyRegistry() {
                   });
   register_policy("rate_based",
                   {{"safety", KeyType::kDouble, "0.85", {}},
-                   {"window", KeyType::kSize, "5", {}}},
+                   {"window", KeyType::kCount, "5", {}}},
                   [](const PolicySpec& spec) {
                     RateBasedConfig cfg;
                     cfg.safety = spec_double(spec, "safety");
@@ -268,7 +270,7 @@ PolicyRegistry::PolicyRegistry() {
                   [] {
                     std::vector<KeyInfo> keys = chunk_keys();
                     keys.push_back({"safety", KeyType::kDouble, "0.9", {}});
-                    keys.push_back({"window", KeyType::kSize, "8", {}});
+                    keys.push_back({"window", KeyType::kCount, "8", {}});
                     keys.push_back({"headroom", KeyType::kDouble, "0.5", {}});
                     keys.push_back({"drain_penalty", KeyType::kDouble, "0.6", {}});
                     return keys;
@@ -328,7 +330,9 @@ void PolicyRegistry::register_policy(const std::string& name, std::vector<KeyInf
         ok = parse_finite_double(info.default_value, d) && format_spec_double(d) == info.default_value;
         break;
       case KeyType::kSize:
-        ok = parse_size(info.default_value, s) && std::to_string(s) == info.default_value;
+      case KeyType::kCount:
+        ok = parse_size(info.default_value, s) && std::to_string(s) == info.default_value &&
+             (info.type == KeyType::kSize || s > 0);
         break;
       case KeyType::kEnum:
         ok = std::find(info.enum_values.begin(), info.enum_values.end(), info.default_value) !=
@@ -405,12 +409,14 @@ PolicySpec PolicyRegistry::canonicalize(const PolicySpec& spec) const {
         canonical_value = format_spec_double(v);
         break;
       }
-      case KeyType::kSize: {
+      case KeyType::kSize:
+      case KeyType::kCount: {
+        const bool count = info->type == KeyType::kCount;
         size_t v = 0;
-        if (!parse_size(value, v)) {
-          throw std::runtime_error("policy '" + spec.name + "' key '" + key +
-                                   "': expected a non-negative integer, got \"" +
-                                   printable(value) + "\"");
+        if (!parse_size(value, v) || (count && v == 0)) {
+          throw std::runtime_error("policy '" + spec.name + "' key '" + key + "': expected a " +
+                                   (count ? "positive" : "non-negative") +
+                                   " integer, got \"" + printable(value) + "\"");
         }
         canonical_value = std::to_string(v);
         break;

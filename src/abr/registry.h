@@ -71,6 +71,7 @@ class PolicyRegistry {
   enum class KeyType {
     kDouble,  // strtod, full consumption, finite
     kSize,    // non-negative integer
+    kCount,   // positive integer (a horizon or a window length)
     kEnum,    // one of KeyInfo::enum_values
   };
 

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/kernels.h"
-
 namespace sensei::abr {
 
 WhittleIndexAbr::WhittleIndexAbr(WhittleConfig config)
@@ -52,36 +50,17 @@ sim::AbrDecision WhittleIndexAbr::decide(const sim::AbrObservation& obs) {
   sim::AbrDecision d;
   if (!(budget_kbps > 0.0)) return d;  // degenerate forecast: lowest rung
 
-  // One index kernel over the whole ladder, lane for lane the level_index
-  // expression, then a strict argmax (ties keep the lowest rung) — exactly
-  // the scalar loop this replaces.
-  const media::EncodedVideo& video = *obs.video;
-  const size_t levels = video.ladder().level_count();
-  if (row_bytes_.size() < levels) {
-    row_bytes_.resize(levels);
-    row_vq_.resize(levels);
-    row_prev_.resize(levels);
-    row_idx_.resize(levels);
+  // Strict argmax over the rungs: ties keep the lowest rung, a NaN index
+  // never wins after rung 0, and a NaN at rung 0 is never replaced.
+  const size_t levels = obs.video->ladder().level_count();
+  double best = level_index(obs, 0, obs.buffer_s, budget_kbps);
+  for (size_t l = 1; l < levels; ++l) {
+    const double idx = level_index(obs, l, obs.buffer_s, budget_kbps);
+    if (idx > best) {
+      best = idx;
+      d.level = l;
+    }
   }
-  for (size_t l = 0; l < levels; ++l) {
-    row_bytes_[l] = static_cast<double>(video.size_bytes(obs.next_chunk, l));
-    row_vq_[l] = video.visual_quality(obs.next_chunk, l);
-  }
-  if (obs.next_chunk > 0) {
-    const double prev = video.visual_quality(obs.next_chunk - 1, obs.last_level);
-    std::fill(row_prev_.begin(), row_prev_.begin() + levels, prev);
-  } else {
-    // First chunk: level_index seeds the smoothness term with the rung's
-    // own quality, so the previous-quality row is the quality row itself.
-    std::copy(row_vq_.begin(), row_vq_.begin() + levels, row_prev_.begin());
-  }
-  const double den = budget_kbps * 1000.0;
-  util::kernels::whittle_index_row(row_bytes_.data(), row_vq_.data(), row_prev_.data(),
-                                   levels, den, obs.buffer_s, config_.headroom,
-                                   config_.drain_penalty, config_.chunk.beta_rebuf,
-                                   config_.chunk.rebuf_saturation,
-                                   config_.chunk.beta_switch, row_idx_.data());
-  d.level = util::kernels::argmax_strict_row(row_idx_.data(), levels);
   return d;
 }
 

@@ -23,14 +23,11 @@
 // nonincreasing in b, so the index is monotone nondecreasing in buffer —
 // the indexability property the tests pin.
 //
-// decide() is an argmax over rungs — one whittle_index_row kernel call over
-// the ladder (util/kernels) followed by a strict argmax: O(levels), zero
-// steady-state heap allocation, no lookahead recursion — near-MPC quality
-// at BBA-like cost, which is why the fleet workload mix uses it as the
-// cheap default (sim/workload.h).
+// decide() is a strict argmax of level_index over the rungs: O(levels),
+// zero heap allocation, no lookahead recursion — near-MPC quality at
+// BBA-like cost, which is why the fleet workload mix uses it as the cheap
+// default (sim/workload.h).
 #pragma once
-
-#include <vector>
 
 #include "net/predictor.h"
 #include "qoe/chunk_quality.h"
@@ -55,8 +52,8 @@ class WhittleIndexAbr : public sim::AbrPolicy {
   sim::AbrDecision decide(const sim::AbrObservation& obs) override;
 
   // The closed-form index of one rung at buffer level `buffer_s` under
-  // throughput budget `budget_kbps` (already safety-scaled). Exposed so
-  // tests can pin monotonicity in buffer directly.
+  // throughput budget `budget_kbps` (already safety-scaled); decide()
+  // argmaxes it. Exposed so tests can pin monotonicity in buffer directly.
   double level_index(const sim::AbrObservation& obs, size_t level, double buffer_s,
                      double budget_kbps) const;
 
@@ -65,12 +62,6 @@ class WhittleIndexAbr : public sim::AbrPolicy {
  private:
   WhittleConfig config_;
   net::HarmonicMeanPredictor predictor_;
-  // SoA scratch rows over the ladder for decide()'s index kernel (sized to
-  // the level count on first use, reused across decisions).
-  std::vector<double> row_bytes_;
-  std::vector<double> row_vq_;
-  std::vector<double> row_prev_;
-  std::vector<double> row_idx_;
 };
 
 }  // namespace sensei::abr

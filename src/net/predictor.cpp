@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/kernels.h"
 #include "util/stats.h"
 
 namespace sensei::net {
@@ -11,15 +10,17 @@ namespace sensei::net {
 std::vector<ThroughputScenario> triangular_scenarios(size_t count, double center_kbps,
                                                      double cv) {
   std::vector<ThroughputScenario> out(count);
-  if (count == 0) return out;
-  // Vector fill of the (unnormalized) fan, sequential total, then one
-  // normalization pass — the same per-element expressions and the same
-  // left-to-right accumulation as the scalar loop this replaces.
-  std::vector<double> kbps(count), prob(count);
-  util::kernels::triangular_fan(count, center_kbps, cv, 30.0, kbps.data(), prob.data());
-  const double total = util::kernels::sum_row(prob.data(), count);
-  util::kernels::div_scalar_row(prob.data(), count, total, prob.data());
-  for (size_t i = 0; i < count; ++i) out[i] = {kbps[i], prob[i]};
+  // The fan with unnormalized weights 1 + (1 - |pos|), summed left to
+  // right, then one division per weight.
+  const double span = count > 1 ? static_cast<double>(count - 1) : 1.0;
+  double total = 0.0;
+  for (size_t i = 0; i < count; ++i) {
+    const double pos = count == 1 ? 0.0 : -1.0 + 2.0 * static_cast<double>(i) / span;
+    out[i].kbps = std::max(30.0, center_kbps * (1.0 + cv * pos));
+    out[i].probability = 1.0 + (1.0 - std::fabs(pos));
+    total += out[i].probability;
+  }
+  for (auto& s : out) s.probability /= total;
   return out;
 }
 

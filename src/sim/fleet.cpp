@@ -15,7 +15,6 @@
 #include "qoe/chunk_quality.h"
 #include "sim/cell_loop.h"
 #include "sim/session_engine.h"
-#include "util/kernels.h"
 #include "util/rng.h"
 
 namespace sensei::sim {
@@ -209,9 +208,6 @@ FleetAggregates FleetSimulator::run_cell(size_t cell,
   std::vector<std::unique_ptr<AbrPolicy>> policies;
   std::vector<SessionArrival> arrivals;
   std::vector<size_t> free_slots;
-  // Scratch rows for retire()'s per-session QoE fold (chunk_quality_row over
-  // the session's records), sized to the longest session seen.
-  std::vector<double> rec_vq, rec_stall, rec_prev, rec_q;
   // One policy pool per unique canonical spec (pool_specs_ order).
   std::vector<std::vector<std::unique_ptr<AbrPolicy>>> policy_pool(pool_specs_.size());
   uint64_t session_ordinal = 0;  // admission order, for per-session jitter tags
@@ -298,31 +294,18 @@ FleetAggregates FleetSimulator::run_cell(size_t cell,
       if (engine.outcome() != SessionOutcome::kOutage) ++agg.recovered_sessions;
     }
     if (!recs.empty()) {
-      // SoA fold: gather the record fields into contiguous rows (prev is
-      // the quality row shifted by one, first chunk self-seeded), one
-      // chunk_quality_row kernel over the session, then sequential sums —
-      // the same left-to-right accumulation as the scalar loop it replaces.
+      // Session-mean chunk quality (the first chunk seeds its own
+      // smoothness term) and bitrate, summed left to right.
       const size_t n = recs.size();
-      if (rec_vq.size() < n) {
-        rec_vq.resize(n);
-        rec_stall.resize(n);
-        rec_prev.resize(n);
-        rec_q.resize(n);
-      }
+      double qoe_sum = 0.0;
       double bitrate_sum = 0.0;
       for (size_t i = 0; i < n; ++i) {
-        rec_vq[i] = recs[i].visual_quality;
-        rec_stall[i] = recs[i].rebuffer_s;
+        const double prev_vq = recs[i == 0 ? 0 : i - 1].visual_quality;
+        qoe_sum += qoe::chunk_quality(recs[i].visual_quality, recs[i].rebuffer_s, prev_vq,
+                                      qoe_params);
         bitrate_sum += recs[i].bitrate_kbps;
       }
-      rec_prev[0] = rec_vq[0];
-      std::copy(rec_vq.begin(), rec_vq.begin() + (n - 1), rec_prev.begin() + 1);
-      util::kernels::chunk_quality_row(rec_vq.data(), rec_stall.data(), rec_prev.data(),
-                                       n, qoe_params.beta_rebuf,
-                                       qoe_params.rebuf_saturation,
-                                       qoe_params.beta_switch, qoe_params.floor,
-                                       rec_q.data());
-      double mean_qoe = util::kernels::sum_row(rec_q.data(), n) / static_cast<double>(n);
+      double mean_qoe = qoe_sum / static_cast<double>(n);
       agg.session_qoe.add(mean_qoe);
       agg.qoe_sketch.add(mean_qoe);
       agg.session_bitrate_kbps.add(bitrate_sum / static_cast<double>(n));

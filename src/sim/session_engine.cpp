@@ -262,39 +262,8 @@ void SessionEngine::issue_request() {
   chunk_retry_wasted_s_ = 0.0;
   chunk_backoff_s_ = 0.0;
   retry_level_ = decision.level;
-  pending_timeout_ = false;
 
   rep_ = &video_->rep(i, decision.level);
-  // RTT first (dead wall clock, no trace capacity), then the transfer.
-  attempt_start_abs_s_ = start_abs_s_ + wall_clock_s_;
-  cur_rtt_s_ = request_rtt_s(attempt_start_abs_s_);
-  transfer_start_abs_s_ = start_abs_s_ + (wall_clock_s_ + cur_rtt_s_);
-  arm_deadline();
-
-  if (link_ == nullptr) {
-    // Dedicated link: integrate the whole transfer now, exactly as the
-    // monolithic loop did at this point.
-    net::TransferResult transfer = cursor_.advance(rep_->size_bytes, transfer_start_abs_s_);
-    if (!transfer.completed) {
-      if (!config_.resilience.enabled()) {
-        // The link died: this chunk can never arrive. Truncate the session
-        // and surface the outage instead of faking a completed download.
-        mark_outage();
-        return;
-      }
-      // With a deadline armed, a dead link is just an attempt that will
-      // time out — the retry path decides whether the session survives.
-      pending_timeout_ = true;
-    } else {
-      transfer_elapsed_s_ = transfer.elapsed_s;
-      if (transfer_start_abs_s_ + transfer.elapsed_s > deadline_abs_s_) {
-        pending_timeout_ = true;  // completes, but after the deadline
-      } else {
-        dl_s_ = ((chunk_retry_wasted_s_ + chunk_backoff_s_) + cur_rtt_s_) + transfer_elapsed_s_;
-      }
-    }
-  }
-
   rec_ = ChunkRecord();
   rec_.index = i;
   rec_.level = decision.level;
@@ -310,9 +279,11 @@ void SessionEngine::issue_request() {
   traj_.buffer_before_s = buffer_s_;
   traj_.playhead_before_s = playhead_s_;
 
-  state_ = State::kRtt;
-  next_event_abs_s_ =
-      deadline_abs_s_ < transfer_start_abs_s_ ? deadline_abs_s_ : transfer_start_abs_s_;
+  // RTT first (dead wall clock, no trace capacity), then the transfer.
+  attempt_start_abs_s_ = start_abs_s_ + wall_clock_s_;
+  cur_rtt_s_ = request_rtt_s(attempt_start_abs_s_);
+  transfer_start_abs_s_ = start_abs_s_ + (wall_clock_s_ + cur_rtt_s_);
+  launch_attempt();
 }
 
 // Re-request of the in-flight chunk after a timeout retry or a failover
@@ -331,21 +302,30 @@ void SessionEngine::issue_retry() {
   attempt_start_abs_s_ = next_event_abs_s_;
   cur_rtt_s_ = request_rtt_s(attempt_start_abs_s_);
   transfer_start_abs_s_ = attempt_start_abs_s_ + cur_rtt_s_;
+  launch_attempt();
+}
+
+void SessionEngine::launch_attempt() {
   arm_deadline();
   pending_timeout_ = false;
-
   if (link_ == nullptr) {
+    // Dedicated link: integrate the whole transfer now, exactly as the
+    // monolithic loop did at this point.
     net::TransferResult transfer = cursor_.advance(rep_->size_bytes, transfer_start_abs_s_);
     if (!transfer.completed) {
       if (!config_.resilience.enabled()) {
+        // The link died: this chunk can never arrive. Truncate the session
+        // and surface the outage instead of faking a completed download.
         mark_outage();
         return;
       }
+      // With a deadline armed, a dead link is just an attempt that will
+      // time out — the retry path decides whether the session survives.
       pending_timeout_ = true;
     } else {
       transfer_elapsed_s_ = transfer.elapsed_s;
       if (transfer_start_abs_s_ + transfer.elapsed_s > deadline_abs_s_) {
-        pending_timeout_ = true;
+        pending_timeout_ = true;  // completes, but after the deadline
       } else {
         dl_s_ = ((chunk_retry_wasted_s_ + chunk_backoff_s_) + cur_rtt_s_) + transfer_elapsed_s_;
       }

@@ -214,6 +214,7 @@ class SessionEngine {
   void init(const PlayerConfig& config, const std::vector<double>& weights, double start_s);
   void issue_request();    // kRequesting: decide + integrate (dedicated)
   void issue_retry();      // kRetrying: re-request the in-flight chunk
+  void launch_attempt();   // arm the deadline, integrate (dedicated), enter kRtt
   void begin_transfer();   // kRtt expiry: first byte may move
   void finish_chunk();     // arrival accounting (the monolithic loop's tail)
   void enter_timed_out();  // the deadline fired: book the wasted attempt

@@ -142,6 +142,44 @@ TEST(PolicyRegistry, RejectsUnknownVocabularyNamingAlternatives) {
   EXPECT_THROW(registry.make("no-such-policy"), std::runtime_error);
 }
 
+// An integer key rejects a value past unsigned long long (strtoull's
+// ERANGE) instead of saturating it to 2^64 - 1, and a count key (a horizon
+// or a window length) rejects 0; each error names the policy and the key.
+// A seed may still be 0.
+TEST(PolicyRegistry, IntegerKeysRejectOverflowAndZeroCounts) {
+  PolicyRegistry& registry = PolicyRegistry::instance();
+  const std::string huge = "99999999999999999999999";
+  std::string message = thrown_message([&] { registry.canonical_string("pensieve:seed=" + huge); });
+  EXPECT_NE(message.find("policy 'pensieve' key 'seed': expected a non-negative integer"),
+            std::string::npos)
+      << message;
+  message = thrown_message([&] { registry.canonical_string("fugu:horizon=" + huge); });
+  EXPECT_NE(message.find("policy 'fugu' key 'horizon': expected a positive integer"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(registry.canonical_string("pensieve:seed=18446744073709551615")
+                .find("seed=18446744073709551615"),
+            std::string::npos);
+
+  for (const char* name : {"fugu", "sensei-fugu", "sensei-fugu-bitrate-only"}) {
+    for (const char* key : {"horizon", "predictor_window"}) {
+      const std::string spec = std::string(name) + ":" + key + "=0";
+      message = thrown_message([&] { registry.canonical_string(spec); });
+      EXPECT_NE(message.find(std::string("policy '") + name + "' key '" + key +
+                             "': expected a positive integer, got \"0\""),
+                std::string::npos)
+          << spec << ": " << message;
+    }
+  }
+  for (const char* spec : {"rate_based:window=0", "whittle:window=0", "fugu:horizon=00"}) {
+    message = thrown_message([&] { registry.canonical_string(spec); });
+    EXPECT_NE(message.find("expected a positive integer"), std::string::npos)
+        << spec << ": " << message;
+  }
+  EXPECT_NE(registry.canonical_string("fugu:horizon=1").find("horizon=1"), std::string::npos);
+  EXPECT_NE(registry.canonical_string("pensieve:seed=0").find("seed=0"), std::string::npos);
+}
+
 // DpPlanner is exact only. A non-zero dp_buffer_quantum_s, which only
 // ViPlanner reads, is a typed error naming the key for planner=dp, both at
 // make_planner and through a registry spec.

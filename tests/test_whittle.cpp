@@ -3,6 +3,8 @@
 //  - indexability: the closed-form rung index is monotone nondecreasing in
 //    the buffer level, for every rung (the property that makes an
 //    index-argmax policy well-posed);
+//  - decide() is the first strict argmax of level_index over the rungs
+//    (ties keep the lowest rung, a NaN index at rung 0 is kept);
 //  - decide() behavior at the extremes: a rich buffer with a healthy
 //    forecast selects the top rung, a starved buffer the floor;
 //  - degenerate single-rung ladders stream to completion at level 0.
@@ -10,12 +12,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "media/dataset.h"
 #include "net/trace_gen.h"
 #include "sim/player.h"
+#include "util/rng.h"
 
 namespace sensei::abr {
 namespace {
@@ -70,6 +75,53 @@ TEST(Whittle, IndexIsMonotoneNondecreasingInBuffer) {
       }
     }
   }
+}
+
+// decide() against the first strict argmax of level_index at the budget it
+// plans with, on a seeded grid of chunks, previous rungs, buffers and
+// forecasts. A switch penalty of 1 makes every rung at or above the previous
+// quality score the previous quality (ties), and an infinite drain penalty
+// makes a rung without shortfall score inf * 0 = NaN (at rung 0, kept).
+TEST(Whittle, DecideIsFirstStrictArgmaxOfLevelIndex) {
+  media::EncodedVideo video = test_video();
+  const size_t levels = video.ladder().level_count();
+  std::vector<WhittleConfig> configs(3);
+  configs[1].chunk.beta_switch = 1.0;
+  configs[2].drain_penalty = std::numeric_limits<double>::infinity();
+  util::Rng rng(0x3417713);
+  size_t ties = 0, nan_first = 0;
+  for (const WhittleConfig& cfg : configs) {
+    for (int i = 0; i < 400; ++i) {
+      sim::AbrObservation obs;
+      obs.video = &video;
+      obs.num_chunks = video.num_chunks();
+      obs.next_chunk =
+          static_cast<size_t>(rng.uniform_int(0, static_cast<int>(obs.num_chunks) - 1));
+      obs.last_level = static_cast<size_t>(rng.uniform_int(0, static_cast<int>(levels) - 1));
+      obs.buffer_s = rng.uniform(0.0, 40.0);
+      obs.last_throughput_kbps = rng.uniform(100.0, 9000.0);
+
+      WhittleIndexAbr abr(cfg);
+      abr.begin_session(video);
+      net::HarmonicMeanPredictor forecast(cfg.window);
+      forecast.observe(obs.last_throughput_kbps);
+      const double budget = cfg.safety * forecast.predict_kbps();
+      size_t want = 0;
+      double best = abr.level_index(obs, 0, obs.buffer_s, budget);
+      if (std::isnan(best)) ++nan_first;
+      for (size_t l = 1; l < levels; ++l) {
+        const double v = abr.level_index(obs, l, obs.buffer_s, budget);
+        if (v == best) ++ties;
+        if (v > best) {
+          best = v;
+          want = l;
+        }
+      }
+      ASSERT_EQ(abr.decide(obs).level, want) << "case " << i;
+    }
+  }
+  EXPECT_GT(ties, 0u);
+  EXPECT_GT(nan_first, 0u);
 }
 
 TEST(Whittle, RichBufferSelectsTopRungStarvedBufferTheFloor) {
