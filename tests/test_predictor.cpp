@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <random>
 #include <vector>
 
@@ -101,37 +99,6 @@ TEST(Scenario, ScenariosBracketPointEstimate) {
   EXPECT_LT(scenarios.front().kbps, point);
   EXPECT_GT(scenarios.back().kbps, point);
   EXPECT_DOUBLE_EQ(scenarios[1].kbps, point);
-}
-
-// The triangular fan: positions evenly over [-1, 1], kbps center * (1 + cv *
-// pos) floored at 30, weights 1 + (1 - |pos|) summed left to right and each
-// divided by the sum. The second center pushes the low end onto the floor.
-TEST(Scenario, TriangularFanAndNormalization) {
-  EXPECT_TRUE(triangular_scenarios(0, 3100.0, 0.4).empty());
-  for (double center : {3100.0, 40.0}) {
-    for (size_t count : {1u, 2u, 3u, 5u, 8u, 16u, 19u}) {
-      const auto fan = triangular_scenarios(count, center, 0.8);
-      ASSERT_EQ(fan.size(), count);
-      std::vector<double> weight(count);
-      double total = 0.0;
-      for (size_t i = 0; i < count; ++i) {
-        const double pos =
-            count == 1 ? 0.0
-                       : -1.0 + 2.0 * static_cast<double>(i) / static_cast<double>(count - 1);
-        EXPECT_EQ(fan[i].kbps, std::max(30.0, center * (1.0 + 0.8 * pos)))
-            << "count=" << count << " i=" << i;
-        weight[i] = 1.0 + (1.0 - std::fabs(pos));
-        total += weight[i];
-      }
-      double sum = 0.0;
-      for (size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(fan[i].probability, weight[i] / total) << "count=" << count << " i=" << i;
-        sum += fan[i].probability;
-      }
-      EXPECT_NEAR(sum, 1.0, 1e-12);
-    }
-  }
-  EXPECT_EQ(triangular_scenarios(3, 40.0, 0.8).front().kbps, 30.0);
 }
 
 // The ScenarioPredictor memo must be invisible: scenarios_into on an
