@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "abr/offline_optimal.h"
+#include "abr/registry.h"
 #include "bench_util.h"
 #include "core/experiments.h"
 #include "crowd/campaign.h"
@@ -78,7 +79,7 @@ struct Gain {
 
 // Mean of the gains whose `axis` (&Gain::video or &Gain::trace) is `index`.
 double mean_gain(const std::vector<Gain>& gains, size_t Gain::*axis, size_t index) {
-  util::Accumulator acc;
+  util::MergeableAccumulator acc;
   for (const Gain& g : gains) {
     if (g.*axis == index) acc.add(g.pct);
   }
@@ -223,7 +224,7 @@ void fig_2(Context&) {
 
   // --- Render 336 sessions (16 videos x 7 traces x 3 ABRs). ---
   abr::BbaAbr bba;
-  auto fugu = core::Sensei::make_fugu();
+  auto fugu = abr::make_policy("fugu");
   auto& pensieve = Experiments::pensieve();
   std::vector<sim::AbrPolicy*> abrs = {&bba, fugu.get(), &pensieve};
 
@@ -476,7 +477,7 @@ void fig_6(Context&) {
   abr::OfflineScratch scratch;
   for (double scale : {0.2, 0.4, 0.6, 0.8, 1.0}) {
     auto trace = base_trace.scaled(scale);
-    util::Accumulator unaware_acc, aware_acc;
+    util::MergeableAccumulator unaware_acc, aware_acc;
     for (size_t v = 0; v < videos.size(); ++v) {
       const auto& video = videos[v];
       std::vector<double> ones(video.num_chunks(), 1.0);
@@ -532,7 +533,7 @@ std::vector<double> qoe_per_scale(Context& ctx, const std::string& name,
       ctx.runner());
   std::vector<double> out;
   for (size_t t = 0; t < scaled.size(); ++t) {
-    util::Accumulator acc;
+    util::MergeableAccumulator acc;
     for (size_t v = 0; v < videos.size(); ++v) acc.add(cells[v * scaled.size() + t].true_qoe);
     out.push_back(acc.mean());
   }
@@ -620,7 +621,7 @@ void fig_12c(Context& ctx) {
   // (Experiments::weights()), averaged over videos and every third trace.
   const auto& cells = ctx.grid("sensei-fugu");
   const size_t num_traces = Experiments::traces().size();
-  util::Accumulator acc;
+  util::MergeableAccumulator acc;
   for (size_t v = 0; v < Experiments::videos().size(); ++v) {
     for (size_t t = 0; t < num_traces; t += 3) acc.add(cells[v * num_traces + t].true_qoe);
   }
@@ -892,7 +893,7 @@ double mean_qoe(sim::AbrPolicy& policy, const net::ThroughputTrace& trace,
   const auto& videos = Experiments::videos();
   const auto& weights = Experiments::weights();
   const std::vector<double> none;
-  util::Accumulator acc;
+  util::MergeableAccumulator acc;
   for (size_t v = 0; v < videos.size(); ++v) {
     acc.add(Experiments::run(videos[v], trace, policy, use_weights ? weights[v] : none)
                 .true_qoe);
@@ -907,8 +908,8 @@ double mean_qoe(sim::AbrPolicy& policy, const net::ThroughputTrace& trace,
 void fig_17(Context&) {
   net::ThroughputTrace base = Experiments::traces()[5];  // ~2 Mbps cellular
 
-  auto fugu = core::Sensei::make_fugu();
-  auto sensei_fugu = core::Sensei::make_sensei_fugu();
+  auto fugu = abr::make_policy("fugu");
+  auto sensei_fugu = abr::make_policy("sensei-fugu");
   auto& pensieve = Experiments::pensieve();
   auto& sensei_pensieve = Experiments::sensei_pensieve();
 
@@ -941,7 +942,7 @@ void fig_17(Context&) {
     const auto& videos = Experiments::videos();
     const auto& weights = Experiments::weights();
     sim::Player player(player_cfg);
-    util::Accumulator acc;
+    util::MergeableAccumulator acc;
     for (size_t v = 0; v < videos.size(); v += 2) {
       auto session = player.stream(videos[v], base, policy, weights[v]);
       acc.add(Experiments::oracle().score(session.to_rendered(videos[v])));

@@ -39,7 +39,6 @@ sim::AbrObservation mid_session_observation() {
   obs.buffer_s = 12.0;
   obs.last_level = 2;
   obs.last_throughput_kbps = 1600.0;
-  obs.throughput_history_kbps = {1500, 1650, 1400, 1700, 1580, 1620, 1490, 1550};
   obs.future_weights = {1.2, 0.8, 1.5, 0.9, 1.0};
   return obs;
 }

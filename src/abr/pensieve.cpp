@@ -14,7 +14,7 @@ constexpr size_t kLadderLevels = 5;  // feature layout assumes the paper's ladde
 }
 
 PensieveAbr::PensieveAbr(PensieveConfig config, uint64_t seed)
-    : config_(config), rng_(seed) {
+    : config_(config), rng_(seed), taps_(config.throughput_taps) {
   size_t input = feature_count();
   actor_ = ml::Mlp(input,
                    {{config_.hidden_units, ml::Activation::kReLU},
@@ -37,23 +37,29 @@ size_t PensieveAbr::feature_count() const {
          (config_.sensei_mode ? config_.weight_horizon : 0);
 }
 
-std::vector<double> PensieveAbr::featurize(const sim::AbrObservation& obs) const {
+std::vector<double> PensieveAbr::featurize(const sim::AbrObservation& obs) {
+  // One tap per decision after the first: the goodput of the chunk just
+  // downloaded, zeros included.
+  if (obs.next_chunk == 0) {
+    taps_.clear();
+  } else {
+    taps_.push(obs.last_throughput_kbps);
+  }
+
   const auto& video = *obs.video;
   const size_t levels = video.ladder().level_count();
   std::vector<double> f;
   f.reserve(feature_count());
 
-  f.push_back(static_cast<double>(obs.last_level) / static_cast<double>(levels - 1));
+  // A one-rung ladder has no level to normalize by.
+  f.push_back(levels > 1 ? static_cast<double>(obs.last_level) / static_cast<double>(levels - 1)
+                         : 0.0);
   f.push_back(obs.buffer_s / 20.0);
 
-  // Most recent `taps` throughput samples, oldest first, zero-padded.
-  const auto& hist = obs.throughput_history_kbps;
+  // The taps, oldest first, zero-padded in front.
+  const size_t pad = config_.throughput_taps - taps_.size();
   for (size_t k = 0; k < config_.throughput_taps; ++k) {
-    if (hist.size() + k >= config_.throughput_taps) {
-      f.push_back(hist[hist.size() - config_.throughput_taps + k] / 5000.0);
-    } else {
-      f.push_back(0.0);
-    }
+    f.push_back(k < pad ? 0.0 : taps_[k - pad] / 5000.0);
   }
   f.push_back(obs.last_download_time_s / 10.0);
 
@@ -232,7 +238,9 @@ void PensieveTrainer::train(PensieveAbr& policy,
 
   // --- Phase 1: behaviour-cloning warm start from BBA. ---
   // A shim policy lets BBA drive the session while recording the student's
-  // feature vector and the teacher's action at every step.
+  // feature vector and the teacher's action at every step. featurize() also
+  // feeds the student's throughput taps, once per decision, as decide()
+  // would.
   struct CloningShim : sim::AbrPolicy {
     PensieveAbr* student = nullptr;
     BbaAbr teacher;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "ml/mlp.h"
+#include "net/predictor.h"
 #include "net/trace.h"
 #include "qoe/chunk_quality.h"
 #include "sim/player.h"
@@ -21,7 +22,7 @@ namespace sensei::abr {
 struct PensieveConfig {
   bool sensei_mode = false;       // weights in state + rebuffer actions + weighted reward
   size_t weight_horizon = 5;      // h: future weights visible in the state
-  size_t throughput_taps = 8;     // past-throughput taps in the state
+  size_t throughput_taps = 8;     // past goodputs in the state, oldest first
   size_t hidden_units = 48;
   double entropy_beta = 0.015;    // exploration bonus during training
   double explore_mix = 0.10;      // uniform mixing of the sampling policy
@@ -71,7 +72,11 @@ class PensieveAbr : public sim::AbrPolicy {
 
   size_t action_count() const;
   size_t feature_count() const;
-  std::vector<double> featurize(const sim::AbrObservation& obs) const;
+  // The state vector for one decision. It first takes the observation's
+  // goodput into the throughput taps (which clear at chunk 0), so it is
+  // called exactly once per decision: by decide(), and by the trainer's
+  // behaviour-cloning shim in its place.
+  std::vector<double> featurize(const sim::AbrObservation& obs);
 
   const PensieveConfig& config() const { return config_; }
 
@@ -83,6 +88,7 @@ class PensieveAbr : public sim::AbrPolicy {
   bool training_ = false;
   double entropy_scale_ = 1.0;
   std::vector<Step> episode_;
+  net::SampleWindow taps_;  // the session's last throughput_taps goodputs
 };
 
 // Trains a policy over (video, trace) pairs. When `weights_per_video` is

@@ -122,8 +122,8 @@ std::unique_ptr<sim::AbrPolicy> make_policy(const std::string& spec_text);
 
 // Canonical text of a double for spec values: the shortest printf form that
 // strtod's back to the exact same bits ("%g", widening to "%.17g" when %g
-// loses precision). Used by canonicalize() and by callers that assemble
-// specs from config structs (core::Sensei's factory wrappers).
+// loses precision). Used by canonicalize(), and by any caller that writes a
+// spec text from a config struct.
 std::string format_spec_double(double value);
 
 }  // namespace sensei::abr

@@ -5,6 +5,7 @@
 
 #include "abr/registry.h"
 #include "qoe/ksqi.h"
+#include "qoe/sensei_qoe.h"
 
 namespace sensei::core {
 
@@ -81,9 +82,9 @@ abr::PensieveAbr* train_selected(bool sensei_mode,
   abr::PensieveAbr* best = nullptr;
   double best_score = -1e18;
   for (uint64_t seed : seeds) {
-    auto policy = (sensei_mode ? Sensei::make_sensei_pensieve(seed)
-                               : Sensei::make_pensieve(seed))
-                      .release();
+    abr::PensieveConfig config;
+    config.sensei_mode = sensei_mode;
+    auto* policy = new abr::PensieveAbr(config, seed);
     abr::PensieveTrainer::Options options;
     options.episodes = 6000;
     options.seed = seed * 31 + 7;

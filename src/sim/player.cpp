@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "sim/timeline.h"
+#include "sim/session_engine.h"
 
 namespace sensei::sim {
 
@@ -13,7 +13,7 @@ Player::Player(PlayerConfig config) : config_(config) {
 SessionResult Player::stream(const media::EncodedVideo& video,
                              const net::ThroughputTrace& trace, AbrPolicy& policy,
                              const std::vector<double>& weights) const {
-  return stream_timeline(config_, video, trace, policy, weights);
+  return SessionEngine(config_, video, trace, policy, weights).run();
 }
 
 }  // namespace sensei::sim

@@ -11,13 +11,13 @@
 // pause length and the pause is charged to the next chunk's stall time
 // (exactly how SENSEI-Pensieve's "increment the buffer state" is described).
 //
-// Session timing is owned by the exact event-driven timeline engine
-// (sim/timeline.h) — itself a thin run-to-completion drive of the resumable
-// sim::SessionEngine state machine (sim/session_engine.h), which
-// sim::Simulator interleaves for multi-session contention scenarios. The
-// pre-timeline accounting loop survives only as a test oracle
-// (tests/oracles/legacy_player.h), the reference for the bit-identity gate
-// in tests/test_timeline.cpp.
+// Session timing is owned by the resumable sim::SessionEngine state machine
+// (sim/session_engine.h): Player::stream drives one engine to completion,
+// and sim::Simulator interleaves many for multi-session contention
+// scenarios; the trajectory it records is a sim::SessionTimeline
+// (sim/timeline.h). The pre-timeline accounting loop survives only as a
+// test oracle (tests/oracles/legacy_player.h), the reference for the
+// bit-identity gate in tests/test_timeline.cpp.
 #pragma once
 
 #include <cstdint>
@@ -44,21 +44,10 @@ struct AbrObservation {
   size_t last_level = 0;
   double last_throughput_kbps = 0.0;          // goodput of the last download (RTT excluded)
   double last_download_time_s = 0.0;          // wall time incl. RTT
-  std::vector<double> throughput_history_kbps;  // most recent last
   const media::EncodedVideo* video = nullptr;
   // Sensitivity weights for chunks [next_chunk, next_chunk + h); empty when
   // the manifest carries none (weight-unaware ABRs simply ignore it).
   std::vector<double> future_weights;
-
-  // --- session trajectory context (the legacy test oracle leaves these at
-  // their defaults) ---------------------------------------------------------
-  double wall_clock_s = 0.0;     // seconds since the session began
-  double playhead_s = 0.0;       // media seconds rendered so far
-  double total_stall_s = 0.0;    // cumulative stall (unscheduled + scheduled)
-  double last_rtt_s = 0.0;       // request dead time of the last download
-  // The exact per-chunk trajectory so far (nullptr when record_timeline is
-  // off, and under the legacy test oracle).
-  const SessionTimeline* timeline = nullptr;
 };
 
 struct AbrDecision {
@@ -115,7 +104,6 @@ struct ResilienceConfig {
 struct PlayerConfig {
   double max_buffer_s = 30.0;
   double rtt_s = 0.08;
-  size_t throughput_history_len = 8;
   // Sensitivity look-ahead horizon handed to the ABR (paper picks h = 5).
   size_t weight_horizon = 5;
   // Multi-session runs only (sim::Simulator, and sim::FleetSimulator across
@@ -124,10 +112,10 @@ struct PlayerConfig {
   // run. Bit-identical output either way; off exists for A/B tests.
   bool share_plan_tables = true;
   // Record the per-chunk SessionTimeline trajectory. Decisions and the
-  // emitted ChunkRecords are byte-identical either way (no shipped policy
-  // reads AbrObservation::timeline); opting out skips the per-session
-  // timeline allocation entirely — the fleet-scale memory mode. With it off,
-  // SessionResult::timeline() is null and AbrObservation::timeline is null.
+  // emitted ChunkRecords are byte-identical either way (policies never see
+  // the timeline); opting out skips the per-session timeline allocation
+  // entirely — the fleet-scale memory mode. With it off,
+  // SessionResult::timeline() is null.
   bool record_timeline = true;
   // Timeout/retry/backoff recovery; disabled by default (see above).
   ResilienceConfig resilience;

@@ -66,19 +66,14 @@ void SessionEngine::init(const PlayerConfig& config, const std::vector<double>& 
   } else {
     timeline_.reset();
   }
-  history_.clear();
-  history_.reserve(config_.throughput_history_len + 1);
   records_.clear();
   records_.reserve(n_);
 
-  // One observation reused across the session: its vectors reach their
-  // high-water capacity during the first chunks and the per-chunk refills
-  // never touch the heap again (the monolithic loop's discipline).
+  // One observation reused across the session: its weight slice reaches its
+  // high-water capacity here and the per-chunk refills never touch the heap
+  // again (the monolithic loop's discipline).
   obs_.num_chunks = n_;  // the full video — abandonment is invisible to the ABR
   obs_.video = video_;
-  obs_.timeline = timeline_.get();
-  obs_.throughput_history_kbps.clear();
-  obs_.throughput_history_kbps.reserve(config_.throughput_history_len + 1);
   obs_.future_weights.clear();
   obs_.future_weights.reserve(config_.weight_horizon);
 
@@ -101,7 +96,6 @@ void SessionEngine::init(const PlayerConfig& config, const std::vector<double>& 
   faults_ = nullptr;
   session_tag_ = 0;
   cur_rtt_s_ = config_.rtt_s;
-  last_rtt_s_ = 0.0;
   attempt_start_abs_s_ = 0.0;
   deadline_abs_s_ = kInf;
   pending_timeout_ = false;
@@ -241,16 +235,11 @@ void SessionEngine::issue_request() {
   obs_.last_level = last_level_;
   obs_.last_throughput_kbps = last_throughput_;
   obs_.last_download_time_s = last_download_time_;
-  obs_.throughput_history_kbps = history_;
   if (weights_ != nullptr) {
     size_t end = std::min(n_, i + config_.weight_horizon);
     obs_.future_weights.assign(weights_->begin() + static_cast<long>(i),
                                weights_->begin() + static_cast<long>(end));
   }
-  obs_.wall_clock_s = wall_clock_s_;
-  obs_.playhead_s = playhead_s_;
-  obs_.total_stall_s = total_stall_s_;
-  obs_.last_rtt_s = i > 0 ? last_rtt_s_ : 0.0;
 
   AbrDecision decision = policy_->decide(obs_);
   if (decision.level >= levels_) decision.level = levels_ - 1;
@@ -524,10 +513,7 @@ void SessionEngine::finish_chunk() {
                          : 0.0;
   traj_.goodput_kbps = last_throughput_;
   last_download_time_ = dl;
-  last_rtt_s_ = cur_rtt_s_;
   last_level_ = rec_.level;
-  history_.push_back(last_throughput_);
-  if (history_.size() > config_.throughput_history_len) history_.erase(history_.begin());
   if (chunk_reattempts_ > 0) ++recovered_chunks_;
 
   if (timeline_) timeline_->push_chunk(traj_);

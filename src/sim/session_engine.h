@@ -1,11 +1,11 @@
 // Resumable streaming-session engine.
 //
-// SessionEngine is the event-driven session timeline of sim/timeline.h
-// decomposed into an explicit, interruptible state machine so the
-// discrete-event loop (sim/cell_loop.h) can interleave many concurrent
-// sessions over a shared clock. One engine owns everything the monolithic
-// loop owned — the ABR observation buffers, the throughput history ring,
-// the trace cursor, the in-flight chunk's record and trajectory — and
+// SessionEngine is the simulator's one session timing engine: an explicit,
+// interruptible state machine, so the discrete-event loop
+// (sim/cell_loop.h) can interleave many concurrent sessions over a shared
+// clock, and Player::stream can drive one to completion. One engine owns
+// the session's state — the ABR observation, the trace cursor, the
+// in-flight chunk's record and its sim::SessionTimeline trajectory — and
 // exposes the session as a sequence of timed transitions:
 //
 //   kRequesting --(decide)--> kRtt --(request dead time)--> kTransferring
@@ -46,11 +46,10 @@
 // Equivalence is the load-bearing property: however advance_to slices the
 // session — one call to run(), or thousands of interleaved event-step calls
 // from a Simulator — the emitted SessionResult and SessionTimeline are
-// bit-identical to the monolithic loop this replaces, because each state
-// executes the exact statements (same expressions, same order) of the
-// original loop body. Player::stream and stream_timeline are now thin
-// run-to-completion wrappers over this class; tests/test_simulator.cpp
-// gates Simulator-driven sessions against them, and the legacy-vs-timeline
+// bit-identical, because each state executes the exact statements (same
+// expressions, same order) of the run-to-completion loop body.
+// Player::stream is run() on a dedicated link; tests/test_simulator.cpp
+// gates Simulator-driven sessions against it, and the legacy-vs-timeline
 // gate of tests/test_timeline.cpp pins the numbers themselves.
 #pragma once
 
@@ -256,7 +255,6 @@ class SessionEngine {
   size_t last_level_ = 0;
   double last_throughput_ = 0.0;
   double last_download_time_ = 0.0;
-  std::vector<double> history_;
   std::vector<ChunkRecord> records_;
   std::shared_ptr<SessionTimeline> timeline_;
   AbrObservation obs_;
@@ -278,7 +276,6 @@ class SessionEngine {
   const net::FaultPlan* faults_ = nullptr;  // nullable; RTT spikes only
   uint64_t session_tag_ = 0;                // jitter identity salt
   double cur_rtt_s_ = 0.0;                  // RTT of the attempt in flight
-  double last_rtt_s_ = 0.0;                 // RTT of the last delivered chunk
   double attempt_start_abs_s_ = 0.0;        // when the in-flight attempt was issued
   double deadline_abs_s_ = 0.0;             // attempt start + timeout (+inf disabled)
   bool pending_timeout_ = false;            // dedicated: this attempt cannot beat its deadline

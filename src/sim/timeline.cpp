@@ -6,9 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "sim/player.h"
-#include "sim/session_engine.h"
-
 namespace sensei::sim {
 
 const char* to_string(TimelineEventKind kind) {
@@ -191,17 +188,6 @@ bool SessionTimeline::check_invariants(std::string* why) const {
     return violate(outage_chunk_, "outage chunk does not follow the last completed chunk");
   }
   return true;
-}
-
-// The monolithic accounting loop this function used to carry lives on as
-// sim::SessionEngine, an interruptible state machine whose states execute
-// the same statements in the same order — run-to-completion streaming is
-// now just the degenerate drive of that machine.
-SessionResult stream_timeline(const PlayerConfig& config, const media::EncodedVideo& video,
-                              const net::ThroughputTrace& trace, AbrPolicy& policy,
-                              const std::vector<double>& weights) {
-  SessionEngine engine(config, video, trace, policy, weights);
-  return engine.run();
 }
 
 }  // namespace sensei::sim

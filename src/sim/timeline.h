@@ -41,14 +41,9 @@
 #include <string>
 #include <vector>
 
-#include "media/encoder.h"
-#include "net/trace.h"
 #include "sim/session.h"
 
 namespace sensei::sim {
-
-class AbrPolicy;     // sim/player.h
-struct PlayerConfig; // sim/player.h
 
 // Exact per-chunk timing decomposition. All wall-clock fields are seconds
 // since the session began (the first request is issued at 0).
@@ -159,7 +154,7 @@ class SessionTimeline {
   // test suite after every engine change.
   bool check_invariants(std::string* why = nullptr) const;
 
-  // --- engine-side mutation (used by stream_timeline) ---------------------
+  // --- engine-side mutation (used by sim::SessionEngine) -------------------
   // Pre-sizes the trajectory store so the per-chunk push never reallocates
   // on the session hot path.
   void reserve(size_t num_chunks) { chunks_.reserve(num_chunks); }
@@ -176,16 +171,5 @@ class SessionTimeline {
   size_t outage_chunk_ = 0;
   double outage_wall_s_ = 0.0;
 };
-
-// The event-driven engine: streams `video` over `trace` under `policy`,
-// producing the SessionResult (with the timeline attached — see
-// SessionResult::timeline()) and the exact trajectory. On an outage the
-// session truncates at the doomed chunk and the result/timeline are marked
-// SessionOutcome::kOutage. Implemented by driving a sim::SessionEngine
-// (sim/session_engine.h) to completion — the resumable state machine a
-// sim::Simulator interleaves for multi-session runs.
-SessionResult stream_timeline(const PlayerConfig& config, const media::EncodedVideo& video,
-                              const net::ThroughputTrace& trace, AbrPolicy& policy,
-                              const std::vector<double>& weights);
 
 }  // namespace sensei::sim

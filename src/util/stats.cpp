@@ -145,22 +145,9 @@ std::vector<double> normalize01(const std::vector<double>& v) {
 
 double clamp(double x, double lo, double hi) { return std::min(hi, std::max(lo, x)); }
 
-void Accumulator::add(double x) {
-  ++n_;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double Accumulator::variance() const {
-  return n_ ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double Accumulator::stddev() const { return std::sqrt(variance()); }
-
 void MergeableAccumulator::add(double x) {
-  // The identical update sequence to Accumulator::add — the equivalence the
-  // tests pin (same running mean_/m2_ bit for bit).
+  // Welford's update; tests/test_stats.cpp pins it bit for bit against a
+  // plain reference.
   ++n_;
   double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);

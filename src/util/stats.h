@@ -50,25 +50,9 @@ std::vector<double> normalize01(const std::vector<double>& v);
 // Clamps x into [lo, hi].
 double clamp(double x, double lo, double hi);
 
-// Simple online accumulator for mean/variance (Welford).
-class Accumulator {
- public:
-  void add(double x);
-  size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  // population
-  double stddev() const;
-
- private:
-  size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
-
-// Mergeable Welford accumulator with exact min/max: the streaming-aggregation
-// primitive of the fleet simulator. add() performs the identical update
-// sequence to Accumulator (same expressions, same order — bit-identical
-// running state); merge() is Chan et al.'s pairwise combination. Merging is
+// Online mean/variance accumulator (Welford) with exact min/max, mergeable:
+// the streaming-aggregation primitive of the fleet simulator and the
+// figures. merge() is Chan et al.'s pairwise combination. Merging is
 // deterministic for a fixed merge order, which is how the fleet keeps its
 // aggregates bit-identical across thread and shard counts: per-cell
 // accumulators are filled single-threaded and folded serially in cell order.

@@ -26,8 +26,6 @@ sim::SessionResult stream_legacy(const sim::PlayerConfig& config,
   size_t last_level = 0;
   double last_throughput = 0.0;
   double last_download_time = 0.0;
-  std::vector<double> history;
-  history.reserve(config.throughput_history_len + 1);
 
   std::vector<sim::ChunkRecord> records;
   records.reserve(n);
@@ -38,7 +36,6 @@ sim::SessionResult stream_legacy(const sim::PlayerConfig& config,
   sim::AbrObservation obs;
   obs.num_chunks = n;
   obs.video = &video;
-  obs.throughput_history_kbps.reserve(config.throughput_history_len + 1);
   obs.future_weights.reserve(config.weight_horizon);
 
   for (size_t i = 0; i < n; ++i) {
@@ -47,7 +44,6 @@ sim::SessionResult stream_legacy(const sim::PlayerConfig& config,
     obs.last_level = last_level;
     obs.last_throughput_kbps = last_throughput;
     obs.last_download_time_s = last_download_time;
-    obs.throughput_history_kbps = history;
     if (!weights.empty()) {
       size_t end = std::min(n, i + config.weight_horizon);
       obs.future_weights.assign(weights.begin() + static_cast<long>(i),
@@ -107,8 +103,6 @@ sim::SessionResult stream_legacy(const sim::PlayerConfig& config,
     last_throughput = dl > 0.0 ? rep.size_bytes * 8.0 / 1000.0 / dl : 0.0;
     last_download_time = dl;
     last_level = decision.level;
-    history.push_back(last_throughput);
-    if (history.size() > config.throughput_history_len) history.erase(history.begin());
 
     records.push_back(rec);
   }

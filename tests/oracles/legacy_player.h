@@ -1,9 +1,9 @@
 // The pre-timeline accounting loop of the player simulator, frozen as the
 // reference for the timeline engine's bit-identity gate
 // (tests/test_timeline.cpp). Production sessions run only through
-// sim::Player::stream (the timeline engine, sim/timeline.h); this loop lives
-// in the test-only oracle library and reaches the library through its public
-// API alone.
+// sim::Player::stream (the session engine, sim/session_engine.h); this loop
+// lives in the test-only oracle library and reaches the library through its
+// public API alone.
 //
 // It keeps two old bugs on purpose: RTT is folded into the goodput estimate
 // and a dead link yields unbounded download times rather than a typed
@@ -23,8 +23,8 @@
 namespace sensei::oracles {
 
 // Streams `video` over `trace` under `policy` with `config`'s buffer cap,
-// RTT, history length and weight horizon (the resilience and timeline
-// settings do not apply to this loop).
+// RTT and weight horizon (the resilience and timeline settings do not
+// apply to this loop).
 sim::SessionResult stream_legacy(const sim::PlayerConfig& config,
                                  const media::EncodedVideo& video,
                                  const net::ThroughputTrace& trace, sim::AbrPolicy& policy,

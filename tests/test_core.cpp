@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/pipeline.h"
 #include "media/dataset.h"
+#include "qoe/sensei_qoe.h"
 #include "util/stats.h"
 
 namespace sensei::core {
@@ -40,30 +40,11 @@ TEST_F(CoreTest, ManifestSurvivesXmlRoundTrip) {
 TEST_F(CoreTest, QoeModelBuiltFromProfile) {
   Sensei sensei(oracle_, crowd::SchedulerConfig(), 13);
   ProfileOutput out = sensei.profile(video_);
-  qoe::SenseiQoeModel model = ProfilingPipeline::make_qoe_model(out);
+  qoe::SenseiQoeModel model(out.profile.weights);
   EXPECT_EQ(model.weights(), out.profile.weights);
   double q = model.predict(sim::RenderedVideo::pristine(video_));
   EXPECT_GT(q, 0.0);
   EXPECT_LE(q, 1.0);
-}
-
-TEST_F(CoreTest, FactoryConfigurations) {
-  auto fugu = Sensei::make_fugu();
-  EXPECT_FALSE(fugu->config().use_weights);
-  EXPECT_EQ(fugu->config().rebuffer_options.size(), 1u);
-
-  auto sensei_fugu = Sensei::make_sensei_fugu();
-  EXPECT_TRUE(sensei_fugu->config().use_weights);
-  EXPECT_EQ(sensei_fugu->config().rebuffer_options.size(), 3u);
-
-  auto bitrate_only = Sensei::make_sensei_fugu_bitrate_only();
-  EXPECT_TRUE(bitrate_only->config().use_weights);
-  EXPECT_EQ(bitrate_only->config().rebuffer_options.size(), 1u);
-
-  auto pensieve = Sensei::make_pensieve();
-  EXPECT_FALSE(pensieve->config().sensei_mode);
-  auto sensei_pensieve = Sensei::make_sensei_pensieve();
-  EXPECT_TRUE(sensei_pensieve->config().sensei_mode);
 }
 
 TEST_F(CoreTest, ProfilingIsDeterministicPerSeed) {

@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include "abr/bba.h"
+#include "abr/registry.h"
 #include "core/sensei.h"
 #include "media/dataset.h"
 #include "net/trace_gen.h"
 #include "qoe/ksqi.h"
+#include "qoe/sensei_qoe.h"
 #include "sim/player.h"
 #include "util/stats.h"
 
@@ -27,8 +29,8 @@ TEST_F(IntegrationTest, FullPipelineProfileStreamScore) {
   sim::Manifest manifest = sim::Manifest::from_xml(profiled.manifest.to_xml());
 
   sim::Player player;
-  auto sensei_fugu = core::Sensei::make_sensei_fugu();
-  auto fugu = core::Sensei::make_fugu();
+  auto sensei_fugu = abr::make_policy("sensei-fugu");
+  auto fugu = abr::make_policy("fugu");
 
   // Average over several constrained cellular traces: single sessions on
   // bursty links are chaotic, the aggregate must be competitive.

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "media/dataset.h"
 #include "net/trace_gen.h"
 #include "qoe/ksqi.h"
@@ -43,7 +45,7 @@ TEST_F(PensieveTest, FeaturizeProducesBoundedValues) {
   obs.num_chunks = video_.num_chunks();
   obs.buffer_s = 15.0;
   obs.last_level = 3;
-  obs.throughput_history_kbps = {1000, 2000, 1500};
+  obs.last_throughput_kbps = 1500.0;
   obs.future_weights = {1.2, 0.8};
   auto f = policy.featurize(obs);
   ASSERT_EQ(f.size(), policy.feature_count());
@@ -54,6 +56,49 @@ TEST_F(PensieveTest, FeaturizeProducesBoundedValues) {
   // Missing future weights pad with 1.0.
   EXPECT_DOUBLE_EQ(f[f.size() - 1], 1.0);
   EXPECT_DOUBLE_EQ(f[f.size() - 5], 1.2);
+}
+
+// The throughput taps are features 2 .. 2 + throughput_taps: the session's
+// last goodputs, oldest first, zero-padded in front.
+TEST_F(PensieveTest, ThroughputTapsHoldTheSessionsLastGoodputs) {
+  PensieveConfig cfg;
+  cfg.throughput_taps = 3;
+  PensieveAbr policy{cfg, 3};
+  sim::AbrObservation obs;
+  obs.video = &video_;
+  obs.num_chunks = video_.num_chunks();
+  auto taps = [&](size_t chunk, double last_kbps) {
+    obs.next_chunk = chunk;
+    obs.last_throughput_kbps = last_kbps;
+    const std::vector<double> f = policy.featurize(obs);
+    return std::vector<double>(f.begin() + 2, f.begin() + 2 + 3);
+  };
+  using V = std::vector<double>;
+  // Chunk 0 takes no tap: its observation has no download behind it.
+  EXPECT_EQ(taps(0, 9999.0), (V{0.0, 0.0, 0.0}));
+  EXPECT_EQ(taps(1, 1000.0), (V{0.0, 0.0, 0.2}));
+  // A zero goodput is a tap, not a gap.
+  EXPECT_EQ(taps(2, 0.0), (V{0.0, 0.2, 0.0}));
+  EXPECT_EQ(taps(3, 2000.0), (V{0.2, 0.0, 0.4}));
+  // Bounded: the oldest tap leaves.
+  EXPECT_EQ(taps(4, 2500.0), (V{0.0, 0.4, 0.5}));
+  // Chunk 0 of the next session clears them.
+  EXPECT_EQ(taps(0, 2500.0), (V{0.0, 0.0, 0.0}));
+  EXPECT_EQ(taps(1, 500.0), (V{0.0, 0.0, 0.1}));
+}
+
+// A one-rung ladder leaves no level to normalize by: the last-level
+// feature is 0, never 0/0.
+TEST_F(PensieveTest, OneRungLadderFeaturesAreFinite) {
+  auto video = media::Encoder(media::BitrateLadder({500.0}))
+                   .encode(media::SourceVideo::generate("OneRung", media::Genre::kSports, 60));
+  PensieveAbr policy{PensieveConfig{}, 4};
+  policy.set_training(true);
+  auto s = player_.stream(video, net::TraceGenerator::broadband("b", 2000, 600.0, 5), policy);
+  ASSERT_EQ(policy.episode().size(), s.chunks().size());
+  for (const PensieveAbr::Step& step : policy.episode()) {
+    for (double v : step.features) EXPECT_TRUE(std::isfinite(v));
+  }
 }
 
 TEST_F(PensieveTest, GreedyDecisionsAreDeterministic) {

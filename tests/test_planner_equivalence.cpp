@@ -396,16 +396,18 @@ TEST(PlannerGridDeterminism, GridBitIdenticalAcrossPlannersAndThreads) {
     weights.push_back(std::move(w));
   }
 
-  // The exhaustive side runs the DP policy's own config on the reference
-  // planner.
+  // Both sides run SENSEI-Fugu's config; the exhaustive side plans it on
+  // the reference planner.
+  FuguConfig sensei_fugu;
+  sensei_fugu.use_weights = true;
+  sensei_fugu.rebuffer_options = {0.0, 1.0, 2.0};
   auto run = [&](bool exhaustive, size_t threads) {
     core::ExperimentRunner runner(threads);
     return core::Experiments::run_grid(
         videos, traces,
-        [exhaustive]() -> std::unique_ptr<sim::AbrPolicy> {
-          std::unique_ptr<FuguAbr> dp = core::Sensei::make_sensei_fugu({});
-          if (!exhaustive) return dp;
-          return std::make_unique<FuguAbr>(dp->config(),
+        [exhaustive, &sensei_fugu]() -> std::unique_ptr<sim::AbrPolicy> {
+          if (!exhaustive) return std::make_unique<FuguAbr>(sensei_fugu);
+          return std::make_unique<FuguAbr>(sensei_fugu,
                                            std::make_unique<oracles::ExhaustivePlanner>());
         },
         weights, runner);

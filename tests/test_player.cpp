@@ -131,14 +131,6 @@ TEST_F(PlayerTest, WrongWeightVectorSizeThrows) {
   EXPECT_THROW(player_.stream(video_, fast_, policy, weights), std::runtime_error);
 }
 
-TEST_F(PlayerTest, ThroughputHistoryBounded) {
-  ScriptedPolicy policy({{2, 0.0}});
-  player_.stream(video_, fast_, policy);
-  EXPECT_LE(policy.last_obs_.throughput_history_kbps.size(),
-            PlayerConfig().throughput_history_len);
-  EXPECT_FALSE(policy.last_obs_.throughput_history_kbps.empty());
-}
-
 TEST_F(PlayerTest, OutOfRangeLevelIsClamped) {
   ScriptedPolicy policy({{99, 0.0}});
   SessionResult s = player_.stream(video_, fast_, policy);

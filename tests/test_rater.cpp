@@ -54,7 +54,7 @@ TEST(Rater, MosConvergesToTruth) {
   cfg.spammer_fraction = 0.0;
   cfg.partial_watch_fraction = 0.0;
   RaterPool pool(cfg, 8);
-  util::Accumulator acc;
+  util::MergeableAccumulator acc;
   for (int i = 0; i < 3000; ++i) {
     Rater r = pool.recruit();
     acc.add(RaterPool::stars_to_unit(pool.rate(r, 0.6).stars));
@@ -98,7 +98,7 @@ TEST(Rater, BiasIsPersistentPerRater) {
   RaterPool pool(cfg, 11);
   // A harsh rater stays harsh across many ratings.
   Rater r = pool.recruit();
-  util::Accumulator acc;
+  util::MergeableAccumulator acc;
   for (int i = 0; i < 200; ++i) acc.add(pool.rate(r, 0.5).stars);
   // The mean deviates from the unbiased expectation (3) according to bias.
   EXPECT_NEAR(acc.mean(), 3.0 + 4.0 * r.bias, 0.35);

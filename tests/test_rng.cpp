@@ -54,7 +54,7 @@ TEST(Rng, UniformRangeRespectsBounds) {
 
 TEST(Rng, UniformMeanNearHalf) {
   Rng rng(9);
-  Accumulator acc;
+  MergeableAccumulator acc;
   for (int i = 0; i < 20000; ++i) acc.add(rng.uniform());
   EXPECT_NEAR(acc.mean(), 0.5, 0.01);
 }
@@ -76,7 +76,7 @@ TEST(Rng, UniformIntDegenerateRange) {
 
 TEST(Rng, NormalMoments) {
   Rng rng(12);
-  Accumulator acc;
+  MergeableAccumulator acc;
   for (int i = 0; i < 50000; ++i) acc.add(rng.normal());
   EXPECT_NEAR(acc.mean(), 0.0, 0.02);
   EXPECT_NEAR(acc.stddev(), 1.0, 0.02);
@@ -84,7 +84,7 @@ TEST(Rng, NormalMoments) {
 
 TEST(Rng, NormalScaledMoments) {
   Rng rng(13);
-  Accumulator acc;
+  MergeableAccumulator acc;
   for (int i = 0; i < 50000; ++i) acc.add(rng.normal(10.0, 3.0));
   EXPECT_NEAR(acc.mean(), 10.0, 0.1);
   EXPECT_NEAR(acc.stddev(), 3.0, 0.1);
@@ -99,7 +99,7 @@ TEST(Rng, ChanceProbability) {
 
 TEST(Rng, ExponentialMean) {
   Rng rng(15);
-  Accumulator acc;
+  MergeableAccumulator acc;
   for (int i = 0; i < 30000; ++i) acc.add(rng.exponential(5.0));
   EXPECT_NEAR(acc.mean(), 5.0, 0.15);
 }

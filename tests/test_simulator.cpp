@@ -668,8 +668,8 @@ TEST(MultiSessionGrid, BitIdenticalAcrossRunnerThreads) {
 }
 
 TEST(RecordTimelineOptOut, ChunkRecordsAreByteIdenticalWithoutATimeline) {
-  // record_timeline = false is a pure memory opt-out: no shipped policy
-  // reads AbrObservation::timeline, so every decision and every emitted
+  // record_timeline = false is a pure memory opt-out: no policy sees the
+  // timeline, so every decision and every emitted
   // ChunkRecord must stay byte-for-byte what the recording run produced —
   // only SessionResult::timeline() disappears.
   auto video = media::Encoder().encode(

@@ -141,7 +141,7 @@ TEST(Stats, Clamp) {
 
 TEST(Stats, AccumulatorMatchesBatch) {
   std::vector<double> v = {1.5, 2.5, -3.0, 4.0, 0.0};
-  Accumulator acc;
+  MergeableAccumulator acc;
   for (double x : v) acc.add(x);
   EXPECT_EQ(acc.count(), v.size());
   EXPECT_NEAR(acc.mean(), mean(v), 1e-12);
@@ -153,17 +153,23 @@ TEST(Stats, AccumulatorMatchesBatch) {
 
 TEST(MergeableAccumulator, MatchesPlainWelfordBitForBit) {
   util::Rng rng(7);
-  Accumulator plain;
+  // The textbook Welford recurrence, as the reference.
+  size_t n = 0;
+  double mean = 0.0;
+  double m2 = 0.0;
   MergeableAccumulator merged;
   for (int i = 0; i < 5000; ++i) {
     double x = rng.normal(3.0, 2.0);
-    plain.add(x);
+    ++n;
+    const double delta = x - mean;
+    mean += delta / static_cast<double>(n);
+    m2 += delta * (x - mean);
     merged.add(x);
     // Identical update sequence -> identical running state, not merely close.
-    ASSERT_EQ(plain.mean(), merged.mean());
-    ASSERT_EQ(plain.variance(), merged.variance());
+    ASSERT_EQ(mean, merged.mean());
+    ASSERT_EQ(m2 / static_cast<double>(n), merged.variance());
   }
-  EXPECT_EQ(plain.count(), merged.count());
+  EXPECT_EQ(n, merged.count());
 }
 
 TEST(MergeableAccumulator, TracksExactExtremes) {
@@ -180,7 +186,7 @@ TEST(MergeableAccumulator, MergeEquivalentToSingleStream) {
   std::vector<double> data;
   for (int i = 0; i < 4096; ++i) data.push_back(rng.uniform() * 100.0 - 20.0);
 
-  Accumulator single;
+  MergeableAccumulator single;
   for (double x : data) single.add(x);
 
   // Any contiguous sharding, folded in shard order, must agree with the

@@ -217,7 +217,6 @@ TEST(TimelineRtt, GoodputExcludesRtt) {
   }
   // The observation stream carries the unbiased estimate.
   EXPECT_NEAR(policy.last_obs_.last_throughput_kbps, 8000.0, 1e-6);
-  EXPECT_EQ(policy.last_obs_.last_rtt_s, 0.25);
 }
 
 // --- outage semantics ------------------------------------------------------
@@ -406,26 +405,6 @@ TEST(TimelineEvents, StallProfileMatchesSessionAccounting) {
   EXPECT_GT(profile.longest_stall_s, 0.0);
   EXPECT_GE(profile.first_stall_wall_s, 0.0);
   EXPECT_FALSE(profile.ended_in_outage);
-}
-
-TEST(TimelineObservation, TrajectoryContextReachesThePolicy) {
-  auto video = media::Encoder().encode(
-      media::SourceVideo::generate("Ctx", media::Genre::kSports, 120));
-  net::ThroughputTrace slow("slow", std::vector<double>(4000, 450.0), 1.0);
-  ScriptedPolicy policy({{4, 0.0}});
-  SessionResult s = Player().stream(video, slow, policy);
-  const auto& obs = policy.last_obs_;
-  ASSERT_NE(obs.timeline, nullptr);
-  // The observation points at the live timeline: by the time the session
-  // returns it has grown to cover every chunk.
-  EXPECT_EQ(obs.timeline->chunks().size(), video.num_chunks());
-  EXPECT_GT(obs.wall_clock_s, 0.0);
-  EXPECT_GT(obs.total_stall_s, 0.0);
-  EXPECT_GT(obs.playhead_s, 0.0);
-  // Media conservation at the decision point.
-  EXPECT_NEAR(obs.playhead_s + obs.buffer_s,
-              static_cast<double>(video.num_chunks() - 1) * video.chunk_duration_s(), 1e-6);
-  (void)s;
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include "abr/bba.h"
 #include "abr/fugu.h"
+#include "abr/registry.h"
 #include "core/experiments.h"
 #include "core/runner.h"
 #include "media/dataset.h"
@@ -244,7 +245,7 @@ TEST(TraceIndexGridDeterminism, GridBitIdenticalAcrossModesAndThreads) {
     core::ExperimentRunner runner(threads);
     if (fugu) {
       return core::Experiments::run_grid(
-          videos, traces, [] { return core::Sensei::make_sensei_fugu({}); }, weights, runner);
+          videos, traces, [] { return abr::make_policy("sensei-fugu"); }, weights, runner);
     }
     return core::Experiments::run_grid(
         videos, traces, [] { return std::make_unique<abr::BbaAbr>(); },
