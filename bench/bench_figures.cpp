@@ -34,7 +34,6 @@
 #include "crowd/campaign.h"
 #include "crowd/scheduler.h"
 #include "cv/cv_models.h"
-#include "qoe/ksqi.h"
 #include "qoe/lstm_qoe.h"
 #include "qoe/metrics.h"
 #include "qoe/p1203.h"
@@ -279,7 +278,7 @@ void fig_2(Context&) {
                                all_mos.end());
 
   // --- Models. SENSEI uses each test rendering's own per-video weights. ---
-  qoe::KsqiModel ksqi;
+  qoe::SenseiQoeModel ksqi;  // no weights: KSQI
   qoe::P1203Model p1203;
   qoe::LstmQoeModel lstm(12, 30, 0.01, 26);
   ksqi.train(train, train_mos);
@@ -750,7 +749,7 @@ void fig_15(Context&) {
                                         renderings.begin() + train_n);
   std::vector<double> train_mos(mos.begin(), mos.begin() + train_n);
 
-  qoe::KsqiModel ksqi;
+  qoe::SenseiQoeModel ksqi;  // no weights: KSQI
   qoe::P1203Model p1203;
   qoe::LstmQoeModel lstm(12, 30, 0.01, 27);
   ksqi.train(train, train_mos);
@@ -937,11 +936,9 @@ void fig_17(Context&) {
     cfg.rebuffer_options = {0.0, 1.0, 2.0};
     cfg.horizon = h;
     abr::FuguAbr policy(cfg);
-    sim::PlayerConfig player_cfg;
-    player_cfg.weight_horizon = h;
     const auto& videos = Experiments::videos();
     const auto& weights = Experiments::weights();
-    sim::Player player(player_cfg);
+    sim::Player player;
     util::MergeableAccumulator acc;
     for (size_t v = 0; v < videos.size(); v += 2) {
       auto session = player.stream(videos[v], base, policy, weights[v]);

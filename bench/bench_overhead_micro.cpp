@@ -39,7 +39,8 @@ sim::AbrObservation mid_session_observation() {
   obs.buffer_s = 12.0;
   obs.last_level = 2;
   obs.last_throughput_kbps = 1600.0;
-  obs.future_weights = {1.2, 0.8, 1.5, 0.9, 1.0};
+  static const std::vector<double> kWeights = {1.2, 0.8, 1.5, 0.9, 1.0};
+  obs.future_weights = {kWeights.data(), kWeights.size()};
   return obs;
 }
 

@@ -3,7 +3,7 @@
 namespace sensei::abr {
 
 FuguAbr::FuguAbr(FuguConfig config)
-    : FuguAbr(config, make_planner(config.planner, config.dp_buffer_quantum_s)) {}
+    : FuguAbr(config, make_planner(config.planner)) {}
 
 FuguAbr::FuguAbr(FuguConfig config, std::unique_ptr<Planner> planner)
     : config_(std::move(config)),

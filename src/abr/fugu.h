@@ -5,8 +5,9 @@
 // maximizing the expected sum of per-chunk quality q(b_j, t_j) (Eq. 3). Only
 // the first decision is acted upon; the controller replans every chunk.
 //
-// The weighted variant (Eq. 4) and the scheduled-rebuffering action are
-// added by SENSEI-Fugu in src/core; this class keeps the vanilla objective.
+// SENSEI-Fugu is this class with FuguConfig::use_weights (the weighted
+// objective, Eq. 4) and scheduled-rebuffering options; the registry's
+// sensei-fugu names set both.
 //
 // The lookahead itself is delegated to abr::Planner (src/abr/planner.h),
 // chosen by `FuguConfig::planner`: the exact branch-and-bound DpPlanner by
@@ -44,20 +45,15 @@ struct FuguConfig {
   // exact branch and bound; kVi is the discretized value iteration — lossy
   // but an order of magnitude faster, the fleet-scale mode (see planner.h).
   PlannerKind planner = PlannerKind::kDp;
-  // ViPlanner's value-table bucket width in seconds; <= 0 selects
-  // kDefaultViBufferQuantumS (2.0 s). The exact DP has no buffer
-  // discretization and rejects any value but 0 (make_planner throws
-  // std::invalid_argument naming this key).
-  double dp_buffer_quantum_s = 0.0;
 };
 
 class FuguAbr : public sim::AbrPolicy {
  public:
   // Builds the planner `config.planner` names (make_planner).
   explicit FuguAbr(FuguConfig config = FuguConfig());
-  // Runs `planner` in place of the one the config names; config.planner and
-  // config.dp_buffer_quantum_s are then unused. The seam through which the
-  // tests stream full sessions on the exhaustive reference planner.
+  // Runs `planner` in place of the one the config names; config.planner is
+  // then unused. The seam through which the tests stream full sessions on
+  // the exhaustive reference planner.
   FuguAbr(FuguConfig config, std::unique_ptr<Planner> planner);
 
   const char* name() const override { return config_.use_weights ? "Sensei-Fugu" : "Fugu"; }

@@ -199,7 +199,8 @@ sim::SessionResult plan_offline(const media::EncodedVideo& video,
       // the outage instead of accumulating infinite wall clocks.
       sim::SessionResult truncated(video.source().name(), trace.name() + "-offline", ctx.tau,
                                    std::move(records), startup);
-      truncated.set_outcome(sim::SessionOutcome::kOutage);
+      truncated.set_outcome(sim::SessionOutcome::kOutage, sim::OutcomeCause::kDeadLink,
+                            truncated.chunks().size());
       return truncated;
     }
     rec.download_time_s = dl;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "abr/bba.h"
 #include "util/stats.h"
@@ -85,7 +86,14 @@ std::vector<double> PensieveAbr::featurize(const sim::AbrObservation& obs) {
 }
 
 void PensieveAbr::begin_session(const media::EncodedVideo& video) {
-  (void)video;
+  // The action head and the size features have one slot per rung: a longer
+  // ladder's upper rungs could never be chosen.
+  const size_t rungs = video.ladder().level_count();
+  if (rungs > kLadderLevels) {
+    throw std::invalid_argument("pensieve: a " + std::to_string(rungs) +
+                                "-rung ladder is not supported; at most " +
+                                std::to_string(kLadderLevels) + " rungs");
+  }
   episode_.clear();
 }
 

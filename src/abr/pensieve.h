@@ -44,6 +44,8 @@ class PensieveAbr : public sim::AbrPolicy {
   const char* name() const override {
     return config_.sensei_mode ? "Sensei-Pensieve" : "Pensieve";
   }
+  // Throws std::invalid_argument on a ladder of more than five rungs: the
+  // action head and the chunk-size features have the paper ladder's five.
   void begin_session(const media::EncodedVideo& video) override;
   sim::AbrDecision decide(const sim::AbrObservation& obs) override;
 

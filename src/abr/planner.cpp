@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <stdexcept>
 
 namespace sensei::abr {
 
@@ -330,10 +329,16 @@ void PlanRows::bind(PlanBatch* batch, const PlanQuery& q, size_t depth_count) {
   for (size_t l = 0; l < L; ++l) {
     root_qn[l] = qoe::chunk_quality(vq[l], 0.0, q.prev_visual_quality, q.chunk);
   }
+  w.resize(depth_count);
+  for (size_t d = 0; d < depth_count; ++d) {
+    w[d] = q.use_weights && d < q.obs->future_weights.size()
+               ? 1.0 + q.weight_shrinkage * (q.obs->future_weights[d] - 1.0)
+               : 1.0;
+  }
 }
 
 size_t PlanRows::arena_bytes() const {
-  return (root_qn.capacity() + local_bits_.capacity() + local_vq_.capacity() +
+  return (root_qn.capacity() + w.capacity() + local_bits_.capacity() + local_vq_.capacity() +
           local_qn_.capacity()) *
          sizeof(double);
 }
@@ -344,7 +349,7 @@ size_t PlanRows::arena_bytes() const {
 
 size_t DpPlanner::arena_bytes() const {
   return rows_.arena_bytes() +
-         (dl_.capacity() + eqn_.capacity() + w_.capacity() + root_eqn_.capacity() +
+         (dl_.capacity() + eqn_.capacity() + root_eqn_.capacity() +
           bmax_.capacity() + bp_.capacity() + cub_.capacity() + root_cub_.capacity() +
           h_.capacity() + root_buf_.capacity() + kid_buf_.capacity() + cache_buf_.capacity()) *
              sizeof(double) +
@@ -363,15 +368,9 @@ void DpPlanner::precompute(const PlanQuery& q, size_t depth_count) {
 
   dl_.resize(depth_count * L * S);
   eqn_.resize(depth_count * L * L);
-  w_.resize(depth_count);
   root_eqn_.resize(L);
 
   for (size_t d = 0; d < depth_count; ++d) {
-    double w = 1.0;
-    if (q.use_weights && d < q.obs->future_weights.size()) {
-      w = 1.0 + q.weight_shrinkage * (q.obs->future_weights[d] - 1.0);
-    }
-    w_[d] = w;
     for (size_t l = 0; l < L; ++l) {
       for (size_t s = 0; s < S; ++s) {
         dl_[(d * L + l) * S + s] = download_s(rows_.bits_kb[d * L + l], q.scenarios[s].kbps);
@@ -453,7 +452,7 @@ void DpPlanner::precompute_bound(const PlanQuery& q, size_t depth_count) {
           dl[s] > b[s] ? vq - cp.beta_rebuf * qoe::stall_penalty(dl[s] - b[s], cp) : vq;
       e += q.scenarios[s].probability * std::max(cp.floor, rq - sw);
     }
-    return weighted_step_quality(w_[d], std::min(e, eqn), eqn);
+    return weighted_step_quality(rows_.w[d], std::min(e, eqn), eqn);
   };
   root_cub_.resize(L);
   for (size_t l = 0; l < L; ++l) {
@@ -552,11 +551,12 @@ void DpPlanner::fold_warm_start(size_t fixed) {
       double* out = &rows[l * S_];
       if (d == 0) {
         return weighted_step_quality(
-            w_[0], step(0, l, prev_vq, rows_.root_qn[l], q_->rebuffer_options[0], in, out),
+            rows_.w[0], step(0, l, prev_vq, rows_.root_qn[l], q_->rebuffer_options[0], in, out),
             root_eqn_[l]);
       }
       const size_t t = (d * L + l) * L + prev;
-      return weighted_step_quality(w_[d], step(d, l, prev_vq, rows_.qn[t], 0.0, in, out), eqn_[t]);
+      return weighted_step_quality(rows_.w[d], step(d, l, prev_vq, rows_.qn[t], 0.0, in, out),
+                                   eqn_[t]);
     };
     size_t arg = 0;
     double c = 0.0;
@@ -619,7 +619,7 @@ void DpPlanner::expand(size_t d, const Node& node, const double* buf) {
       kid.nostall = d == 0 ? sched == 0.0 : node.nostall;
       if (!useful(ub, kid.nostall)) continue;
       const double contribution = weighted_step_quality(
-          w_[d], step(d, level, prev_vq, qn, sched, buf, &rows[count * S_]), eqn);
+          rows_.w[d], step(d, level, prev_vq, qn, sched, buf, &rows[count * S_]), eqn);
       kid.level = static_cast<uint32_t>(level);
       kid.row = static_cast<uint32_t>(count);
       if (d == 0) {
@@ -762,7 +762,7 @@ ViPlanner::ViPlanner(double buffer_quantum_s)
 
 size_t ViPlanner::arena_bytes() const {
   return rows_.arena_bytes() +
-         (local_dl_.capacity() + prob_.capacity() + w_.capacity() + root_dl_.capacity() +
+         (local_dl_.capacity() + prob_.capacity() + root_dl_.capacity() +
           qkbps_.capacity() + key_.capacity() + width_.capacity()) *
              sizeof(double) +
          (local_v_cap_ + bcount_.capacity() + off_.capacity()) * sizeof(uint64_t);
@@ -781,15 +781,6 @@ void ViPlanner::precompute(const PlanQuery& q, size_t depth_count) {
   for (size_t s = 0; s < S; ++s) {
     qkbps_[s] = quantize_kbps(q.scenarios[s].kbps);
     prob_[s] = q.scenarios[s].probability;
-  }
-
-  w_.resize(depth_count);
-  for (size_t d = 0; d < depth_count; ++d) {
-    double w = 1.0;
-    if (q.use_weights && d < q.obs->future_weights.size()) {
-      w = 1.0 + q.weight_shrinkage * (q.obs->future_weights[d] - 1.0);
-    }
-    w_[d] = w;
   }
 
   // The root step is evaluated with the *exact* forecasts: the immediate
@@ -837,7 +828,7 @@ double ViPlanner::value_of(size_t depth, double buffer_s, size_t prev_level) {
 
   const double b0 = static_cast<double>(bucket) * width;
   const double prev_vq = rows_.vq[(depth - 1) * L_ + prev_level];
-  const double w = w_[depth];
+  const double w = rows_.w[depth];
   const double wstall = std::max(w, 1.0);
   double best = -1e18;
   for (size_t l = 0; l < L_; ++l) {
@@ -904,7 +895,7 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
       key_.push_back(qkbps_[s]);
       key_.push_back(prob_[s]);
     }
-    if (q.use_weights) key_.insert(key_.end(), w_.begin(), w_.end());
+    if (q.use_weights) key_.insert(key_.end(), rows_.w.begin(), rows_.w.end());
     // A steady session decides chunk n then n + 1 under an unchanged
     // context, so the context of the previous plan is compared first: a
     // match skips the hash and the index probe, and leaves the table one
@@ -925,7 +916,7 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
     v_cells_ = local_v_.get();
   }
 
-  const double w0 = w_[0];
+  const double w0 = rows_.w[0];
   const double wstall0 = std::max(w0, 1.0);
   // Depth-1 memo read with the hit path inlined: the root fold makes L*S of
   // these, and funneling every one through the recursive value_of call kept
@@ -976,19 +967,9 @@ PlanResult ViPlanner::plan(const PlanQuery& q) {
   return result;
 }
 
-std::unique_ptr<Planner> make_planner(PlannerKind kind, double dp_buffer_quantum_s) {
-  switch (kind) {
-    case PlannerKind::kVi:
-      return std::make_unique<ViPlanner>(dp_buffer_quantum_s);
-    case PlannerKind::kDp:
-    default:
-      if (dp_buffer_quantum_s != 0.0) {
-        throw std::invalid_argument(
-            "dp_buffer_quantum_s must be 0 for planner=dp, which is exact; a non-zero "
-            "bucket width needs planner=vi");
-      }
-      return std::make_unique<DpPlanner>();
-  }
+std::unique_ptr<Planner> make_planner(PlannerKind kind) {
+  if (kind == PlannerKind::kVi) return std::make_unique<ViPlanner>();
+  return std::make_unique<DpPlanner>();
 }
 
 }  // namespace sensei::abr

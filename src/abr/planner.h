@@ -352,13 +352,14 @@ class PlanBatch {
   std::atomic<const ViIndex*> vi_index_{nullptr};
 };
 
-// A planner's static rows for one lookahead window, chunks [base, base +
+// A planner's rows for one lookahead window, chunks [base, base +
 // depth_count): bits_kb and vq at [d * L + l], the no-stall chunk quality
 // after level p of the previous chunk at [(d * L + l) * L + p] for d >= 1,
-// and the root step's no-stall quality after the observed previous chunk.
-// With a PlanBatch the rows point into its whole-video tables; without one,
-// into local arenas that the batch's own builder fills for the window alone,
-// so both sources hold the same bits and the planners read them one way.
+// the root step's no-stall quality after the observed previous chunk, and
+// each depth's objective weight. With a PlanBatch the static rows point into
+// its whole-video tables; without one, into local arenas that the batch's
+// own builder fills for the window alone, so both sources hold the same
+// bits and the planners read them one way.
 class PlanRows {
  public:
   void bind(PlanBatch* batch, const PlanQuery& q, size_t depth_count);
@@ -370,6 +371,9 @@ class PlanRows {
   const double* vq = nullptr;
   const double* qn = nullptr;
   std::vector<double> root_qn;  // [l]
+  // [d]: the shrunk sensitivity weight 1 + shrinkage * (w - 1) of a query
+  // that uses weights (Eq. 4), else 1.
+  std::vector<double> w;
 
  private:
   // The batch's tables for the video/params of the previous bind(), so a
@@ -452,7 +456,6 @@ class DpPlanner : public Planner {
   // Precomputed per-decision tables (indexed [depth][level][...]).
   std::vector<double> dl_;   // expected download time per scenario
   std::vector<double> eqn_;  // probability-folded no-stall quality
-  std::vector<double> w_;    // per-depth sensitivity weight
   std::vector<double> root_eqn_;
   // Stall-aware step bound. bmax_[d * S + s] upper-bounds every buffer
   // reachable at depth d in scenario s; bp_[s] is the scratch row of the
@@ -566,7 +569,6 @@ class ViPlanner : public Planner {
   std::vector<double> local_dl_;  // [(d * L + l) * S + s]
   bool dl_ready_ = false;
   std::vector<double> prob_;     // [s]
-  std::vector<double> w_;        // per-depth sensitivity weight
   std::vector<double> root_dl_;  // depth-0 download times on *exact* kbps
 
   // Value cells for this decide(): the shared batch table's, or the local
@@ -576,9 +578,7 @@ class ViPlanner : public Planner {
   size_t local_v_cap_ = 0;
 };
 
-// `dp_buffer_quantum_s` is ViPlanner's bucket width (<= 0 selects the
-// default). DpPlanner is exact only: for kDp a non-zero value throws
-// std::invalid_argument naming the key.
-std::unique_ptr<Planner> make_planner(PlannerKind kind, double dp_buffer_quantum_s = 0.0);
+// The planner `kind` names, ViPlanner at its default bucket width.
+std::unique_ptr<Planner> make_planner(PlannerKind kind);
 
 }  // namespace sensei::abr

@@ -129,14 +129,15 @@ std::vector<KeyInfo> chunk_keys() {
   };
 }
 
-std::vector<KeyInfo> fugu_keys() {
+// A fugu variant lists only the keys that change its behaviour:
+// weight_shrinkage needs weights, rebuffer_margin needs a stall option.
+std::vector<KeyInfo> fugu_keys(bool use_weights, bool stall_options) {
   std::vector<KeyInfo> keys = chunk_keys();
   keys.push_back({"planner", KeyType::kEnum, "dp", {"dp", "vi"}});
   keys.push_back({"horizon", KeyType::kCount, "5", {}});
   keys.push_back({"predictor_window", KeyType::kCount, "8", {}});
-  keys.push_back({"dp_buffer_quantum_s", KeyType::kDouble, "0", {}});
-  keys.push_back({"rebuffer_margin", KeyType::kDouble, "0.35", {}});
-  keys.push_back({"weight_shrinkage", KeyType::kDouble, "0.8", {}});
+  if (stall_options) keys.push_back({"rebuffer_margin", KeyType::kDouble, "0.35", {}});
+  if (use_weights) keys.push_back({"weight_shrinkage", KeyType::kDouble, "0.8", {}});
   return keys;
 }
 
@@ -146,24 +147,28 @@ std::vector<KeyInfo> pensieve_keys(const char* default_seed) {
   return keys;
 }
 
-// One factory per fugu variant: the variant name fixes use_weights and the
-// scheduled-rebuffering action set (core/sensei.h §5.2), the spec keys fix
-// everything else. Field-for-field identical to direct FuguConfig
-// construction — the bit-identity contract.
-PolicyRegistry::Factory fugu_factory(bool use_weights, std::vector<double> rebuffer_options) {
-  return [use_weights, rebuffer_options](const PolicySpec& spec) {
-    FuguConfig cfg;
-    cfg.horizon = spec_size(spec, "horizon");
-    cfg.predictor_window = spec_size(spec, "predictor_window");
-    cfg.chunk = chunk_params_from(spec);
-    cfg.use_weights = use_weights;
-    cfg.weight_shrinkage = spec_double(spec, "weight_shrinkage");
-    cfg.rebuffer_options = rebuffer_options;
-    cfg.rebuffer_margin = spec_double(spec, "rebuffer_margin");
-    cfg.planner = planner_from(spec);
-    cfg.dp_buffer_quantum_s = spec_double(spec, "dp_buffer_quantum_s");
-    return std::unique_ptr<sim::AbrPolicy>(std::make_unique<FuguAbr>(cfg));
-  };
+// One fugu variant: the name fixes use_weights and the scheduled-
+// rebuffering action set (§5.2), the spec keys fix everything else; a key
+// the variant does not list keeps its FuguConfig default, which it never
+// reads. Field-for-field identical to direct FuguConfig construction — the
+// bit-identity contract.
+void register_fugu(PolicyRegistry& registry, const std::string& name, bool use_weights,
+                   std::vector<double> rebuffer_options) {
+  const bool stall_options = rebuffer_options.size() > 1;
+  registry.register_policy(
+      name, fugu_keys(use_weights, stall_options),
+      [use_weights, stall_options, rebuffer_options](const PolicySpec& spec) {
+        FuguConfig cfg;
+        cfg.horizon = spec_size(spec, "horizon");
+        cfg.predictor_window = spec_size(spec, "predictor_window");
+        cfg.chunk = chunk_params_from(spec);
+        cfg.use_weights = use_weights;
+        if (use_weights) cfg.weight_shrinkage = spec_double(spec, "weight_shrinkage");
+        cfg.rebuffer_options = rebuffer_options;
+        if (stall_options) cfg.rebuffer_margin = spec_double(spec, "rebuffer_margin");
+        cfg.planner = planner_from(spec);
+        return std::unique_ptr<sim::AbrPolicy>(std::make_unique<FuguAbr>(cfg));
+      });
 }
 
 PolicyRegistry::Factory pensieve_factory(bool sensei_mode) {
@@ -288,9 +293,9 @@ PolicyRegistry::PolicyRegistry() {
   // The fugu family: one FuguAbr, three names. The name fixes the SENSEI
   // delta (weighted objective, scheduled-rebuffering options); see
   // core/sensei.h.
-  register_policy("fugu", fugu_keys(), fugu_factory(false, {0.0}));
-  register_policy("sensei-fugu", fugu_keys(), fugu_factory(true, {0.0, 1.0, 2.0}));
-  register_policy("sensei-fugu-bitrate-only", fugu_keys(), fugu_factory(true, {0.0}));
+  register_fugu(*this, "fugu", false, {0.0});
+  register_fugu(*this, "sensei-fugu", true, {0.0, 1.0, 2.0});
+  register_fugu(*this, "sensei-fugu-bitrate-only", true, {0.0});
   // Registry-built Pensieve nets are freshly initialized from the seed, NOT
   // trained. Experiments::policy_factory overlays its cached trained
   // instances for the "pensieve"/"sensei-pensieve" names.

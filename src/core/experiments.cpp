@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "abr/registry.h"
-#include "qoe/ksqi.h"
 #include "qoe/sensei_qoe.h"
 
 namespace sensei::core {
@@ -92,7 +91,7 @@ abr::PensieveAbr* train_selected(bool sensei_mode,
                                 weight_set, options);
 
     // Validation: the system's own model scores sessions over the training
-    // traces (weighted model for SENSEI mode, plain KSQI otherwise).
+    // traces (weighted for SENSEI mode, KSQI without weights).
     double score = 0.0;
     sim::Player player;
     const std::vector<double> none;
@@ -101,12 +100,7 @@ abr::PensieveAbr* train_selected(bool sensei_mode,
       for (size_t t = 0; t < Experiments::train_traces().size(); t += 2) {
         auto session = player.stream(Experiments::videos()[v],
                                      Experiments::train_traces()[t], *policy, w);
-        auto rendered = session.to_rendered(Experiments::videos()[v]);
-        if (sensei_mode) {
-          score += qoe::SenseiQoeModel(weight_set[v]).raw_score(rendered);
-        } else {
-          score += qoe::KsqiModel().raw_score(rendered);
-        }
+        score += qoe::SenseiQoeModel(w).raw_score(session.to_rendered(Experiments::videos()[v]));
       }
     }
     if (score > best_score) {

@@ -1,16 +1,12 @@
 #include "qoe/sensei_qoe.h"
 
-#include <stdexcept>
-
 #include "util/regression.h"
 #include "util/stats.h"
 
 namespace sensei::qoe {
 
 SenseiQoeModel::SenseiQoeModel(std::vector<double> weights, ChunkQualityParams params)
-    : weights_(std::move(weights)), params_(params) {
-  if (weights_.empty()) throw std::runtime_error("sensei qoe: empty weight vector");
-}
+    : weights_(std::move(weights)), params_(params) {}
 
 double SenseiQoeModel::raw_score(const sim::RenderedVideo& video) const {
   const size_t n = video.num_chunks();
@@ -19,8 +15,8 @@ double SenseiQoeModel::raw_score(const sim::RenderedVideo& video) const {
       thread_local_chunk_quality_cache().qualities(video, params_);
   double num = 0.0, den = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    // A rendering may be a clip shorter than the profiled video; weights past
-    // the end fall back to 1 (mean weight).
+    // A rendering may be longer than the profiled clip; weights past the
+    // end (all of them, for KSQI) are 1, the mean weight.
     double w = i < weights_.size() ? weights_[i] : 1.0;
     num += w * q[i];
     den += w;

@@ -36,6 +36,16 @@ class PlanBatch;  // cross-session planning-table pool (abr/planner.h)
 
 namespace sensei::sim {
 
+// A read-only view of contiguous weights (C++17 has no std::span).
+struct WeightView {
+  const double* data = nullptr;
+  size_t count = 0;
+
+  size_t size() const { return count; }
+  bool empty() const { return count == 0; }
+  double operator[](size_t i) const { return data[i]; }
+};
+
 // What an ABR algorithm sees before choosing the next chunk's rendition.
 struct AbrObservation {
   size_t next_chunk = 0;
@@ -45,9 +55,11 @@ struct AbrObservation {
   double last_throughput_kbps = 0.0;          // goodput of the last download (RTT excluded)
   double last_download_time_s = 0.0;          // wall time incl. RTT
   const media::EncodedVideo* video = nullptr;
-  // Sensitivity weights for chunks [next_chunk, next_chunk + h); empty when
-  // the manifest carries none (weight-unaware ABRs simply ignore it).
-  std::vector<double> future_weights;
+  // Sensitivity weights for chunks [next_chunk, num_chunks): a view of the
+  // session's own vector, valid during decide(); empty when the manifest
+  // carries none (weight-unaware ABRs ignore it). Each policy's own horizon
+  // bounds what it reads.
+  WeightView future_weights;
 };
 
 struct AbrDecision {
@@ -104,8 +116,6 @@ struct ResilienceConfig {
 struct PlayerConfig {
   double max_buffer_s = 30.0;
   double rtt_s = 0.08;
-  // Sensitivity look-ahead horizon handed to the ABR (paper picks h = 5).
-  size_t weight_horizon = 5;
   // Multi-session runs only (sim::Simulator, and sim::FleetSimulator across
   // all of its cells and worker threads): share one abr::PlanBatch of
   // planning tables across all sessions' policies for the duration of the
@@ -126,8 +136,8 @@ class Player {
   explicit Player(PlayerConfig config = PlayerConfig());
 
   // Streams `video` over `trace` under `policy`. `weights` (optional) is the
-  // per-chunk sensitivity vector distributed via the manifest; slices of it
-  // are exposed to the policy each decision. The returned session carries
+  // per-chunk sensitivity vector distributed via the manifest; the policy
+  // sees its remaining weights each decision. The returned session carries
   // the exact trajectory (SessionResult::timeline(), unless record_timeline
   // is off) and, on a dead link, truncates with SessionOutcome::kOutage.
   SessionResult stream(const media::EncodedVideo& video, const net::ThroughputTrace& trace,

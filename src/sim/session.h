@@ -68,13 +68,6 @@ class SessionResult {
   // kOutage when the session was cut short by a dead link; the surviving
   // chunk records cover everything downloaded before the outage.
   SessionOutcome outcome() const { return outcome_; }
-  // The coarse setter keeps the legacy mapping (kOutage -> kDeadLink) for
-  // callers that predate typed causes (offline optimal, the legacy oracle).
-  void set_outcome(SessionOutcome outcome) {
-    outcome_ = outcome;
-    outcome_cause_ =
-        outcome == SessionOutcome::kOutage ? OutcomeCause::kDeadLink : OutcomeCause::kNone;
-  }
   void set_outcome(SessionOutcome outcome, OutcomeCause cause, size_t failed_chunk) {
     outcome_ = outcome;
     outcome_cause_ = cause;

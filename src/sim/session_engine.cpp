@@ -69,13 +69,10 @@ void SessionEngine::init(const PlayerConfig& config, const std::vector<double>& 
   records_.clear();
   records_.reserve(n_);
 
-  // One observation reused across the session: its weight slice reaches its
-  // high-water capacity here and the per-chunk refills never touch the heap
-  // again (the monolithic loop's discipline).
+  // One observation reused across the session.
   obs_.num_chunks = n_;  // the full video — abandonment is invisible to the ABR
   obs_.video = video_;
-  obs_.future_weights.clear();
-  obs_.future_weights.reserve(config_.weight_horizon);
+  obs_.future_weights = WeightView();
 
   wall_clock_s_ = 0.0;
   buffer_s_ = 0.0;
@@ -107,7 +104,6 @@ void SessionEngine::init(const PlayerConfig& config, const std::vector<double>& 
   outage_cause_ = OutcomeCause::kDeadLink;
   timeouts_ = 0;
   retries_ = 0;
-  recovered_chunks_ = 0;
   failovers_ = 0;
   result_taken_ = false;
 
@@ -235,11 +231,7 @@ void SessionEngine::issue_request() {
   obs_.last_level = last_level_;
   obs_.last_throughput_kbps = last_throughput_;
   obs_.last_download_time_s = last_download_time_;
-  if (weights_ != nullptr) {
-    size_t end = std::min(n_, i + config_.weight_horizon);
-    obs_.future_weights.assign(weights_->begin() + static_cast<long>(i),
-                               weights_->begin() + static_cast<long>(end));
-  }
+  if (weights_ != nullptr) obs_.future_weights = {weights_->data() + i, n_ - i};
 
   AbrDecision decision = policy_->decide(obs_);
   if (decision.level >= levels_) decision.level = levels_ - 1;
@@ -514,7 +506,6 @@ void SessionEngine::finish_chunk() {
   traj_.goodput_kbps = last_throughput_;
   last_download_time_ = dl;
   last_level_ = rec_.level;
-  if (chunk_reattempts_ > 0) ++recovered_chunks_;
 
   if (timeline_) timeline_->push_chunk(traj_);
   records_.push_back(rec_);

@@ -111,11 +111,6 @@ class SessionEngine {
   // control channel.
   void set_chunk_limit(size_t limit);
 
-  // Forwards a shared planning-table pool to the session's policy.
-  // sim::Simulator attaches one batch per run and detaches (nullptr) before
-  // the run returns, so the policy never outlives the tables it reads.
-  void attach_plan_batch(abr::PlanBatch* batch) { policy_->attach_plan_batch(batch); }
-
   // Identity salt for the deterministic backoff jitter (mixed with the
   // chunk and attempt indices). Drivers set it to the session's stable
   // ordinal so realizations are decorrelated across sessions yet identical
@@ -195,7 +190,6 @@ class SessionEngine {
   // --- resilience counters (session-scoped, reset by reset()) -------------
   size_t timeouts() const { return timeouts_; }              // attempts that missed a deadline
   size_t retries() const { return retries_; }                // retry attempts issued
-  size_t recovered_chunks() const { return recovered_chunks_; }  // chunks delivered after >=1 reattempt
   size_t failovers() const { return failovers_; }            // rehome() calls on this session
 
   // Rebinds a finished (or fresh) engine to a new session, reusing every
@@ -287,7 +281,6 @@ class SessionEngine {
   OutcomeCause outage_cause_ = OutcomeCause::kDeadLink;
   size_t timeouts_ = 0;
   size_t retries_ = 0;
-  size_t recovered_chunks_ = 0;
   size_t failovers_ = 0;
 
   bool result_taken_ = false;

@@ -78,15 +78,15 @@ std::vector<MultiSessionResult> Simulator::run(const std::vector<SessionSpec>& s
   // dangles into a dead batch.
   abr::PlanBatch batch;
   struct BatchGuard {
-    std::vector<std::unique_ptr<SessionEngine>>* engines = nullptr;
+    const std::vector<SessionSpec>* specs = nullptr;
     ~BatchGuard() {
-      if (engines == nullptr) return;
-      for (auto& engine : *engines) engine->attach_plan_batch(nullptr);
+      if (specs == nullptr) return;
+      for (const SessionSpec& spec : *specs) spec.policy->attach_plan_batch(nullptr);
     }
   } batch_guard;
   if (config_.share_plan_tables) {
-    batch_guard.engines = &engines;
-    for (auto& engine : engines) engine->attach_plan_batch(&batch);
+    batch_guard.specs = &specs;
+    for (const SessionSpec& spec : specs) spec.policy->attach_plan_batch(&batch);
   }
 
   // Every session is in `engines` already: no arrivals, no failover, and

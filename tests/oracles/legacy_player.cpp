@@ -31,12 +31,11 @@ sim::SessionResult stream_legacy(const sim::PlayerConfig& config,
   records.reserve(n);
 
   // Shares the timeline engine's allocation discipline: one cursor over the
-  // trace index and one observation whose vectors are refilled in place.
+  // trace index and one observation refilled in place.
   net::TraceCursor link(trace);
   sim::AbrObservation obs;
   obs.num_chunks = n;
   obs.video = &video;
-  obs.future_weights.reserve(config.weight_horizon);
 
   for (size_t i = 0; i < n; ++i) {
     obs.next_chunk = i;
@@ -44,11 +43,7 @@ sim::SessionResult stream_legacy(const sim::PlayerConfig& config,
     obs.last_level = last_level;
     obs.last_throughput_kbps = last_throughput;
     obs.last_download_time_s = last_download_time;
-    if (!weights.empty()) {
-      size_t end = std::min(n, i + config.weight_horizon);
-      obs.future_weights.assign(weights.begin() + static_cast<long>(i),
-                                weights.begin() + static_cast<long>(end));
-    }
+    if (!weights.empty()) obs.future_weights = {weights.data() + i, n - i};
 
     sim::AbrDecision decision = policy.decide(obs);
     if (decision.level >= levels) decision.level = levels - 1;

@@ -1,14 +1,17 @@
 // End-to-end integration tests: profile -> manifest -> player -> ABR -> QoE.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "abr/bba.h"
 #include "abr/registry.h"
 #include "core/sensei.h"
 #include "media/dataset.h"
 #include "net/trace_gen.h"
-#include "qoe/ksqi.h"
 #include "qoe/sensei_qoe.h"
 #include "sim/player.h"
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace sensei {
@@ -72,7 +75,7 @@ TEST_F(IntegrationTest, SenseiQoeModelBeatsKsqiOnHeldOutSeries) {
   for (const auto& v : test) test_mos.push_back(oracle_.score(v));
 
   qoe::SenseiQoeModel ours(out.profile.weights);
-  qoe::KsqiModel ksqi;
+  qoe::SenseiQoeModel ksqi;  // no weights: KSQI
   ours.train(train, train_mos);
   ksqi.train(train, train_mos);
 
@@ -93,24 +96,75 @@ TEST_F(IntegrationTest, BbaSessionsScoreReasonably) {
   }
 }
 
+// SENSEI-Fugu at horizon 7 plans on all seven weights of its window: every
+// decision of a streamed session matches a twin handed the whole window by
+// hand, and a twin that sees only five weights decides otherwise somewhere.
+TEST_F(IntegrationTest, SenseiFuguHorizonSevenReadsItsWholeWindow) {
+  std::vector<double> weights(video_.num_chunks());
+  util::Rng rng(0x7e7);
+  for (double& w : weights) w = rng.uniform(0.2, 3.0);
+  struct Twins : sim::AbrPolicy {
+    const std::vector<double>* weights = nullptr;
+    std::unique_ptr<sim::AbrPolicy> live = abr::make_policy("sensei-fugu:horizon=7");
+    std::unique_ptr<sim::AbrPolicy> whole = abr::make_policy("sensei-fugu:horizon=7");
+    std::unique_ptr<sim::AbrPolicy> five = abr::make_policy("sensei-fugu:horizon=7");
+    size_t decisions = 0, whole_diffs = 0, five_diffs = 0;
+    const char* name() const override { return "twins"; }
+    void begin_session(const media::EncodedVideo& video) override {
+      for (auto* p : {&live, &whole, &five}) (*p)->begin_session(video);
+    }
+    sim::AbrDecision decide(const sim::AbrObservation& obs) override {
+      const sim::AbrDecision d = live->decide(obs);
+      sim::AbrObservation by_hand = obs;
+      const size_t window = std::min<size_t>(7, weights->size() - obs.next_chunk);
+      by_hand.future_weights = {weights->data() + obs.next_chunk, window};
+      const sim::AbrDecision w = whole->decide(by_hand);
+      by_hand.future_weights.count = std::min<size_t>(5, window);
+      const sim::AbrDecision f = five->decide(by_hand);
+      const auto differ = [](const sim::AbrDecision& a, const sim::AbrDecision& b) {
+        return a.level != b.level || a.scheduled_rebuffer_s != b.scheduled_rebuffer_s;
+      };
+      ++decisions;
+      whole_diffs += differ(d, w) ? 1 : 0;
+      five_diffs += differ(d, f) ? 1 : 0;
+      return d;
+    }
+  };
+  size_t five_diffs = 0;
+  for (uint64_t seed : {31, 32, 33}) {
+    Twins twins;
+    twins.weights = &weights;
+    sim::Player().stream(video_, net::TraceGenerator::cellular("h7", 1200, 700.0, seed), twins,
+                         weights);
+    EXPECT_EQ(twins.decisions, video_.num_chunks()) << seed;
+    EXPECT_EQ(twins.whole_diffs, 0u) << seed;
+    five_diffs += twins.five_diffs;
+  }
+  EXPECT_GT(five_diffs, 0u);
+}
+
 TEST_F(IntegrationTest, WeightHorizonReachesPolicy) {
-  // The manifest horizon plumbing: a policy observing weights must see
-  // exactly the configured horizon while far from the video end.
+  // The weight plumbing: at chunk 10 the policy sees every remaining
+  // weight; its own horizon bounds what it reads.
+  std::vector<double> weights(video_.num_chunks());
+  for (size_t i = 0; i < weights.size(); ++i) weights[i] = 0.5 + 0.01 * static_cast<double>(i);
   struct Probe : sim::AbrPolicy {
-    size_t seen = 0;
+    std::vector<double> seen;
     const char* name() const override { return "probe"; }
     sim::AbrDecision decide(const sim::AbrObservation& obs) override {
-      if (obs.next_chunk == 10) seen = obs.future_weights.size();
+      if (obs.next_chunk == 10) {
+        for (size_t k = 0; k < obs.future_weights.size(); ++k) {
+          seen.push_back(obs.future_weights[k]);
+        }
+      }
       return {1, 0.0};
     }
   } probe;
-  std::vector<double> weights(video_.num_chunks(), 1.0);
-  sim::PlayerConfig config;
-  config.weight_horizon = 5;
-  sim::Player player(config);
+  sim::Player player;
   auto trace = net::TraceGenerator::broadband("bb", 3000, 600.0, 25);
   player.stream(video_, trace, probe, weights);
-  EXPECT_EQ(probe.seen, 5u);
+  ASSERT_GT(video_.num_chunks(), 15u);
+  EXPECT_EQ(probe.seen, std::vector<double>(weights.begin() + 10, weights.end()));
 }
 
 }  // namespace

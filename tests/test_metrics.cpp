@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "media/dataset.h"
-#include "qoe/ksqi.h"
+#include "qoe/sensei_qoe.h"
 
 namespace sensei::qoe {
 namespace {
@@ -14,7 +14,7 @@ TEST(Metrics, EvaluateModelComputesAllFields) {
   std::vector<sim::RenderedVideo> videos = {base, base.with_rebuffering(3, 2.0),
                                             base.with_rebuffering(1, 4.0)};
   std::vector<double> truth = {0.9, 0.5, 0.4};
-  KsqiModel model;
+  SenseiQoeModel model;  // no weights: KSQI
   ModelAccuracy acc = evaluate_model(model, videos, truth);
   EXPECT_EQ(acc.model_name, "KSQI");
   EXPECT_GT(acc.plcc, 0.5);  // KSQI ranks these correctly

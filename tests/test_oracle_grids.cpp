@@ -187,7 +187,6 @@ TEST(OracleGrids, PolicyFactoryBuildsHandBuiltFuguConfigs) {
       EXPECT_EQ(got.rebuffer_options, want.rebuffer_options);
       EXPECT_EQ(got.rebuffer_margin, want.rebuffer_margin);
       EXPECT_EQ(got.planner, want.planner);
-      EXPECT_EQ(got.dp_buffer_quantum_s, want.dp_buffer_quantum_s);
     }
   }
 }

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "media/dataset.h"
 #include "net/trace_gen.h"
-#include "qoe/ksqi.h"
+#include "qoe/sensei_qoe.h"
 #include "sim/player.h"
 
 namespace sensei::abr {
@@ -46,7 +48,8 @@ TEST_F(PensieveTest, FeaturizeProducesBoundedValues) {
   obs.buffer_s = 15.0;
   obs.last_level = 3;
   obs.last_throughput_kbps = 1500.0;
-  obs.future_weights = {1.2, 0.8};
+  const std::vector<double> weights = {1.2, 0.8};
+  obs.future_weights = {weights.data(), weights.size()};
   auto f = policy.featurize(obs);
   ASSERT_EQ(f.size(), policy.feature_count());
   for (double v : f) {
@@ -99,6 +102,33 @@ TEST_F(PensieveTest, OneRungLadderFeaturesAreFinite) {
   for (const PensieveAbr::Step& step : policy.episode()) {
     for (double v : step.features) EXPECT_TRUE(std::isfinite(v));
   }
+}
+
+// The action head has five rungs: a longer ladder would never reach its top
+// rungs, so a session on one fails up front, naming both counts. Five rungs
+// or fewer stream as before.
+TEST_F(PensieveTest, LadderLongerThanFiveRungsIsRejected) {
+  const media::BitrateLadder seven({300.0, 750.0, 1200.0, 1850.0, 2850.0, 4300.0, 6000.0});
+  auto video = media::Encoder(seven).encode(
+      media::SourceVideo::generate("SevenRung", media::Genre::kSports, 60));
+  const auto trace = net::TraceGenerator::broadband("b", 20000, 600.0, 5);
+  for (bool sensei_mode : {false, true}) {
+    PensieveConfig cfg;
+    cfg.sensei_mode = sensei_mode;
+    PensieveAbr policy{cfg, 6};
+    try {
+      player_.stream(video, trace, policy);
+      ADD_FAILURE() << "a 7-rung ladder streamed";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("7-rung"), std::string::npos) << message;
+      EXPECT_NE(message.find("at most 5"), std::string::npos) << message;
+    }
+  }
+  auto five = media::Encoder(media::BitrateLadder({300.0, 750.0, 1200.0, 1850.0, 2850.0}))
+                  .encode(media::SourceVideo::generate("FiveRung", media::Genre::kSports, 60));
+  PensieveAbr policy{PensieveConfig{}, 6};
+  EXPECT_EQ(player_.stream(five, trace, policy).chunks().size(), five.num_chunks());
 }
 
 TEST_F(PensieveTest, GreedyDecisionsAreDeterministic) {
@@ -181,7 +211,7 @@ TEST_F(PensieveTest, ShortTrainingRunImprovesReward) {
 
   auto mean_quality = [&](PensieveAbr& p) {
     auto s = player_.stream(video_, traces[0], p);
-    return qoe::KsqiModel().raw_score(s.to_rendered(video_));
+    return qoe::SenseiQoeModel().raw_score(s.to_rendered(video_));
   };
 
   double before = mean_quality(policy);

@@ -46,6 +46,8 @@ class PlannerAccuracy : public ::testing::Test {
 
 struct GridCase {
   sim::AbrObservation obs;
+  // Viewed by obs.future_weights; a move keeps the buffer, and the view.
+  std::vector<double> weights;
   std::vector<net::ThroughputScenario> scenarios;
   std::vector<double> rebuffer_options;
   bool use_weights = false;
@@ -78,8 +80,8 @@ std::vector<GridCase> seeded_grid(const media::EncodedVideo& video, uint64_t see
           c.scenarios = net::triangular_scenarios(num_scen, rng.uniform(250.0, 6500.0),
                                                   rng.uniform(0.05, 0.8));
           if (use_weights) {
-            for (size_t d = 0; d < horizon; ++d)
-              c.obs.future_weights.push_back(rng.uniform(0.5, 2.8));
+            for (size_t d = 0; d < horizon; ++d) c.weights.push_back(rng.uniform(0.5, 2.8));
+            c.obs.future_weights = {c.weights.data(), c.weights.size()};
           }
           grid.push_back(std::move(c));
         }
@@ -376,10 +378,8 @@ TEST_F(PlannerAccuracy, ContextDirectoryStreamBitIdenticalToUnbatched) {
                                         : rng.uniform(300.0, 6000.0);
     c.scenarios = net::triangular_scenarios(3, kbps, 0.3);
     if (c.use_weights) {
-      for (size_t d = 0; d < c.horizon; ++d) {
-        c.obs.future_weights.push_back(
-            weights[v][std::min(c.obs.next_chunk + d, video.num_chunks() - 1)]);
-      }
+      c.obs.future_weights = {weights[v].data() + c.obs.next_chunk,
+                              video.num_chunks() - c.obs.next_chunk};
     }
     const PlanQuery q = make_query(c);
     const PlanResult a = batched.plan(q);
@@ -400,9 +400,7 @@ TEST_F(PlannerAccuracy, ContextDirectoryStreamBitIdenticalToUnbatched) {
     }
     if (c.use_weights) {
       for (size_t d = 0; d < depth; ++d) {
-        key.push_back(d < c.obs.future_weights.size()
-                          ? 1.0 + q.weight_shrinkage * (c.obs.future_weights[d] - 1.0)
-                          : 1.0);
+        key.push_back(1.0 + q.weight_shrinkage * (c.obs.future_weights[d] - 1.0));
       }
     }
     identities.emplace(v, depth, std::move(key), c.obs.next_chunk);
@@ -505,7 +503,8 @@ TEST_F(PlannerAccuracy, ViSteadyStateHotPathStopsAllocating) {
   c.use_weights = true;
   c.obs.video = &video_;
   c.obs.num_chunks = video_.num_chunks();
-  c.obs.future_weights = {1.4, 0.8, 2.1, 1.0, 0.6};
+  c.weights = {1.4, 0.8, 2.1, 1.0, 0.6};
+  c.obs.future_weights = {c.weights.data(), c.weights.size()};
   c.scenarios = net::triangular_scenarios(8, 2400.0, 0.4);
   auto sweep = [&] {
     for (int i = 0; i < 50; ++i) {

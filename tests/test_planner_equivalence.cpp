@@ -35,6 +35,8 @@ class PlannerEquivalence : public ::testing::Test {
 
 struct GridCase {
   sim::AbrObservation obs;
+  // Viewed by obs.future_weights; a move keeps the buffer, and the view.
+  std::vector<double> weights;
   std::vector<net::ThroughputScenario> scenarios;
   std::vector<double> rebuffer_options;
   bool use_weights = false;
@@ -80,7 +82,8 @@ GridCase draw_case(util::Rng& rng, const media::EncodedVideo& video, const GridR
   c.scenarios = net::triangular_scenarios(
       num_scen, rng.uniform(ranges.min_kbps, ranges.max_kbps), rng.uniform(0.05, 0.8));
   if (use_weights) {
-    for (size_t d = 0; d < horizon; ++d) c.obs.future_weights.push_back(rng.uniform(0.5, 2.8));
+    for (size_t d = 0; d < horizon; ++d) c.weights.push_back(rng.uniform(0.5, 2.8));
+    c.obs.future_weights = {c.weights.data(), c.weights.size()};
   }
   return c;
 }
@@ -324,7 +327,8 @@ TEST_F(PlannerEquivalence, SteadyStateHotPathStopsAllocating) {
   c.obs.next_chunk = 3;
   c.obs.buffer_s = 7.5;
   c.obs.last_level = 2;
-  c.obs.future_weights = {1.4, 0.8, 2.1, 1.0, 0.6};
+  c.weights = {1.4, 0.8, 2.1, 1.0, 0.6};
+  c.obs.future_weights = {c.weights.data(), c.weights.size()};
   c.scenarios = net::triangular_scenarios(8, 2400.0, 0.4);
   // One pass over the observation sweep reaches the arena's high-water
   // mark; a second identical pass must not allocate another byte.

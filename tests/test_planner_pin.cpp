@@ -31,6 +31,7 @@ namespace {
 
 struct PinCase {
   sim::AbrObservation obs;
+  std::vector<double> weights;  // viewed by obs.future_weights
   std::vector<net::ThroughputScenario> scenarios;
   std::vector<double> rebuffer_options;
   size_t horizon = 0;
@@ -75,7 +76,7 @@ std::vector<PinCase> pin_grid(const media::EncodedVideo& video) {
             for (auto& s : c.scenarios) s.probability /= total;
             if (use_weights) {
               for (size_t d = 0; d < horizon; ++d) {
-                c.obs.future_weights.push_back(rng.uniform(0.3, 3.0));
+                c.weights.push_back(rng.uniform(0.3, 3.0));
               }
             }
             grid.push_back(std::move(c));
@@ -84,6 +85,7 @@ std::vector<PinCase> pin_grid(const media::EncodedVideo& video) {
       }
     }
   }
+  for (PinCase& c : grid) c.obs.future_weights = {c.weights.data(), c.weights.size()};
   return grid;
 }
 

@@ -106,17 +106,26 @@ TEST_F(PlayerTest, ScheduledRebufferOnFirstChunkBecomesStartup) {
   EXPECT_GT(s.startup_delay_s(), 2.0);  // download + scheduled wait
 }
 
+// Every decision sees every remaining weight, from its own chunk's on.
 TEST_F(PlayerTest, WeightsSlicedIntoObservations) {
   std::vector<double> weights(video_.num_chunks());
   for (size_t i = 0; i < weights.size(); ++i) weights[i] = static_cast<double>(i);
-  ScriptedPolicy policy({{1, 0.0}});
-  player_.stream(video_, fast_, policy, weights);
-  // After the last decide(), next_chunk == N-1: fewer than horizon weights
-  // remain and the slice starts at the chunk's own weight.
-  const auto& obs = policy.last_obs_;
-  ASSERT_FALSE(obs.future_weights.empty());
-  EXPECT_DOUBLE_EQ(obs.future_weights[0], static_cast<double>(video_.num_chunks() - 1));
-  EXPECT_LE(obs.future_weights.size(), PlayerConfig().weight_horizon);
+  struct Probe : AbrPolicy {
+    const std::vector<double>* weights = nullptr;
+    size_t decisions = 0;
+    const char* name() const override { return "probe"; }
+    AbrDecision decide(const AbrObservation& obs) override {
+      ++decisions;
+      EXPECT_EQ(obs.future_weights.size(), weights->size() - obs.next_chunk);
+      for (size_t k = 0; k < obs.future_weights.size(); ++k) {
+        EXPECT_EQ(obs.future_weights[k], (*weights)[obs.next_chunk + k]);
+      }
+      return {1, 0.0};
+    }
+  } probe;
+  probe.weights = &weights;
+  player_.stream(video_, fast_, probe, weights);
+  EXPECT_EQ(probe.decisions, video_.num_chunks());
 }
 
 TEST_F(PlayerTest, NoWeightsMeansEmptySlice) {

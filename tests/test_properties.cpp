@@ -5,7 +5,7 @@
 #include "crowd/ground_truth.h"
 #include "crowd/weights.h"
 #include "media/dataset.h"
-#include "qoe/ksqi.h"
+#include "qoe/sensei_qoe.h"
 #include "sim/manifest.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -106,7 +106,7 @@ TEST_P(DatasetSweep, ManifestRoundTripLossless) {
 // regardless of where it lands, provided no chunk quality floors out.
 TEST_P(DatasetSweep, KsqiPositionBlindness) {
   auto video = encoded();
-  qoe::KsqiModel ksqi;
+  qoe::SenseiQoeModel ksqi;  // no weights: KSQI
   auto base = sim::RenderedVideo::pristine(video);
   double first = ksqi.raw_score(base.with_rebuffering(1, 0.5));
   for (size_t chunk = 3; chunk < video.num_chunks(); chunk += 7) {

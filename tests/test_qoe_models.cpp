@@ -2,7 +2,6 @@
 
 #include "crowd/ground_truth.h"
 #include "media/dataset.h"
-#include "qoe/ksqi.h"
 #include "qoe/lstm_qoe.h"
 #include "qoe/p1203.h"
 #include "crowd/weights.h"
@@ -33,15 +32,16 @@ class QoeModelTest : public ::testing::Test {
   std::vector<double> train_mos_;
 };
 
+// KSQI is the additive model with no weights.
 TEST_F(QoeModelTest, KsqiPrefersHigherBitrate) {
-  KsqiModel model;
+  SenseiQoeModel model;
   auto high = sim::RenderedVideo::pristine(video_);
   auto low = high.with_bitrate_drop(0, video_.num_chunks(), 0, video_);
   EXPECT_GT(model.predict(high), model.predict(low));
 }
 
 TEST_F(QoeModelTest, KsqiPenalizesRebuffering) {
-  KsqiModel model;
+  SenseiQoeModel model;
   auto clean = sim::RenderedVideo::pristine(video_);
   auto stalled = clean.with_rebuffering(5, 4.0);
   EXPECT_GT(model.predict(clean), model.predict(stalled));
@@ -50,7 +50,7 @@ TEST_F(QoeModelTest, KsqiPenalizesRebuffering) {
 TEST_F(QoeModelTest, KsqiIsPositionAgnostic) {
   // The defining blindness the paper attacks: same incident, different
   // position, same KSQI score.
-  KsqiModel model;
+  SenseiQoeModel model;
   auto base = sim::RenderedVideo::pristine(video_);
   // 1-second stall keeps per-chunk quality above the floor on every chunk,
   // so the additive mean is exactly position-independent.
@@ -60,7 +60,7 @@ TEST_F(QoeModelTest, KsqiIsPositionAgnostic) {
 }
 
 TEST_F(QoeModelTest, KsqiTrainingImprovesCalibration) {
-  KsqiModel model;
+  SenseiQoeModel model;
   auto before = util::mean_relative_error(model.predict_all(train_videos_), train_mos_);
   model.train(train_videos_, train_mos_);
   auto after = util::mean_relative_error(model.predict_all(train_videos_), train_mos_);
@@ -69,7 +69,7 @@ TEST_F(QoeModelTest, KsqiTrainingImprovesCalibration) {
 }
 
 TEST_F(QoeModelTest, KsqiPredictionsInUnitRange) {
-  KsqiModel model;
+  SenseiQoeModel model;
   model.train(train_videos_, train_mos_);
   for (const auto& v : train_videos_) {
     double q = model.predict(v);
@@ -136,12 +136,17 @@ TEST_F(QoeModelTest, LstmQoeFeatureSequenceShape) {
   EXPECT_EQ(seq[0].size(), 5u);
 }
 
+// Eq. 2 at unit weights is Eq. 1 bit for bit: the sum of 1 * q_i is the sum
+// of q_i, and the sum of ones is the count.
 TEST_F(QoeModelTest, SenseiModelWithUnitWeightsMatchesKsqi) {
-  KsqiModel ksqi;
+  SenseiQoeModel ksqi;
   SenseiQoeModel sensei(std::vector<double>(video_.num_chunks(), 1.0));
-  for (const auto& v : train_videos_) {
-    EXPECT_NEAR(sensei.raw_score(v), ksqi.raw_score(v), 1e-9);
-  }
+  for (const auto& v : train_videos_) EXPECT_EQ(sensei.raw_score(v), ksqi.raw_score(v));
+  ksqi.train(train_videos_, train_mos_);
+  sensei.train(train_videos_, train_mos_);
+  EXPECT_EQ(sensei.scale(), ksqi.scale());
+  EXPECT_EQ(sensei.offset(), ksqi.offset());
+  for (const auto& v : train_videos_) EXPECT_EQ(sensei.predict(v), ksqi.predict(v));
 }
 
 TEST_F(QoeModelTest, SenseiModelWeightsIncidentPosition) {
@@ -162,7 +167,7 @@ TEST_F(QoeModelTest, SenseiModelMoreAccurateThanKsqiOnSensitivityData) {
   std::vector<double> w = video_.source().true_sensitivity();
   crowd::normalize_mean_one(w);
   SenseiQoeModel sensei(w);
-  KsqiModel ksqi;
+  SenseiQoeModel ksqi;
   sensei.train(train_videos_, train_mos_);
   ksqi.train(train_videos_, train_mos_);
   double sensei_plcc = util::pearson(sensei.predict_all(train_videos_), train_mos_);
@@ -175,8 +180,10 @@ TEST_F(QoeModelTest, SenseiModelShortClipFallsBackToUnitWeight) {
   EXPECT_NO_THROW(model.predict(sim::RenderedVideo::pristine(video_)));
 }
 
-TEST(SenseiQoeModel, EmptyWeightsThrow) {
-  EXPECT_THROW(SenseiQoeModel(std::vector<double>{}), std::runtime_error);
+TEST(SenseiQoeModel, EmptyWeightsAreKsqi) {
+  EXPECT_EQ(SenseiQoeModel().name(), "KSQI");
+  EXPECT_EQ(SenseiQoeModel(std::vector<double>{}).name(), "KSQI");
+  EXPECT_EQ(SenseiQoeModel(std::vector<double>(3, 1.0)).name(), "SENSEI");
 }
 
 }  // namespace

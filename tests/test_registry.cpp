@@ -180,30 +180,45 @@ TEST(PolicyRegistry, IntegerKeysRejectOverflowAndZeroCounts) {
   EXPECT_NE(registry.canonical_string("pensieve:seed=0").find("seed=0"), std::string::npos);
 }
 
-// DpPlanner is exact only. A non-zero dp_buffer_quantum_s, which only
-// ViPlanner reads, is a typed error naming the key for planner=dp, both at
-// make_planner and through a registry spec.
-TEST(PolicyRegistry, MakePlannerRejectsNonZeroDpQuantum) {
-  EXPECT_THROW(make_planner(PlannerKind::kDp, 0.25), std::invalid_argument);
-  const std::string message = thrown_message([] { make_planner(PlannerKind::kDp, 0.25); });
-  EXPECT_NE(message.find("dp_buffer_quantum_s"), std::string::npos) << message;
-  EXPECT_STREQ(make_planner(PlannerKind::kDp, 0.0)->name(), "dp");
-  EXPECT_STREQ(make_planner(PlannerKind::kVi, 0.25)->name(), "vi");
-}
-
-TEST(PolicyRegistry, DpSpecWithNonZeroQuantumFailsNamingTheKey) {
+// A fugu variant lists only the keys that change its behaviour: fugu has no
+// weights and no stall option, sensei-fugu-bitrate-only no stall option, and
+// no variant has a DP bucket width (the DP is exact). Any other key fails,
+// naming the key and the variant's keys, so two spellings of one
+// configuration cannot canonicalize apart.
+TEST(PolicyRegistry, InertFuguKeysFailNamingTheVariantsKeys) {
   PolicyRegistry& registry = PolicyRegistry::instance();
-  for (const char* spec :
-       {"fugu:planner=dp,dp_buffer_quantum_s=0.25", "sensei-fugu:dp_buffer_quantum_s=1"}) {
-    EXPECT_THROW(registry.make(spec), std::invalid_argument) << spec;
-    const std::string message = thrown_message([&] { registry.make(spec); });
-    EXPECT_NE(message.find("dp_buffer_quantum_s"), std::string::npos) << message;
+  const struct {
+    const char* spec;
+    const char* name;
+    const char* key;
+  } cases[] = {
+      {"fugu:weight_shrinkage=0.5", "fugu", "weight_shrinkage"},
+      {"fugu:rebuffer_margin=0.1", "fugu", "rebuffer_margin"},
+      {"sensei-fugu-bitrate-only:rebuffer_margin=0.1", "sensei-fugu-bitrate-only",
+       "rebuffer_margin"},
+      {"fugu:dp_buffer_quantum_s=1", "fugu", "dp_buffer_quantum_s"},
+  };
+  for (const auto& c : cases) {
+    std::string keys;
+    for (const auto& info : registry.keys(c.name)) keys += (keys.empty() ? "" : ", ") + info.key;
+    const std::string message = thrown_message([&] { registry.canonical_string(c.spec); });
+    EXPECT_NE(message.find(std::string("policy '") + c.name + "' has no key '" + c.key +
+                           "'; keys: " + keys),
+              std::string::npos)
+        << c.spec << ": " << message;
+    EXPECT_THROW(registry.make(c.spec), std::runtime_error) << c.spec;
   }
-  // The key stays in the canonical spec at 0, so canonical strings do not
-  // move, and vi still reads it.
-  EXPECT_NE(registry.canonical_string("fugu").find("dp_buffer_quantum_s=0"), std::string::npos);
-  EXPECT_NE(registry.make("fugu:planner=dp,dp_buffer_quantum_s=0"), nullptr);
-  EXPECT_NE(registry.make("fugu:planner=vi,dp_buffer_quantum_s=0.5"), nullptr);
+  EXPECT_EQ(registry.canonical_string("fugu"),
+            "fugu:beta_rebuf=1.1,beta_switch=0.4,floor=-0.5,horizon=5,planner=dp,"
+            "predictor_window=8,rebuf_saturation=0.3");
+  EXPECT_EQ(registry.canonical_string("sensei-fugu-bitrate-only").find("rebuffer_margin"),
+            std::string::npos);
+  // SENSEI-Fugu reads both.
+  const std::string sensei = registry.canonical_string("sensei-fugu");
+  EXPECT_NE(sensei.find("rebuffer_margin=0.35"), std::string::npos) << sensei;
+  EXPECT_NE(sensei.find("weight_shrinkage=0.8"), std::string::npos) << sensei;
+  EXPECT_NE(registry.canonical_string("sensei-fugu-bitrate-only").find("weight_shrinkage=0.8"),
+            std::string::npos);
 }
 
 // ---- canonicalization -------------------------------------------------------
