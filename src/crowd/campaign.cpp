@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "util/stats.h"
 
@@ -10,7 +11,14 @@ namespace sensei::crowd {
 
 Campaign::Campaign(const GroundTruthQoE& oracle, RaterConfig rater_config,
                    CampaignConfig config, uint64_t seed)
-    : oracle_(oracle), pool_(rater_config, seed ^ 0x5151), config_(config), rng_(seed) {}
+    : oracle_(oracle), pool_(rater_config, seed ^ 0x5151), config_(config), rng_(seed) {
+  // A survey holds the reference plus K - 1 renderings: K < 2 would rate no
+  // rendering at all.
+  if (config_.videos_per_participant < 2) {
+    throw std::invalid_argument("campaign: videos_per_participant must be >= 2, got " +
+                                std::to_string(config_.videos_per_participant));
+  }
+}
 
 CampaignResult Campaign::run(const std::vector<sim::RenderedVideo>& videos,
                              const sim::RenderedVideo& reference,
@@ -22,7 +30,11 @@ CampaignResult Campaign::run(const std::vector<sim::RenderedVideo>& videos,
   std::vector<double> star_sums(n, 0.0);
   std::vector<size_t> counts(n, 0);
   std::vector<double> true_qoe(n);
-  for (size_t i = 0; i < n; ++i) true_qoe[i] = oracle_.score(videos[i]);
+  std::vector<double> watch_minutes(n);
+  for (size_t i = 0; i < n; ++i) {
+    true_qoe[i] = oracle_.score(videos[i]);
+    watch_minutes[i] = (videos[i].playback_duration_s() + videos[i].total_rebuffer_s()) / 60.0;
+  }
   const double reference_qoe = oracle_.score(reference);
 
   CampaignResult result;
@@ -30,12 +42,7 @@ CampaignResult Campaign::run(const std::vector<sim::RenderedVideo>& videos,
   double ref_star_sum = 0.0;
   size_t ref_count = 0;
 
-  auto need_more = [&]() {
-    for (size_t i = 0; i < n; ++i) {
-      if (counts[i] < ratings_per_video) return true;
-    }
-    return false;
-  };
+  size_t short_of_ratings = n;  // renderings with fewer than ratings_per_video
 
   // Videos are assigned to surveys round-robin over a shuffled order so all
   // renderings accumulate ratings at a similar pace.
@@ -44,7 +51,7 @@ CampaignResult Campaign::run(const std::vector<sim::RenderedVideo>& videos,
   rng_.shuffle(queue);
   size_t queue_pos = 0;
 
-  while (need_more() && result.participants_recruited < config_.max_participants) {
+  while (short_of_ratings > 0 && result.participants_recruited < config_.max_participants) {
     // Sign-up latency dominates campaign delay; surveys run in parallel.
     elapsed_s += rng_.exponential(config_.signup_latency_s_mean);
     Rater rater = pool_.recruit();
@@ -75,8 +82,7 @@ CampaignResult Campaign::run(const std::vector<sim::RenderedVideo>& videos,
                              reference.startup_delay_s()) / 60.0;
     for (size_t idx : survey) {
       ratings.push_back(pool_.rate(rater, true_qoe[idx]));
-      survey_minutes += (videos[idx].playback_duration_s() +
-                         videos[idx].total_rebuffer_s()) / 60.0;
+      survey_minutes += watch_minutes[idx];
     }
 
     // Quality control: reject if any degraded video outrated the reference,
@@ -93,7 +99,7 @@ CampaignResult Campaign::run(const std::vector<sim::RenderedVideo>& videos,
 
     for (size_t k = 0; k < survey.size(); ++k) {
       star_sums[survey[k]] += ratings[k].stars;
-      ++counts[survey[k]];
+      if (++counts[survey[k]] == ratings_per_video) --short_of_ratings;
     }
     ref_star_sum += ref_rating.stars;
     ++ref_count;

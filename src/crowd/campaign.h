@@ -23,7 +23,7 @@
 namespace sensei::crowd {
 
 struct CampaignConfig {
-  size_t videos_per_participant = 6;   // K, including the reference
+  size_t videos_per_participant = 6;   // K, including the reference; >= 2
   double hourly_rate_usd = 10.0;
   double signup_latency_s_mean = 45.0;  // mean gap between sign-ups
   size_t max_participants = 100000;     // safety valve
@@ -42,6 +42,7 @@ struct CampaignResult {
 
 class Campaign {
  public:
+  // Throws std::invalid_argument when config.videos_per_participant < 2.
   Campaign(const GroundTruthQoE& oracle, RaterConfig rater_config = RaterConfig(),
            CampaignConfig config = CampaignConfig(), uint64_t seed = 0xCA3Fu);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/stats.h"
 
@@ -26,8 +27,9 @@ SensitivityProfile Scheduler::profile(const media::EncodedVideo& video) {
   Campaign campaign1(oracle_, config_.rater, config_.campaign, seed_);
   CampaignResult res1 = campaign1.run(step1, reference, config_.m1);
 
-  std::vector<sim::RenderedVideo> rated = step1;
-  std::vector<double> mos = res1.mos;
+  out.renderings_rated += step1.size();
+  std::vector<sim::RenderedVideo> rated = std::move(step1);
+  std::vector<double> mos = std::move(res1.mos);
   double reference_mos = res1.reference_mos;
 
   std::vector<double> w =
@@ -35,7 +37,6 @@ SensitivityProfile Scheduler::profile(const media::EncodedVideo& video) {
 
   out.cost_usd += res1.cost_usd;
   out.elapsed_minutes += res1.elapsed_minutes;
-  out.renderings_rated += step1.size();
   out.participants += res1.participants_recruited;
   for (size_t c : res1.rating_counts) out.ratings_collected += c;
 

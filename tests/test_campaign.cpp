@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "media/dataset.h"
 
 namespace sensei::crowd {
@@ -75,6 +78,27 @@ TEST_F(CampaignTest, InvalidArgumentsThrow) {
   Campaign campaign(oracle_, RaterConfig(), CampaignConfig(), 7);
   EXPECT_THROW(campaign.run({}, reference_, 5), std::runtime_error);
   EXPECT_THROW(campaign.run(make_series(), reference_, 0), std::runtime_error);
+}
+
+// A survey is the reference plus K - 1 renderings: K = 1 rates nothing and
+// would recruit max_participants for no rating, K = 0 would underflow K - 1.
+TEST_F(CampaignTest, SurveyOfFewerThanTwoVideosThrows) {
+  for (size_t k : {size_t{0}, size_t{1}}) {
+    CampaignConfig cfg;
+    cfg.videos_per_participant = k;
+    try {
+      Campaign campaign(oracle_, RaterConfig(), cfg, 7);
+      ADD_FAILURE() << "K = " << k << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("got " + std::to_string(k)), std::string::npos)
+          << e.what();
+    }
+  }
+  CampaignConfig two;
+  two.videos_per_participant = 2;
+  Campaign campaign(oracle_, RaterConfig(), two, 7);
+  auto result = campaign.run(make_series(), reference_, 3);
+  for (size_t count : result.rating_counts) EXPECT_GE(count, 3u);
 }
 
 TEST_F(CampaignTest, DeterministicForSeed) {
