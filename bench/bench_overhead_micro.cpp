@@ -121,8 +121,9 @@ void BM_WeightInference(benchmark::State& state) {
   std::vector<double> mos;
   for (const auto& v : series) mos.push_back(oracle.score(v));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crowd::infer_weights(series, mos, reference, 0.9,
-                                                  bench_video().num_chunks()));
+    crowd::WeightSystem system(reference);
+    for (size_t j = 0; j < series.size(); ++j) system.add(series[j], mos[j]);
+    benchmark::DoNotOptimize(system.solve(0.9));
   }
 }
 BENCHMARK(BM_WeightInference);

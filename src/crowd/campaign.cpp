@@ -107,15 +107,21 @@ CampaignResult Campaign::run(const std::vector<sim::RenderedVideo>& videos,
     result.cost_usd += config_.hourly_rate_usd * survey_minutes / 60.0;
   }
 
-  result.mos.resize(n, 0.0);
+  if (short_of_ratings > 0) {
+    throw std::runtime_error("campaign: max_participants (" +
+                             std::to_string(config_.max_participants) + ") reached with " +
+                             std::to_string(short_of_ratings) + " of " + std::to_string(n) +
+                             " renderings short of " + std::to_string(ratings_per_video) +
+                             " ratings");
+  }
+
+  // Every rendering and, with it, the reference now holds at least one
+  // accepted rating.
+  result.mos.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    double mean_stars = counts[i] ? star_sums[i] / static_cast<double>(counts[i]) : 3.0;
-    result.mos[i] = RaterPool::stars_to_unit(mean_stars);
+    result.mos[i] = RaterPool::stars_to_unit(star_sums[i] / static_cast<double>(counts[i]));
   }
-  if (ref_count) {
-    result.reference_mos =
-        RaterPool::stars_to_unit(ref_star_sum / static_cast<double>(ref_count));
-  }
+  result.reference_mos = RaterPool::stars_to_unit(ref_star_sum / static_cast<double>(ref_count));
   result.rating_counts = std::move(counts);
   result.elapsed_minutes = elapsed_s / 60.0;
   return result;

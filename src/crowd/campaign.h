@@ -26,7 +26,7 @@ struct CampaignConfig {
   size_t videos_per_participant = 6;   // K, including the reference; >= 2
   double hourly_rate_usd = 10.0;
   double signup_latency_s_mean = 45.0;  // mean gap between sign-ups
-  size_t max_participants = 100000;     // safety valve
+  size_t max_participants = 100000;     // safety valve; run() throws on reaching it
 };
 
 struct CampaignResult {
@@ -47,7 +47,9 @@ class Campaign {
            CampaignConfig config = CampaignConfig(), uint64_t seed = 0xCA3Fu);
 
   // Collects at least `ratings_per_video` accepted ratings for each video.
-  // `reference` must be the pristine rendering of the same source.
+  // `reference` must be the pristine rendering of the same source. Throws
+  // std::runtime_error when config.max_participants are recruited before
+  // every video has its ratings.
   CampaignResult run(const std::vector<sim::RenderedVideo>& videos,
                      const sim::RenderedVideo& reference, size_t ratings_per_video);
 

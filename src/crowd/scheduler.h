@@ -15,22 +15,21 @@
 #include <cstdint>
 #include <vector>
 
-#include "crowd/campaign.h"
+#include "crowd/ground_truth.h"
 #include "crowd/weights.h"
 #include "media/encoder.h"
 
 namespace sensei::crowd {
 
+// The five cost knobs of Figure 16: rating depths M1 and M2, the step-2
+// threshold alpha, and step 2's B bitrate levels and F rebuffering
+// durations. Campaigns run with the default RaterConfig and CampaignConfig.
 struct SchedulerConfig {
   size_t m1 = 10;          // raters per rendering, step 1
   size_t m2 = 5;           // raters per rendering, step 2
   double alpha = 0.06;     // relative deviation threshold for step-2 chunks
-  size_t bitrate_levels = 2;      // B: extra bitrate-drop levels in step 2
-  size_t rebuffer_levels = 1;     // F: extra rebuffering durations in step 2
-  double step1_rebuffer_s = 1.0;  // incident used in step 1
-  RaterConfig rater;
-  CampaignConfig campaign;
-  WeightInferenceConfig inference;
+  size_t bitrate_levels = 2;   // B: extra bitrate-drop levels in step 2
+  size_t rebuffer_levels = 1;  // F: extra rebuffering durations in step 2
 };
 
 struct SensitivityProfile {
@@ -57,6 +56,14 @@ class Scheduler {
                                         size_t ratings_per_video = 30);
 
  private:
+  // One rating step: rates `renderings` against `reference` at `ratings`
+  // depth with a campaign seeded `seed`, books its cost, time and counts into
+  // `out` and adds each rendering's row to `system`. Returns the step's
+  // measured reference MOS.
+  double rate(const std::vector<sim::RenderedVideo>& renderings,
+              const sim::RenderedVideo& reference, size_t ratings, uint64_t seed,
+              WeightSystem& system, SensitivityProfile& out) const;
+
   const GroundTruthQoE& oracle_;
   SchedulerConfig config_;
   uint64_t seed_;

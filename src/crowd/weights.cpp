@@ -1,77 +1,70 @@
 #include "crowd/weights.h"
 
+#include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
+#include "qoe/chunk_quality.h"
 #include "util/regression.h"
 #include "util/stats.h"
 
 namespace sensei::crowd {
+namespace {
 
-std::vector<double> infer_weights(const std::vector<sim::RenderedVideo>& videos,
-                                  const std::vector<double>& mos,
-                                  const sim::RenderedVideo& reference, double reference_mos,
-                                  size_t num_chunks, const WeightInferenceConfig& config) {
-  if (videos.size() != mos.size()) throw std::runtime_error("weights: dataset mismatch");
-  if (videos.empty() || num_chunks == 0) return std::vector<double>(num_chunks, 1.0);
+constexpr double kRidgeLambda = 0.05;
+constexpr int kIterations = 300;
+const qoe::ChunkQualityParams kChunkParams;
 
-  std::vector<double> q_ref;
-  qoe::chunk_qualities_into(reference, config.chunk, q_ref);
-  if (q_ref.size() < num_chunks)
-    throw std::runtime_error("weights: reference shorter than weight vector");
+}  // namespace
 
-  std::vector<std::vector<double>> rows;
-  std::vector<double> targets;
-  rows.reserve(videos.size());
-  targets.reserve(videos.size());
-  // One quality buffer refilled per rated rendering: profiling campaigns
-  // rate hundreds of clips per video, and the per-clip vector churn was the
-  // dominant allocation of weight inference.
-  std::vector<double> q;
-  for (size_t j = 0; j < videos.size(); ++j) {
-    qoe::chunk_qualities_into(videos[j], config.chunk, q);
-    std::vector<double> row(num_chunks, 0.0);
-    size_t covered = std::min(num_chunks, q.size());
-    bool any = false;
-    for (size_t i = 0; i < covered; ++i) {
-      double delta = q_ref[i] - q[i];
-      if (std::abs(delta) > 1e-12) {
-        row[i] = delta;
-        any = true;
-      }
+WeightSystem::WeightSystem(const sim::RenderedVideo& reference)
+    : touched_(reference.num_chunks(), false) {
+  qoe::chunk_qualities_into(reference, kChunkParams, q_ref_);
+}
+
+void WeightSystem::add(const sim::RenderedVideo& rendering, double mos) {
+  const size_t num_chunks = q_ref_.size();
+  qoe::chunk_qualities_into(rendering, kChunkParams, q_);
+  std::vector<double> row(num_chunks, 0.0);
+  const size_t covered = std::min(num_chunks, q_.size());
+  bool any = false;
+  for (size_t i = 0; i < covered; ++i) {
+    double delta = q_ref_[i] - q_[i];
+    if (std::abs(delta) > 1e-12) {
+      row[i] = delta;
+      touched_[i] = true;
+      any = true;
     }
-    if (!any) continue;  // identical to the reference: no information
-    rows.push_back(std::move(row));
-    // MOS drops are scaled per covered chunk to match sum_i w_i delta_i,
-    // which for an average-of-chunks QoE carries a 1/N factor.
-    targets.push_back((reference_mos - mos[j]) * static_cast<double>(covered));
   }
-  if (rows.empty()) return std::vector<double>(num_chunks, 1.0);
+  if (!any) return;  // identical to the reference: no information
+  rows_.push_back(std::move(row));
+  mos_.push_back(mos);
+  covered_.push_back(static_cast<double>(covered));
+}
 
-  std::vector<double> w = util::fit_nonnegative_least_squares(rows, targets,
-                                                              config.ridge_lambda,
-                                                              config.iterations);
-  if (w.size() != num_chunks) w.assign(num_chunks, 1.0);
+std::vector<double> WeightSystem::solve(double reference_mos) const {
+  const size_t num_chunks = q_ref_.size();
+  if (rows_.empty()) return std::vector<double>(num_chunks, 1.0);
+
+  // MOS drops are scaled per covered chunk to match sum_i w_i delta_i,
+  // which for an average-of-chunks QoE carries a 1/N factor.
+  std::vector<double> targets(rows_.size());
+  for (size_t j = 0; j < rows_.size(); ++j) targets[j] = (reference_mos - mos_[j]) * covered_[j];
+  std::vector<double> w =
+      util::fit_nonnegative_least_squares(rows_, targets, kRidgeLambda, kIterations);
 
   // Chunks untouched by every incident carry no signal; give them the mean
   // weight of the constrained chunks before normalizing.
-  std::vector<bool> touched(num_chunks, false);
-  for (const auto& row : rows) {
-    for (size_t i = 0; i < num_chunks; ++i) {
-      if (row[i] != 0.0) touched[i] = true;
-    }
-  }
   double touched_sum = 0.0;
   size_t touched_count = 0;
   for (size_t i = 0; i < num_chunks; ++i) {
-    if (touched[i]) {
+    if (touched_[i]) {
       touched_sum += w[i];
       ++touched_count;
     }
   }
-  double fill = touched_count ? touched_sum / static_cast<double>(touched_count) : 1.0;
+  double fill = touched_sum / static_cast<double>(touched_count);
   for (size_t i = 0; i < num_chunks; ++i) {
-    if (!touched[i]) w[i] = fill;
+    if (!touched_[i]) w[i] = fill;
   }
 
   normalize_mean_one(w);

@@ -18,24 +18,35 @@
 
 #include <vector>
 
-#include "qoe/chunk_quality.h"
 #include "sim/render.h"
 
 namespace sensei::crowd {
 
-struct WeightInferenceConfig {
-  double ridge_lambda = 0.05;
-  int iterations = 300;
-  qoe::ChunkQualityParams chunk;
-};
+// The differenced system of one profiling run. Each rated rendering's row is
+// built once, when it is added, so a later solve over more renderings (the
+// scheduler's step 2 pools step 1's rows) recomputes nothing.
+class WeightSystem {
+ public:
+  // One weight per chunk of `reference`, the pristine rendering every survey
+  // rated.
+  explicit WeightSystem(const sim::RenderedVideo& reference);
 
-// Infers `num_chunks` weights from rated renderings and the rated reference.
-// Renderings may be clips; each row only constrains the chunks it covers.
-std::vector<double> infer_weights(const std::vector<sim::RenderedVideo>& videos,
-                                  const std::vector<double>& mos,
-                                  const sim::RenderedVideo& reference, double reference_mos,
-                                  size_t num_chunks,
-                                  const WeightInferenceConfig& config = WeightInferenceConfig());
+  // Adds a rated rendering. A rendering identical to the reference carries no
+  // information and adds no row; a clip constrains only the chunks it covers.
+  void add(const sim::RenderedVideo& rendering, double mos);
+
+  // Non-negative weights, normalized to mean 1, against the rated reference
+  // MOS. All ones when no row was added.
+  std::vector<double> solve(double reference_mos) const;
+
+ private:
+  std::vector<double> q_ref_;
+  std::vector<std::vector<double>> rows_;
+  std::vector<double> mos_;
+  std::vector<double> covered_;  // chunks each row covers, as a double
+  std::vector<bool> touched_;    // chunks some row constrains
+  std::vector<double> q_;        // chunk-quality buffer refilled per add()
+};
 
 // Normalizes a weight vector to mean 1 (no-op on empty/degenerate input).
 void normalize_mean_one(std::vector<double>& weights);

@@ -13,13 +13,6 @@ void chunk_qualities_into(const sim::RenderedVideo& video, const ChunkQualityPar
   }
 }
 
-std::vector<double> chunk_qualities(const sim::RenderedVideo& video,
-                                    const ChunkQualityParams& p) {
-  std::vector<double> q;
-  chunk_qualities_into(video, p, q);
-  return q;
-}
-
 ChunkQualityCache& thread_local_chunk_quality_cache() {
   static thread_local ChunkQualityCache cache;
   return cache;

@@ -47,10 +47,6 @@ inline double chunk_quality(double visual_quality, double stall_s, double prev_v
 void chunk_qualities_into(const sim::RenderedVideo& video, const ChunkQualityParams& p,
                           std::vector<double>& out);
 
-// Vector of q_i over a rendered video (allocating convenience wrapper).
-std::vector<double> chunk_qualities(const sim::RenderedVideo& video,
-                                    const ChunkQualityParams& p = ChunkQualityParams());
-
 // Reusable per-chunk-quality workspace. QoE models and the weight-inference
 // pipeline evaluate chunk-quality vectors once per rendering scored; holding
 // one cache per thread (or per batch loop) pins those evaluations to a

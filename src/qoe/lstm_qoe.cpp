@@ -1,6 +1,8 @@
 #include "qoe/lstm_qoe.h"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "util/stats.h"
 
@@ -34,7 +36,11 @@ double LstmQoeModel::predict(const sim::RenderedVideo& video) const {
 
 void LstmQoeModel::train(const std::vector<sim::RenderedVideo>& videos,
                          const std::vector<double>& mos) {
-  if (videos.size() != mos.size() || videos.size() < 5) return;
+  if (videos.size() != mos.size()) {
+    throw std::invalid_argument("LstmQoeModel::train: " + std::to_string(videos.size()) +
+                                " videos but " + std::to_string(mos.size()) + " MOS values");
+  }
+  if (videos.size() < 5) return;
   util::Rng rng(seed_);
   lstm_ = ml::LstmRegressor(5, hidden_dim_, rng);
   std::vector<std::vector<std::vector<double>>> sequences;

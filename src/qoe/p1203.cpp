@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "util/stats.h"
 
@@ -56,7 +58,11 @@ double P1203Model::predict(const sim::RenderedVideo& video) const {
 
 void P1203Model::train(const std::vector<sim::RenderedVideo>& videos,
                        const std::vector<double>& mos) {
-  if (videos.size() != mos.size() || videos.size() < 5) return;
+  if (videos.size() != mos.size()) {
+    throw std::invalid_argument("P1203Model::train: " + std::to_string(videos.size()) +
+                                " videos but " + std::to_string(mos.size()) + " MOS values");
+  }
+  if (videos.size() < 5) return;
   std::vector<std::vector<double>> x;
   x.reserve(videos.size());
   for (const auto& v : videos) x.push_back(features(v));

@@ -21,6 +21,7 @@ class QoeModel {
   virtual double predict(const sim::RenderedVideo& video) const = 0;
 
   // Fits the model to ground-truth MOS values; default is non-trainable.
+  // Trainable models throw std::invalid_argument when the two sizes differ.
   virtual void train(const std::vector<sim::RenderedVideo>& videos,
                      const std::vector<double>& mos) {
     (void)videos;

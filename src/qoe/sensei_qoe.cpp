@@ -1,9 +1,18 @@
 #include "qoe/sensei_qoe.h"
 
-#include "util/regression.h"
+#include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 #include "util/stats.h"
 
 namespace sensei::qoe {
+namespace {
+
+constexpr double kRidge = 1e-6;  // keeps the fit solvable when raw scores are all equal
+
+}  // namespace
 
 SenseiQoeModel::SenseiQoeModel(std::vector<double> weights, ChunkQualityParams params)
     : weights_(std::move(weights)), params_(params) {}
@@ -31,14 +40,42 @@ double SenseiQoeModel::predict(const sim::RenderedVideo& video) const {
 
 void SenseiQoeModel::train(const std::vector<sim::RenderedVideo>& videos,
                            const std::vector<double>& mos) {
-  if (videos.size() != mos.size() || videos.size() < 3) return;
-  std::vector<std::vector<double>> rows;
-  rows.reserve(videos.size());
-  for (const auto& v : videos) rows.push_back({raw_score(v), 1.0});
-  auto fit = util::fit_least_squares(rows, mos, 1e-6);
-  if (fit.coefficients.size() == 2 && fit.coefficients[0] > 0.0) {
-    scale_ = fit.coefficients[0];
-    offset_ = fit.coefficients[1];
+  if (videos.size() != mos.size()) {
+    throw std::invalid_argument("SenseiQoeModel::train: " + std::to_string(videos.size()) +
+                                " videos but " + std::to_string(mos.size()) + " MOS values");
+  }
+  if (videos.size() < 3) return;
+
+  // Ridge least squares of mos ~ scale * s + offset over the raw scores s:
+  // the 2x2 normal equations [a00 a01; a10 a11] [scale offset]' = [b0 b1]',
+  // solved by Gaussian elimination with a partial pivot on the first column.
+  double sum_ss = 0.0, sum_s = 0.0, sum_sy = 0.0, sum_y = 0.0;
+  for (size_t j = 0; j < videos.size(); ++j) {
+    const double s = raw_score(videos[j]);
+    sum_ss += s * s;
+    sum_s += s;
+    sum_sy += s * mos[j];
+    sum_y += mos[j];
+  }
+  double a00 = sum_ss + kRidge, a01 = sum_s, b0 = sum_sy;
+  double a10 = sum_s, a11 = static_cast<double>(videos.size()) + kRidge, b1 = sum_y;
+  if (std::abs(a10) > std::abs(a00)) {
+    std::swap(a00, a10);
+    std::swap(a01, a11);
+    std::swap(b0, b1);
+  }
+  if (std::abs(a00) < 1e-12) throw std::runtime_error("SenseiQoeModel::train: singular fit");
+  const double f = a10 / a00;
+  if (f != 0.0) {
+    a11 -= f * a01;
+    b1 -= f * b0;
+  }
+  if (std::abs(a11) < 1e-12) throw std::runtime_error("SenseiQoeModel::train: singular fit");
+  const double offset = b1 / a11;
+  const double scale = (b0 - a01 * offset) / a00;
+  if (scale > 0.0) {
+    scale_ = scale;
+    offset_ = offset;
   }
 }
 

@@ -59,7 +59,6 @@ class RenderedVideo {
   // Sum over |vq_i - vq_{i-1}| (smoothness penalty input).
   double total_quality_switch_magnitude() const;
 
-  std::string& mutable_name() { return name_; }
   std::vector<RenderedChunk>& mutable_chunks() { return chunks_; }
 
  private:

@@ -4,42 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/stats.h"
-
 namespace sensei::util {
-
-RegressionResult fit_least_squares(const Matrix& x, const std::vector<double>& y,
-                                   double ridge_lambda) {
-  if (x.rows() != y.size()) throw std::runtime_error("regression: rows != y size");
-  if (x.rows() == 0 || x.cols() == 0) return {};
-  Matrix xt = x.transpose();
-  Matrix xtx = xt.multiply(x);
-  for (size_t i = 0; i < xtx.rows(); ++i) xtx.at(i, i) += ridge_lambda;
-  std::vector<double> xty = xt.multiply(y);
-  RegressionResult result;
-  result.coefficients = Matrix::solve(xtx, xty);
-
-  std::vector<double> pred = x.multiply(result.coefficients);
-  double ss_res = 0.0, ss_tot = 0.0;
-  double ym = mean(y);
-  for (size_t i = 0; i < y.size(); ++i) {
-    ss_res += (y[i] - pred[i]) * (y[i] - pred[i]);
-    ss_tot += (y[i] - ym) * (y[i] - ym);
-  }
-  result.r_squared = ss_tot > 0.0 ? 1.0 - ss_res / ss_tot : 0.0;
-  return result;
-}
-
-RegressionResult fit_least_squares(const std::vector<std::vector<double>>& rows,
-                                   const std::vector<double>& y, double ridge_lambda) {
-  if (rows.empty()) return {};
-  Matrix x(rows.size(), rows[0].size());
-  for (size_t r = 0; r < rows.size(); ++r) {
-    if (rows[r].size() != rows[0].size()) throw std::runtime_error("regression: ragged rows");
-    for (size_t c = 0; c < rows[r].size(); ++c) x.at(r, c) = rows[r][c];
-  }
-  return fit_least_squares(x, y, ridge_lambda);
-}
 
 std::vector<double> fit_nonnegative_least_squares(const std::vector<std::vector<double>>& rows,
                                                   const std::vector<double>& y,

@@ -31,6 +31,22 @@ TEST_F(CampaignTest, CollectsRequestedRatings) {
   EXPECT_GT(result.elapsed_minutes, 0.0);
 }
 
+// Reaching max_participants before every rendering has its ratings must not
+// return made-up MOS values for the renderings left short.
+TEST_F(CampaignTest, ParticipantCapShortOfRatingsThrows) {
+  CampaignConfig cfg;
+  cfg.max_participants = 1;
+  Campaign campaign(oracle_, RaterConfig(), cfg, 1);
+  try {
+    campaign.run(make_series(), reference_, 10);
+    ADD_FAILURE() << "a capped campaign returned normally";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("max_participants (1)"), std::string::npos) << what;
+    EXPECT_NE(what.find("6 of 6 renderings short of 10"), std::string::npos) << what;
+  }
+}
+
 TEST_F(CampaignTest, MosTracksOracleOrdering) {
   Campaign campaign(oracle_, RaterConfig(), CampaignConfig(), 2);
   auto series = make_series();

@@ -54,7 +54,8 @@ TEST(ChunkQuality, CustomParamsChangeShape) {
 TEST(ChunkQuality, VectorOverRenderedVideo) {
   auto video = media::Encoder().encode(media::Dataset::soccer1_clip());
   auto rendered = sim::RenderedVideo::pristine(video).with_rebuffering(3, 1.0);
-  auto q = chunk_qualities(rendered);
+  std::vector<double> q;
+  chunk_qualities_into(rendered, ChunkQualityParams(), q);
   ASSERT_EQ(q.size(), rendered.num_chunks());
   // Every entry matches the scalar chunk_quality applied per chunk; complexity
   // varies across chunks, so even pristine neighbours carry small |dvq| terms.

@@ -78,10 +78,9 @@ TEST_P(DatasetSweep, NoiselessInferenceRecoversSensitivity) {
   crowd::GroundTruthQoE oracle;
   auto series = sim::rebuffer_series(video, 1.0);
   auto reference = sim::RenderedVideo::pristine(video);
-  std::vector<double> mos;
-  for (const auto& v : series) mos.push_back(oracle.score(v));
-  auto w = crowd::infer_weights(series, mos, reference, oracle.score(reference),
-                                video.num_chunks());
+  crowd::WeightSystem system(reference);
+  for (const auto& v : series) system.add(v, oracle.score(v));
+  auto w = system.solve(oracle.score(reference));
   EXPECT_GT(util::spearman(w, video.source().true_sensitivity()), 0.6) << GetParam();
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <stdexcept>
+#include <string>
+
 #include "crowd/ground_truth.h"
 #include "media/dataset.h"
 #include "qoe/lstm_qoe.h"
@@ -178,6 +182,32 @@ TEST_F(QoeModelTest, SenseiModelMoreAccurateThanKsqiOnSensitivityData) {
 TEST_F(QoeModelTest, SenseiModelShortClipFallsBackToUnitWeight) {
   SenseiQoeModel model(std::vector<double>(3, 1.5));  // profile shorter than video
   EXPECT_NO_THROW(model.predict(sim::RenderedVideo::pristine(video_)));
+}
+
+// A training set whose MOS vector does not match its renderings is a caller
+// bug: every trainable model names both sizes instead of staying untrained.
+// Too few (matching) samples remain a silent no-op.
+TEST_F(QoeModelTest, TrainRejectsMismatchedSizes) {
+  std::vector<double> short_mos(train_mos_.begin(), train_mos_.end() - 1);
+  const std::string sizes = std::to_string(train_videos_.size()) + " videos but " +
+                            std::to_string(short_mos.size()) + " MOS values";
+  SenseiQoeModel ksqi;
+  P1203Model p1203;
+  LstmQoeModel lstm(4, 1, 0.01, 3);
+  for (QoeModel* model : std::initializer_list<QoeModel*>{&ksqi, &p1203, &lstm}) {
+    try {
+      model->train(train_videos_, short_mos);
+      ADD_FAILURE() << model->name() << " accepted mismatched sizes";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(sizes), std::string::npos) << e.what();
+    }
+    std::vector<sim::RenderedVideo> two(train_videos_.begin(), train_videos_.begin() + 2);
+    EXPECT_NO_THROW(model->train(two, {train_mos_[0], train_mos_[1]})) << model->name();
+  }
+  EXPECT_EQ(ksqi.scale(), 1.0);
+  EXPECT_EQ(ksqi.offset(), 0.0);
+  EXPECT_FALSE(lstm.trained());
+  EXPECT_NEAR(p1203.predict(train_videos_[0]), 0.6, 1e-9);
 }
 
 TEST(SenseiQoeModel, EmptyWeightsAreKsqi) {

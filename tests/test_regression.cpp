@@ -12,66 +12,8 @@
 namespace sensei::util {
 namespace {
 
-TEST(Regression, ExactLinearRecovery) {
-  // y = 2*x0 - 1*x1 + 3, noiseless -> OLS recovers coefficients exactly.
-  std::vector<std::vector<double>> rows;
-  std::vector<double> y;
-  Rng rng(5);
-  for (int i = 0; i < 30; ++i) {
-    double x0 = rng.uniform(-2, 2), x1 = rng.uniform(-2, 2);
-    rows.push_back({x0, x1, 1.0});
-    y.push_back(2.0 * x0 - 1.0 * x1 + 3.0);
-  }
-  auto fit = fit_least_squares(rows, y);
-  ASSERT_EQ(fit.coefficients.size(), 3u);
-  EXPECT_NEAR(fit.coefficients[0], 2.0, 1e-9);
-  EXPECT_NEAR(fit.coefficients[1], -1.0, 1e-9);
-  EXPECT_NEAR(fit.coefficients[2], 3.0, 1e-9);
-  EXPECT_NEAR(fit.r_squared, 1.0, 1e-9);
-}
-
-TEST(Regression, NoisyFitHasReasonableRSquared) {
-  std::vector<std::vector<double>> rows;
-  std::vector<double> y;
-  Rng rng(6);
-  for (int i = 0; i < 200; ++i) {
-    double x = rng.uniform(0, 10);
-    rows.push_back({x, 1.0});
-    y.push_back(1.5 * x + rng.normal(0.0, 0.5));
-  }
-  auto fit = fit_least_squares(rows, y);
-  EXPECT_NEAR(fit.coefficients[0], 1.5, 0.05);
-  EXPECT_GT(fit.r_squared, 0.95);
-}
-
-TEST(Regression, RidgeShrinksCoefficients) {
-  std::vector<std::vector<double>> rows;
-  std::vector<double> y;
-  Rng rng(7);
-  for (int i = 0; i < 50; ++i) {
-    double x = rng.uniform(-1, 1);
-    rows.push_back({x});
-    y.push_back(4.0 * x);
-  }
-  auto plain = fit_least_squares(rows, y, 0.0);
-  auto ridged = fit_least_squares(rows, y, 50.0);
-  EXPECT_NEAR(plain.coefficients[0], 4.0, 1e-9);
-  EXPECT_LT(ridged.coefficients[0], plain.coefficients[0]);
-  EXPECT_GT(ridged.coefficients[0], 0.0);
-}
-
-TEST(Regression, EmptyInputsReturnEmpty) {
-  auto fit = fit_least_squares(std::vector<std::vector<double>>{}, {});
-  EXPECT_TRUE(fit.coefficients.empty());
-}
-
-TEST(Regression, RaggedRowsThrow) {
-  std::vector<std::vector<double>> rows = {{1.0, 2.0}, {1.0}};
-  EXPECT_THROW(fit_least_squares(rows, {1.0, 2.0}), std::runtime_error);
-}
-
 TEST(Regression, NonNegativeRecoversPositiveTruth) {
-  // True weights all positive: NNLS should match OLS closely.
+  // True weights all positive and noiseless: NNLS recovers them.
   std::vector<std::vector<double>> rows;
   std::vector<double> y;
   Rng rng(8);

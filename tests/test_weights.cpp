@@ -36,8 +36,9 @@ TEST_F(WeightsTest, RecoverySensitivityOrderingFromNoiselessMos) {
   auto series = sim::rebuffer_series(clip_, 1.0);
   std::vector<double> mos;
   for (const auto& v : series) mos.push_back(oracle_.score(v));
-  auto w = infer_weights(series, mos, reference_, oracle_.score(reference_),
-                         clip_.num_chunks());
+  WeightSystem system(reference_);
+  for (size_t j = 0; j < series.size(); ++j) system.add(series[j], mos[j]);
+  auto w = system.solve(oracle_.score(reference_));
   ASSERT_EQ(w.size(), clip_.num_chunks());
   EXPECT_NEAR(util::mean(w), 1.0, 1e-9);
   auto s = clip_.source().true_sensitivity();
@@ -52,8 +53,9 @@ TEST_F(WeightsTest, MixedIncidentTypesStillRecover) {
   series.insert(series.end(), drops.begin(), drops.end());
   std::vector<double> mos;
   for (const auto& v : series) mos.push_back(oracle_.score(v));
-  auto w = infer_weights(series, mos, reference_, oracle_.score(reference_),
-                         clip_.num_chunks());
+  WeightSystem system(reference_);
+  for (size_t j = 0; j < series.size(); ++j) system.add(series[j], mos[j]);
+  auto w = system.solve(oracle_.score(reference_));
   EXPECT_GT(util::spearman(w, clip_.source().true_sensitivity()), 0.8);
 }
 
@@ -62,9 +64,9 @@ TEST_F(WeightsTest, UntouchedChunksGetNeutralFill) {
   auto base = sim::RenderedVideo::pristine(clip_);
   std::vector<sim::RenderedVideo> videos = {base.with_rebuffering(0, 1.0),
                                             base.with_rebuffering(1, 1.0)};
-  std::vector<double> mos = {oracle_.score(videos[0]), oracle_.score(videos[1])};
-  auto w = infer_weights(videos, mos, reference_, oracle_.score(reference_),
-                         clip_.num_chunks());
+  WeightSystem system(reference_);
+  for (const auto& v : videos) system.add(v, oracle_.score(v));
+  auto w = system.solve(oracle_.score(reference_));
   // Chunks 3..5 were untouched; they share one fill value.
   EXPECT_DOUBLE_EQ(w[3], w[4]);
   EXPECT_DOUBLE_EQ(w[4], w[5]);
@@ -77,22 +79,38 @@ TEST_F(WeightsTest, AllWeightsNonNegative) {
   for (size_t j = 0; j < series.size(); ++j) {
     mos.push_back(oracle_.score(series[j]) + (j % 2 ? 0.3 : -0.3));
   }
-  auto w = infer_weights(series, mos, reference_, oracle_.score(reference_),
-                         clip_.num_chunks());
+  WeightSystem system(reference_);
+  for (size_t j = 0; j < series.size(); ++j) system.add(series[j], mos[j]);
+  auto w = system.solve(oracle_.score(reference_));
   for (double x : w) EXPECT_GE(x, 0.0);
 }
 
 TEST_F(WeightsTest, EmptyInputsGiveUnitWeights) {
-  auto w = infer_weights({}, {}, reference_, 1.0, 6);
+  WeightSystem system(reference_);
+  auto w = system.solve(1.0);
   ASSERT_EQ(w.size(), 6u);
   for (double x : w) EXPECT_DOUBLE_EQ(x, 1.0);
+
+  // The reference itself differs from the reference nowhere: no row.
+  system.add(reference_, 0.2);
+  EXPECT_EQ(system.solve(1.0), w);
 }
 
-TEST_F(WeightsTest, MismatchedInputsThrow) {
+TEST_F(WeightsTest, PooledSolveMatchesFreshSystem) {
+  // Rows added before a solve are kept for the next one: solving again after
+  // more renderings equals one system built over all of them.
   auto series = sim::rebuffer_series(clip_, 1.0);
-  std::vector<double> mos(series.size() - 1, 0.5);
-  EXPECT_THROW(infer_weights(series, mos, reference_, 1.0, clip_.num_chunks()),
-               std::runtime_error);
+  auto drops = sim::bitrate_drop_series(clip_, 0, 1);
+  WeightSystem pooled(reference_);
+  for (const auto& v : series) pooled.add(v, oracle_.score(v));
+  auto provisional = pooled.solve(0.9);
+  for (const auto& v : drops) pooled.add(v, oracle_.score(v));
+
+  WeightSystem fresh(reference_);
+  for (const auto& v : series) fresh.add(v, oracle_.score(v));
+  for (const auto& v : drops) fresh.add(v, oracle_.score(v));
+  EXPECT_EQ(pooled.solve(0.95), fresh.solve(0.95));
+  EXPECT_NE(pooled.solve(0.95), provisional);
 }
 
 TEST_F(WeightsTest, ClipRenderingsConstrainOnlyCoveredChunks) {
@@ -102,8 +120,9 @@ TEST_F(WeightsTest, ClipRenderingsConstrainOnlyCoveredChunks) {
   auto series = sim::rebuffer_series(clip_encoded, 1.0);
   std::vector<double> mos;
   for (const auto& v : series) mos.push_back(oracle_.score(v));
-  auto w = infer_weights(series, mos, reference_, oracle_.score(reference_),
-                         clip_.num_chunks());
+  WeightSystem system(reference_);
+  for (size_t j = 0; j < series.size(); ++j) system.add(series[j], mos[j]);
+  auto w = system.solve(oracle_.score(reference_));
   ASSERT_EQ(w.size(), 6u);
   EXPECT_DOUBLE_EQ(w[3], w[4]);  // untouched tail shares the fill value
 }
