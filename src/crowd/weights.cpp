@@ -24,18 +24,16 @@ WeightSystem::WeightSystem(const sim::RenderedVideo& reference)
 void WeightSystem::add(const sim::RenderedVideo& rendering, double mos) {
   const size_t num_chunks = q_ref_.size();
   qoe::chunk_qualities_into(rendering, kChunkParams, q_);
-  std::vector<double> row(num_chunks, 0.0);
+  util::SparseRow row;
   const size_t covered = std::min(num_chunks, q_.size());
-  bool any = false;
   for (size_t i = 0; i < covered; ++i) {
     double delta = q_ref_[i] - q_[i];
     if (std::abs(delta) > 1e-12) {
-      row[i] = delta;
+      row.push_back({i, delta});
       touched_[i] = true;
-      any = true;
     }
   }
-  if (!any) return;  // identical to the reference: no information
+  if (row.empty()) return;  // identical to the reference: no information
   rows_.push_back(std::move(row));
   mos_.push_back(mos);
   covered_.push_back(static_cast<double>(covered));
@@ -50,7 +48,7 @@ std::vector<double> WeightSystem::solve(double reference_mos) const {
   std::vector<double> targets(rows_.size());
   for (size_t j = 0; j < rows_.size(); ++j) targets[j] = (reference_mos - mos_[j]) * covered_[j];
   std::vector<double> w =
-      util::fit_nonnegative_least_squares(rows_, targets, kRidgeLambda, kIterations);
+      util::fit_nonnegative_least_squares(rows_, num_chunks, targets, kRidgeLambda, kIterations);
 
   // Chunks untouched by every incident carry no signal; give them the mean
   // weight of the constrained chunks before normalizing.

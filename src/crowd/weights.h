@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "sim/render.h"
+#include "util/regression.h"
 
 namespace sensei::crowd {
 
@@ -41,7 +42,7 @@ class WeightSystem {
 
  private:
   std::vector<double> q_ref_;
-  std::vector<std::vector<double>> rows_;
+  std::vector<util::SparseRow> rows_;  // each row's nonzero (chunk, delta)
   std::vector<double> mos_;
   std::vector<double> covered_;  // chunks each row covers, as a double
   std::vector<bool> touched_;    // chunks some row constrains

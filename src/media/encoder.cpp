@@ -1,15 +1,23 @@
 #include "media/encoder.h"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "util/rng.h"
 #include "util/stats.h"
 
 namespace sensei::media {
 
-EncodedVideo::EncodedVideo(SourceVideo source, BitrateLadder ladder,
-                           std::vector<std::vector<EncodedChunk>> reps)
-    : source_(std::move(source)), ladder_(std::move(ladder)), reps_(std::move(reps)) {}
+const EncodedVideo::Payload& EncodedVideo::no_payload() {
+  static const Payload kNone;
+  return kNone;
+}
+
+void EncodedVideo::throw_out_of_range(size_t chunk, size_t level) {
+  throw std::out_of_range("encoded video: no rep at chunk " + std::to_string(chunk) +
+                          ", level " + std::to_string(level));
+}
 
 Encoder::Encoder(BitrateLadder ladder) : ladder_(std::move(ladder)) {}
 
@@ -24,8 +32,10 @@ double Encoder::visual_quality(double bitrate_kbps, double complexity) {
 
 EncodedVideo Encoder::encode(const SourceVideo& video) const {
   util::Rng rng = util::Rng::from_string(video.name(), 0xE2C0DE);
-  std::vector<std::vector<EncodedChunk>> reps;
-  reps.reserve(video.num_chunks());
+  auto payload = std::make_shared<EncodedVideo::Payload>();
+  payload->source = video;
+  payload->ladder = ladder_;
+  payload->reps.reserve(video.num_chunks() * ladder_.level_count());
   const double tau = video.chunk_duration_s();
 
   for (size_t i = 0; i < video.num_chunks(); ++i) {
@@ -36,18 +46,15 @@ EncodedVideo Encoder::encode(const SourceVideo& video) const {
     double vbr = 1.0 + 0.25 * (content.motion - 0.5) + rng.normal(0.0, 0.06);
     vbr = util::clamp(vbr, 0.6, 1.5);
 
-    std::vector<EncodedChunk> levels;
-    levels.reserve(ladder_.level_count());
     for (size_t l = 0; l < ladder_.level_count(); ++l) {
       EncodedChunk ec;
       ec.bitrate_kbps = ladder_.kbps(l);
       ec.size_bytes = ec.bitrate_kbps * 1000.0 / 8.0 * tau * vbr;
       ec.visual_quality = visual_quality(ec.bitrate_kbps, content.complexity);
-      levels.push_back(ec);
+      payload->reps.push_back(ec);
     }
-    reps.push_back(std::move(levels));
   }
-  return EncodedVideo(video, ladder_, std::move(reps));
+  return EncodedVideo(std::move(payload));
 }
 
 }  // namespace sensei::media

@@ -29,9 +29,6 @@ class SourceVideo {
   const ChunkContent& chunk(size_t i) const { return chunks_.at(i); }
   const std::vector<ChunkContent>& chunks() const { return chunks_; }
 
-  // Mutable access for tests and for building hand-crafted clips (Figure 1).
-  std::vector<ChunkContent>& mutable_chunks() { return chunks_; }
-
   // The hidden per-chunk sensitivity vector (only the ground-truth oracle and
   // evaluation code may peek at this; SENSEI itself must infer it).
   std::vector<double> true_sensitivity() const;

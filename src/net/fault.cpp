@@ -152,11 +152,11 @@ ThroughputTrace FaultPlan::apply_to_trace(const ThroughputTrace& base) const {
   size_t periods = static_cast<size_t>(std::ceil(horizon / period_s));
   if (periods < 1) periods = 1;
   if (base.finite()) periods = 1;
-  const size_t n = base.sample_count();
+  const std::vector<double>& base_samples = base.samples_kbps();
   std::vector<double> samples;
-  samples.reserve(n * periods);
+  samples.reserve(base_samples.size() * periods);
   for (size_t p = 0; p < periods; ++p) {
-    samples.insert(samples.end(), base.samples_kbps().begin(), base.samples_kbps().end());
+    samples.insert(samples.end(), base_samples.begin(), base_samples.end());
   }
   // Scale every interval overlapping a fault window; min factor wins where
   // windows overlap (applying factors multiplicatively would double-count a

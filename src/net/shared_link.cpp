@@ -52,8 +52,9 @@ double SharedLink::cumulative_bits(double t) const {
   // ends by period_s, because x < period_s rounds x / period_s below 1, so
   // whole = 0 holds exactly on [0, period_s).
   if (!(t >= cum_seg_.lo && t < cum_seg_.hi)) {
-    const std::vector<double>& prefix = trace_->index().prefix_bits;
-    const size_t n = trace_->sample_count();
+    const TraceIndex& index = trace_->index();
+    const std::vector<double>& prefix = index.prefix_bits;
+    const size_t n = index.samples_kbps.size();
     const double period_bits = prefix[n];
     if (!(t > 0.0)) return 0.0;
     // t = +inf: a finite trace caps at one period; a looping trace delivers
@@ -75,7 +76,7 @@ double SharedLink::cumulative_bits(double t) const {
     cum_seg_.period_start = whole * period_s;
     cum_seg_.interval_start = static_cast<double>(idx) * interval;
     cum_seg_.base_bits = whole * period_bits + prefix[idx];
-    cum_seg_.bps = trace_->samples_kbps()[idx] * 1000.0;
+    cum_seg_.bps = index.samples_kbps[idx] * 1000.0;
     const double estimate =
         idx + 1 < n ? cum_seg_.period_start + static_cast<double>(idx + 1) * interval
                     : (whole + 1.0) * period_s;

@@ -70,16 +70,15 @@ size_t find_finish(const std::vector<double>& prefix, size_t p, size_t n, double
 
 }  // namespace
 
+const std::vector<double> ThroughputTrace::kNoSamples;
+
 ThroughputTrace::ThroughputTrace(std::string name, std::vector<double> samples_kbps,
                                  double interval_s, bool finite)
-    : name_(std::move(name)),
-      samples_(std::move(samples_kbps)),
-      interval_s_(interval_s),
-      finite_(finite) {
-  if (samples_.empty()) throw std::runtime_error("trace: no samples");
+    : name_(std::move(name)), interval_s_(interval_s), finite_(finite) {
+  if (samples_kbps.empty()) throw std::runtime_error("trace: no samples");
   if (!std::isfinite(interval_s_) || interval_s_ <= 0.0)
     throw std::runtime_error("trace: interval must be finite and > 0");
-  for (double s : samples_) {
+  for (double s : samples_kbps) {
     // !(s >= 0) also rejects NaN, which every ordinary comparison lets through.
     if (!std::isfinite(s) || !(s >= 0.0))
       throw std::runtime_error("trace: throughput must be finite and >= 0");
@@ -87,17 +86,21 @@ ThroughputTrace::ThroughputTrace(std::string name, std::vector<double> samples_k
   // Cumulative-capacity index: one left-to-right pass, the accumulation
   // order every integration below reuses.
   auto index = std::make_shared<TraceIndex>();
-  index->prefix_bits.resize(samples_.size() + 1);
+  index->prefix_bits.resize(samples_kbps.size() + 1);
   index->prefix_bits[0] = 0.0;
-  for (size_t k = 0; k < samples_.size(); ++k) {
-    double capacity_bits = samples_[k] * 1000.0 * interval_s_;
+  for (size_t k = 0; k < samples_kbps.size(); ++k) {
+    double capacity_bits = samples_kbps[k] * 1000.0 * interval_s_;
     index->prefix_bits[k + 1] = index->prefix_bits[k] + capacity_bits;
   }
+  index->samples_kbps = std::move(samples_kbps);
   index_ = std::move(index);
 }
 
 ThroughputTrace ThroughputTrace::as_finite() const {
-  return ThroughputTrace(name_, samples_, interval_s_, true);
+  if (!index_) throw std::runtime_error("trace: no samples");
+  ThroughputTrace finite = *this;
+  finite.finite_ = true;
+  return finite;
 }
 
 const TraceIndex& ThroughputTrace::index() const {
@@ -107,17 +110,19 @@ const TraceIndex& ThroughputTrace::index() const {
 
 double ThroughputTrace::throughput_at(double t_s) const {
   // A non-finite clock (e.g. the +inf wall time an outage produces) has no
-  // sample; casting it to an index would be UB. The link reads as dead.
-  if (!std::isfinite(t_s)) return 0.0;
+  // sample; casting it to an index would be UB. The link reads as dead, as
+  // it does on a default-constructed trace, which has no samples.
+  if (!std::isfinite(t_s) || !index_) return 0.0;
   if (t_s < 0.0) t_s = 0.0;
   if (finite_ && t_s >= duration_s()) return 0.0;
+  const std::vector<double>& samples = index_->samples_kbps;
   auto idx = static_cast<size_t>(t_s / interval_s_);
-  return samples_[idx % samples_.size()];
+  return samples[idx % samples.size()];
 }
 
-double ThroughputTrace::mean_kbps() const { return util::mean(samples_); }
+double ThroughputTrace::mean_kbps() const { return util::mean(samples_kbps()); }
 
-double ThroughputTrace::stddev_kbps() const { return util::stddev(samples_); }
+double ThroughputTrace::stddev_kbps() const { return util::stddev(samples_kbps()); }
 
 TransferResult ThroughputTrace::integrate(double bytes, double start_s,
                                           TraceCursor* cursor) const {
@@ -129,8 +134,9 @@ TransferResult ThroughputTrace::integrate(double bytes, double start_s,
   if (start_s < 0.0) start_s = 0.0;
   if (!index_) return dead_link();  // default-constructed empty trace
 
-  const size_t n = samples_.size();
+  const std::vector<double>& samples = index_->samples_kbps;
   const std::vector<double>& prefix = index_->prefix_bits;
+  const size_t n = samples.size();
   double remaining_bits = bytes * 8.0;
 
   // --- the (possibly partial) interval the transfer starts in -------------
@@ -179,7 +185,7 @@ TransferResult ThroughputTrace::integrate(double bytes, double start_s,
     }
     idx_mod = idx % n;
   }
-  double kbps = samples_[idx_mod];
+  double kbps = samples[idx_mod];
   if (kbps > 0.0) {
     double bps = kbps * 1000.0;
     double capacity_bits = bps * span;
@@ -224,7 +230,7 @@ TransferResult ThroughputTrace::integrate(double bytes, double start_s,
       if (hint != nullptr) *hint = k;
       size_t finish = base + k - 1;  // absolute finishing interval
       double r = remaining_bits - (prefix[k - 1] - prefix[phase]);
-      double bps = samples_[k - 1] * 1000.0;
+      double bps = samples[k - 1] * 1000.0;
       double interval_start = static_cast<double>(finish) * interval_s_;
       result.elapsed_s = (interval_start - start_s) + r / bps;
       return result;
@@ -272,8 +278,8 @@ double TraceCursor::download_time_s(double bytes, double start_s, double rtt_s) 
 
 ThroughputTrace ThroughputTrace::scaled(double factor, const std::string& new_name) const {
   if (factor < 0.0) throw std::runtime_error("trace: negative scale factor");
-  std::vector<double> scaled_samples(samples_.size());
-  for (size_t i = 0; i < samples_.size(); ++i) scaled_samples[i] = samples_[i] * factor;
+  std::vector<double> scaled_samples = samples_kbps();
+  for (double& s : scaled_samples) s *= factor;
   return ThroughputTrace(new_name.empty() ? name_ + "-x" + std::to_string(factor) : new_name,
                          std::move(scaled_samples), interval_s_, finite_);
 }
@@ -281,10 +287,8 @@ ThroughputTrace ThroughputTrace::scaled(double factor, const std::string& new_na
 ThroughputTrace ThroughputTrace::with_noise(double sigma_kbps, uint64_t seed,
                                             double floor_kbps) const {
   util::Rng rng(seed);
-  std::vector<double> noisy(samples_.size());
-  for (size_t i = 0; i < samples_.size(); ++i) {
-    noisy[i] = std::max(floor_kbps, samples_[i] + rng.normal(0.0, sigma_kbps));
-  }
+  std::vector<double> noisy = samples_kbps();
+  for (double& s : noisy) s = std::max(floor_kbps, s + rng.normal(0.0, sigma_kbps));
   return ThroughputTrace(name_ + "+noise", std::move(noisy), interval_s_, finite_);
 }
 
@@ -293,8 +297,9 @@ std::string ThroughputTrace::to_csv() const {
   // max_digits10 significant digits: every double reads back bit for bit.
   os.precision(std::numeric_limits<double>::max_digits10);
   os << "time_s,throughput_kbps\n";
-  for (size_t i = 0; i < samples_.size(); ++i) {
-    os << static_cast<double>(i) * interval_s_ << ',' << samples_[i] << '\n';
+  const std::vector<double>& samples = samples_kbps();
+  for (size_t i = 0; i < samples.size(); ++i) {
+    os << static_cast<double>(i) * interval_s_ << ',' << samples[i] << '\n';
   }
   return os.str();
 }

@@ -44,11 +44,12 @@ struct TransferResult {
   bool completed = true;
 };
 
-// Cumulative-capacity index over one period of the step function, built at
-// construction (traces are immutable and shared across ExperimentRunner
-// workers, so laziness would need synchronization for no gain; construction
-// already walks the samples once to validate them).
+// One trace's payload: its samples and the cumulative-capacity index over
+// one period of their step function. Built once, at construction (which
+// already walks the samples to validate them), immutable from then on, and
+// shared by every copy of the trace, as_finite() included.
 struct TraceIndex {
+  std::vector<double> samples_kbps;
   // prefix_bits[k] = bits deliverable by intervals [0, k), accumulated
   // left-to-right in double precision — the scan order every integration
   // reuses. Monotone nondecreasing; prefix_bits[n] is the capacity of
@@ -58,6 +59,12 @@ struct TraceIndex {
 
 class TraceCursor;
 
+// A handle over one shared, immutable TraceIndex: copying a trace copies its
+// name, interval, finite flag and a pointer, never the samples. Nothing
+// writes to a payload once the constructor has built it, so copies held by
+// different ExperimentRunner workers read it concurrently without
+// synchronization; only the reference count is shared, and it is atomic. A
+// default-constructed trace has no payload: no samples, and a dead link.
 class ThroughputTrace {
  public:
   ThroughputTrace() = default;
@@ -66,17 +73,21 @@ class ThroughputTrace {
 
   const std::string& name() const { return name_; }
   double interval_s() const { return interval_s_; }
-  size_t sample_count() const { return samples_.size(); }
-  const std::vector<double>& samples_kbps() const { return samples_; }
-  double duration_s() const { return interval_s_ * static_cast<double>(samples_.size()); }
+  size_t sample_count() const { return index_ ? index_->samples_kbps.size() : 0; }
+  const std::vector<double>& samples_kbps() const {
+    return index_ ? index_->samples_kbps : kNoSamples;
+  }
+  double duration_s() const { return interval_s_ * static_cast<double>(sample_count()); }
 
   // Finite traces do not loop: throughput past duration_s() is 0 and a
   // transfer still in flight there is an outage.
   bool finite() const { return finite_; }
-  // Returns a copy of this trace with finite (non-looping) semantics.
+  // Returns a copy of this trace with finite (non-looping) semantics; it
+  // shares this trace's payload.
   ThroughputTrace as_finite() const;
 
-  // Instantaneous throughput at time t (wraps past the end unless finite).
+  // Instantaneous throughput at time t (wraps past the end unless finite;
+  // 0 on a default-constructed trace).
   double throughput_at(double t_s) const;
 
   // Mean and population stddev over all samples.
@@ -94,9 +105,8 @@ class ThroughputTrace {
   // +infinity if the transfer hits an outage.
   double download_time_s(double bytes, double start_s, double rtt_s = 0.08) const;
 
-  // The cumulative-capacity index (shared between plain copies since it
-  // depends only on the samples). Throws on a default-constructed trace,
-  // which has no samples and therefore no index.
+  // The shared payload. Throws on a default-constructed trace, which has
+  // none.
   const TraceIndex& index() const;
 
   // Returns a copy scaled by `factor` (used for the bandwidth-ratio sweeps).
@@ -127,12 +137,12 @@ class ThroughputTrace {
   // memo; both only affect speed, never the result.
   TransferResult integrate(double bytes, double start_s, TraceCursor* cursor) const;
 
+  static const std::vector<double> kNoSamples;
+
   std::string name_;
-  std::vector<double> samples_;  // Kbps
   double interval_s_ = 1.0;
   bool finite_ = false;
-  // Immutable once built; shared across plain copies of the trace.
-  std::shared_ptr<const TraceIndex> index_;
+  std::shared_ptr<const TraceIndex> index_;  // null when default-constructed
 };
 
 // Stateful integration handle for a session's (mostly) monotonically

@@ -59,8 +59,6 @@ class RenderedVideo {
   // Sum over |vq_i - vq_{i-1}| (smoothness penalty input).
   double total_quality_switch_magnitude() const;
 
-  std::vector<RenderedChunk>& mutable_chunks() { return chunks_; }
-
  private:
   std::string name_;
   double chunk_duration_s_ = 4.0;

@@ -3,43 +3,48 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace sensei::util {
 
-std::vector<double> fit_nonnegative_least_squares(const std::vector<std::vector<double>>& rows,
-                                                  const std::vector<double>& y,
+std::vector<double> fit_nonnegative_least_squares(const std::vector<SparseRow>& rows,
+                                                  size_t num_cols, const std::vector<double>& y,
                                                   double ridge_lambda, int iterations) {
-  if (rows.empty() || rows[0].empty()) return {};
+  if (rows.empty() || num_cols == 0) return {};
   const size_t n = rows.size();
-  const size_t d = rows[0].size();
+  const size_t d = num_cols;
   if (y.size() != n) throw std::runtime_error("regression: rows != y size");
 
-  // X's nonzeros by row and by column, each in ascending order.
-  std::vector<size_t> row_start(n + 1, 0);
-  std::vector<size_t> row_col;
+  // X's entries by column, each column in ascending row order.
   std::vector<size_t> col_start(d + 1, 0);
   for (size_t i = 0; i < n; ++i) {
-    if (rows[i].size() != d) throw std::runtime_error("regression: ragged rows");
-    for (size_t a = 0; a < d; ++a) {
-      if (rows[i][a] != 0.0) {
-        row_col.push_back(a);
-        ++col_start[a + 1];
+    for (size_t m = 0; m < rows[i].size(); ++m) {
+      const size_t a = rows[i][m].col;
+      if (a >= d || (m > 0 && a <= rows[i][m - 1].col)) {
+        throw std::runtime_error("regression: row " + std::to_string(i) + " has column " +
+                                 std::to_string(a) + " out of range or out of ascending order");
       }
+      ++col_start[a + 1];
     }
-    row_start[i + 1] = row_col.size();
   }
   for (size_t a = 0; a < d; ++a) col_start[a + 1] += col_start[a];
-  std::vector<size_t> col_row(row_col.size());
+  std::vector<size_t> col_row(col_start[d]);
+  std::vector<double> col_val(col_start[d]);
   std::vector<size_t> col_fill(col_start.begin(), col_start.end() - 1);
   for (size_t i = 0; i < n; ++i) {
-    for (size_t k = row_start[i]; k < row_start[i + 1]; ++k) col_row[col_fill[row_col[k]]++] = i;
+    for (const SparseEntry& e : rows[i]) {
+      const size_t k = col_fill[e.col]++;
+      col_row[k] = i;
+      col_val[k] = e.value;
+    }
   }
 
   // G = X^T X + lambda I as a diagonal plus, for each row a of G, the sorted
   // columns b != a of its nonzero off-diagonal pattern; c = X^T y. Every entry
   // sums its products in ascending row order, like the dense loop over all
-  // of X would: a term with a zero factor only adds a signed zero to a sum
-  // that started at +0.0, which leaves it unchanged.
+  // of X would: a term with a zero factor (an entry the rows leave out) only
+  // adds a signed zero to a sum that started at +0.0, which leaves it
+  // unchanged.
   std::vector<double> diag(d, 0.0);
   std::vector<double> c(d, 0.0);
   std::vector<size_t> g_start(d + 1, 0);
@@ -52,17 +57,17 @@ std::vector<double> fit_nonnegative_least_squares(const std::vector<std::vector<
     pattern.clear();
     for (size_t k = col_start[a]; k < col_start[a + 1]; ++k) {
       const size_t i = col_row[k];
-      const double xa = rows[i][a];
+      const double xa = col_val[k];
       c[a] += xa * y[i];
       diag[a] += xa * xa;
-      for (size_t m = row_start[i]; m < row_start[i + 1]; ++m) {
-        const size_t b = row_col[m];
+      for (const SparseEntry& e : rows[i]) {
+        const size_t b = e.col;
         if (b == a) continue;
         if (stamp[b] != a) {
           stamp[b] = a;
           pattern.push_back(b);
         }
-        acc[b] += xa * rows[i][b];
+        acc[b] += xa * e.value;
       }
     }
     std::sort(pattern.begin(), pattern.end());

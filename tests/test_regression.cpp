@@ -5,12 +5,31 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "oracles/dense_nnls.h"
 #include "util/rng.h"
 
 namespace sensei::util {
 namespace {
+
+// The sparse form of dense rows: every entry but +0.0 and -0.0.
+std::vector<SparseRow> sparse_rows(const std::vector<std::vector<double>>& dense) {
+  std::vector<SparseRow> rows(dense.size());
+  for (size_t i = 0; i < dense.size(); ++i) {
+    for (size_t a = 0; a < dense[i].size(); ++a) {
+      if (dense[i][a] != 0.0) rows[i].push_back({a, dense[i][a]});
+    }
+  }
+  return rows;
+}
+
+std::vector<double> fit_dense(const std::vector<std::vector<double>>& rows,
+                              const std::vector<double>& y, double ridge_lambda = 0.0,
+                              int iterations = 200) {
+  return fit_nonnegative_least_squares(sparse_rows(rows), rows[0].size(), y, ridge_lambda,
+                                       iterations);
+}
 
 TEST(Regression, NonNegativeRecoversPositiveTruth) {
   // True weights all positive and noiseless: NNLS recovers them.
@@ -25,7 +44,7 @@ TEST(Regression, NonNegativeRecoversPositiveTruth) {
     rows.push_back(x);
     y.push_back(target);
   }
-  auto w = fit_nonnegative_least_squares(rows, y, 1e-6);
+  auto w = fit_dense(rows, y, 1e-6);
   ASSERT_EQ(w.size(), truth.size());
   for (size_t k = 0; k < truth.size(); ++k) EXPECT_NEAR(w[k], truth[k], 1e-3);
 }
@@ -38,7 +57,7 @@ TEST(Regression, NonNegativeClampsNegativeTruth) {
     rows.push_back({static_cast<double>(i)});
     y.push_back(-2.0 * i);
   }
-  auto w = fit_nonnegative_least_squares(rows, y);
+  auto w = fit_dense(rows, y);
   ASSERT_EQ(w.size(), 1u);
   EXPECT_DOUBLE_EQ(w[0], 0.0);
 }
@@ -49,25 +68,44 @@ TEST(Regression, NonNegativeHandlesSparseRows) {
   std::vector<std::vector<double>> rows = {
       {0.9, 0.0, 0.0}, {0.0, 0.9, 0.0}, {0.0, 0.0, 0.9}};
   std::vector<double> y = {0.45, 0.9, 0.09};
-  auto w = fit_nonnegative_least_squares(rows, y, 1e-9, 500);
+  auto w = fit_dense(rows, y, 1e-9, 500);
   EXPECT_NEAR(w[0], 0.5, 1e-5);
   EXPECT_NEAR(w[1], 1.0, 1e-5);
   EXPECT_NEAR(w[2], 0.1, 1e-5);
 }
 
-TEST(Regression, NonNegativeRaggedRowsThrow) {
-  std::vector<std::vector<double>> rows = {{1.0, 2.0}, {3.0}};
-  EXPECT_THROW(fit_nonnegative_least_squares(rows, {1.0, 2.0}), std::runtime_error);
+// An entry whose column is past the last one, equal to its predecessor's or
+// below it throws, naming the row.
+TEST(Regression, NonNegativeMalformedRowsThrow) {
+  const std::vector<double> y = {1.0, 2.0};
+  const std::vector<std::vector<SparseRow>> malformed = {
+      {{{0, 1.0}, {1, 2.0}}, {{2, 3.0}}},            // column out of range
+      {{{0, 1.0}, {1, 2.0}}, {{1, 3.0}, {0, 4.0}}},  // descending
+      {{{0, 1.0}, {1, 2.0}}, {{1, 3.0}, {1, 4.0}}},  // repeated
+  };
+  for (const std::vector<SparseRow>& rows : malformed) {
+    try {
+      fit_nonnegative_least_squares(rows, 2, y);
+      ADD_FAILURE() << "no throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("row 1 "), std::string::npos) << e.what();
+    }
+  }
+  // The same entries in range and ascending solve.
+  EXPECT_EQ(fit_nonnegative_least_squares({{{0, 1.0}, {1, 2.0}}, {{0, 4.0}, {1, 3.0}}}, 2, y)
+                .size(),
+            2u);
 }
 
 TEST(Regression, NonNegativeShortTargetsThrow) {
   std::vector<std::vector<double>> rows = {{1.0, 2.0}, {3.0, 4.0}};
-  EXPECT_THROW(fit_nonnegative_least_squares(rows, {1.0}), std::runtime_error);
+  EXPECT_THROW(fit_dense(rows, {1.0}), std::runtime_error);
 }
 
 // The sparse solver against the dense reference it replaced, bit for bit on
 // every coefficient, over the designs weight inference and its edge cases
-// produce.
+// produce. The oracle takes each design's dense rows; the solver takes their
+// sparse form, which drops every +0.0 and -0.0 entry.
 TEST(Regression, SparseNnlsMatchesDenseOracle) {
   struct Design {
     const char* name;
@@ -144,9 +182,8 @@ TEST(Regression, SparseNnlsMatchesDenseOracle) {
   }
 
   for (const Design& design : designs) {
-    const std::vector<double> sparse =
-        fit_nonnegative_least_squares(design.rows, design.y, design.ridge_lambda,
-                                      design.iterations);
+    const std::vector<double> sparse = fit_dense(design.rows, design.y, design.ridge_lambda,
+                                                 design.iterations);
     const std::vector<double> dense = oracles::dense_nonnegative_least_squares(
         design.rows, design.y, design.ridge_lambda, design.iterations);
     ASSERT_EQ(sparse.size(), dense.size()) << design.name;

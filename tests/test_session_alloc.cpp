@@ -8,22 +8,40 @@
 // a wrapper policy snapshots the allocation counter at its second decision
 // (chunk 1 — per-session setup and first-chunk growth are allowed) and the
 // test asserts the counter never moved by the last decision.
+//
+// The same counter holds the sharing contract of the session inputs
+// (SharedTrace, SharedVideo): a trace and an encoded video are handles over
+// one immutable payload, so copying one allocates at most a trace's name.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "abr/bba.h"
 #include "abr/fugu.h"
 #include "abr/rate_based.h"
 #include "abr/whittle.h"
 #include "media/dataset.h"
+#include "media/encoder.h"
+#include "net/trace.h"
 #include "net/trace_gen.h"
 #include "sim/player.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+
+// Heap allocations made while `f` runs.
+template <typename F>
+std::uint64_t allocations_in(F&& f) {
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  f();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -34,10 +52,13 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Never inlined: a test body with delete's free() inlined next to a call to
+// operator new reads to GCC as memory from new released by free(), and
+// -Wmismatched-new-delete fires, although this operator new is malloc.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace sensei::sim {
 namespace {
@@ -132,6 +153,109 @@ TEST_F(SessionAllocation, FuguSteadyStateStopsAllocatingOnceArenaIsWarm) {
   SessionResult s = player.stream(video_, trace_, probe, weights);
   ASSERT_EQ(s.chunks().size(), video_.num_chunks());
   EXPECT_EQ(probe.steady_state_allocations(), 0u);
+}
+
+// What copying `trace`'s name alone allocates: nothing for a name short
+// enough for the small-string buffer, one block otherwise.
+std::uint64_t name_allocations(const net::ThroughputTrace& trace) {
+  std::vector<std::string> names;
+  names.reserve(1);
+  return allocations_in([&] { names.push_back(trace.name()); });
+}
+
+void expect_same_payload(const net::ThroughputTrace& a, const net::ThroughputTrace& b) {
+  EXPECT_EQ(&a.samples_kbps(), &b.samples_kbps());
+  EXPECT_EQ(&a.index(), &b.index());
+  ASSERT_EQ(a.sample_count(), b.sample_count());
+  EXPECT_EQ(std::memcmp(a.samples_kbps().data(), b.samples_kbps().data(),
+                        a.sample_count() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(a.index().prefix_bits.data(), b.index().prefix_bits.data(),
+                        (a.sample_count() + 1) * sizeof(double)),
+            0);
+}
+
+TEST(SharedTrace, CopyAllocatesAtMostItsName) {
+  for (const char* name : {"cell", "a-trace-name-too-long-for-the-small-string-buffer"}) {
+    const net::ThroughputTrace trace = net::TraceGenerator::cellular(name, 1100, 600.0, 31);
+    std::vector<net::ThroughputTrace> copies;
+    copies.reserve(1);
+    EXPECT_LE(allocations_in([&] { copies.push_back(trace); }), name_allocations(trace)) << name;
+    expect_same_payload(copies[0], trace);
+    EXPECT_EQ(copies[0].name(), trace.name());
+    EXPECT_EQ(copies[0].finite(), trace.finite());
+  }
+}
+
+TEST(SharedTrace, AsFiniteSharesThePayloadAndEndsInADeadLink) {
+  const net::ThroughputTrace trace("steps", {1000.0, 2000.0, 3000.0}, 1.0);
+  std::vector<net::ThroughputTrace> finite;
+  finite.reserve(1);
+  EXPECT_LE(allocations_in([&] { finite.push_back(trace.as_finite()); }),
+            name_allocations(trace));
+  expect_same_payload(finite[0], trace);
+  EXPECT_TRUE(finite[0].finite());
+  EXPECT_FALSE(trace.finite());
+
+  // Past duration_s() the finite copy is a dead link; the original loops.
+  const double past_end = trace.duration_s() + 0.5;
+  EXPECT_DOUBLE_EQ(finite[0].throughput_at(past_end), 0.0);
+  EXPECT_DOUBLE_EQ(trace.throughput_at(past_end), 1000.0);
+  EXPECT_FALSE(finite[0].advance(100.0, past_end).completed);
+  EXPECT_TRUE(trace.advance(100.0, past_end).completed);
+  // Inside the trace both read the same step function.
+  EXPECT_EQ(finite[0].advance(500.0, 0.25).elapsed_s, trace.advance(500.0, 0.25).elapsed_s);
+}
+
+TEST(SharedVideo, CopyAllocatesNothing) {
+  const media::EncodedVideo video = media::Encoder().encode(
+      media::SourceVideo::generate("ShareGate", media::Genre::kGaming, 120));
+  std::vector<media::EncodedVideo> copies;
+  copies.reserve(1);
+  EXPECT_EQ(allocations_in([&] { copies.push_back(video); }), 0u);
+  const media::EncodedVideo& copy = copies[0];
+
+  EXPECT_EQ(&copy.source(), &video.source());
+  EXPECT_EQ(&copy.ladder(), &video.ladder());
+  ASSERT_EQ(copy.num_chunks(), video.num_chunks());
+  const size_t levels = video.ladder().level_count();
+  for (size_t c = 0; c < video.num_chunks(); ++c) {
+    for (size_t l = 0; l < levels; ++l) {
+      EXPECT_EQ(&copy.rep(c, l), &video.rep(c, l));
+      EXPECT_EQ(std::memcmp(&copy.rep(c, l), &video.rep(c, l), sizeof(media::EncodedChunk)), 0);
+    }
+  }
+}
+
+TEST(SharedVideo, RepChecksBothIndices) {
+  const media::EncodedVideo video = media::Encoder().encode(
+      media::SourceVideo::generate("RepGate", media::Genre::kSports, 40));
+  const size_t chunks = video.num_chunks();
+  const size_t levels = video.ladder().level_count();
+  ASSERT_GT(chunks, 0u);
+  EXPECT_NO_THROW(video.rep(chunks - 1, levels - 1));
+  EXPECT_THROW(video.rep(chunks, 0), std::out_of_range);
+  // A level past the end must not alias the next chunk's reps.
+  EXPECT_THROW(video.rep(0, levels), std::out_of_range);
+  EXPECT_THROW(video.rep(0, levels + 1), std::out_of_range);
+  EXPECT_THROW(video.size_bytes(chunks + 7, 0), std::out_of_range);
+  // Levels are laid out per chunk: rep(c, l) is chunk c's l-th rung.
+  for (size_t c = 0; c < chunks; ++c) {
+    for (size_t l = 0; l < levels; ++l) {
+      EXPECT_EQ(video.rep(c, l).bitrate_kbps, video.ladder().kbps(l));
+    }
+  }
+}
+
+TEST(SharedVideo, DefaultConstructedVideoHasNoChunks) {
+  const media::EncodedVideo none;
+  EXPECT_EQ(none.num_chunks(), 0u);
+  EXPECT_THROW(none.rep(0, 0), std::out_of_range);
+  EXPECT_EQ(none.source().num_chunks(), 0u);
+  EXPECT_TRUE(none.source().name().empty());
+  EXPECT_EQ(none.ladder().levels_kbps(), media::BitrateLadder().levels_kbps());
+  const media::EncodedVideo copy = none;
+  EXPECT_EQ(copy.num_chunks(), 0u);
 }
 
 }  // namespace

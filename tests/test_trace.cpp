@@ -136,6 +136,20 @@ TEST(Trace, NonFiniteWallClockReadsAsDeadLink) {
   EXPECT_TRUE(std::isinf(t.download_time_s(1000.0, inf, 0.08)));
 }
 
+TEST(Trace, DefaultConstructedTraceIsADeadLink) {
+  // No payload: no samples, no index, and every query reads a dead link.
+  const ThroughputTrace none;
+  EXPECT_EQ(none.sample_count(), 0u);
+  EXPECT_TRUE(none.samples_kbps().empty());
+  EXPECT_DOUBLE_EQ(none.throughput_at(1.0), 0.0);
+  EXPECT_DOUBLE_EQ(none.throughput_at(0.0), 0.0);
+  EXPECT_THROW(none.index(), std::runtime_error);
+  EXPECT_FALSE(none.advance(1000.0, 0.0).completed);
+  // Copies of it are default-constructed traces too.
+  const ThroughputTrace copy = none;
+  EXPECT_DOUBLE_EQ(copy.throughput_at(2.5), 0.0);
+}
+
 TEST(Trace, ConstructionRejectsNonFiniteValues) {
   double inf = std::numeric_limits<double>::infinity();
   EXPECT_THROW(ThroughputTrace("x", {100.0, inf}), std::runtime_error);
